@@ -34,13 +34,14 @@ from .dsm import (
     extract_dsm,
     statevector_oracle,
 )
-from .projection import best_projection, project_hungarian, project_random_order
+from .projection import project_hungarian, project_random_order
 from .optimizer import (
     AdamState,
     LossConfig,
     QuperConfig,
     QuperTrace,
     adam_nesterov_step,
+    best_projection,
     fd_gradient,
     loss,
     quper_solve,

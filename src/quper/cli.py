@@ -17,6 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .circuits import (
+    ANSATZ_KINDS,
+    SOLVER_ANSATZE,
     QubitBudgetError,
     build_ansatz,
     circuit_from_text,
@@ -61,7 +63,7 @@ def _read(path: str) -> str:
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--ansatz", default="bruhat", choices=["bruhat", "borel", "sel"])
+    p.add_argument("--ansatz", default="bruhat", choices=SOLVER_ANSATZE)
     p.add_argument("--ancilla", type=int, default=0, metavar="M")
     p.add_argument("--iters", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
@@ -254,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("span", help="census of spanned permutations")
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--ancilla", type=int, default=0)
-    sp.add_argument("--ansatz", default="bruhat", choices=["bruhat", "borel", "sel"])
+    sp.add_argument("--ansatz", default="bruhat", choices=SOLVER_ANSATZE)
     sp.add_argument("--mode", default="exhaustive", choices=["exhaustive", "sample"])
     sp.add_argument("--samples", type=int, default=100000)
     sp.add_argument("--params", type=int, default=None)
@@ -271,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     sc = sub.add_parser("compile", help="lower a circuit to linear topology")
     src = sc.add_mutually_exclusive_group(required=True)
     src.add_argument("--circuit", help="circuit text file")
-    src.add_argument("--ansatz", choices=["XLayer", "Borel", "Weyl", "Bruhat", "LX", "SEL"])
+    src.add_argument("--ansatz", choices=ANSATZ_KINDS)
     sc.add_argument("--q", type=int, default=3)
     sc.add_argument("--out", default=None)
     sc.set_defaults(func=cmd_compile)

@@ -302,33 +302,34 @@ def bruhat_decompose(m: Gf2Matrix) -> BruhatFactors:
     return factors
 
 
+def reverse_bits(x: int, q: int) -> int:
+    """The q low bits of x in reverse order.
+
+    Index i encodes the bit-vector with coordinate t = bit (q-1-t) of i, so
+    this one map takes an index to its bit-vector and a bit-vector back to
+    its index.
+    """
+    out = 0
+    for t in range(q):
+        out |= ((x >> t) & 1) << (q - 1 - t)
+    return out
+
+
 def recognize_affine(p: Permutation) -> AffineMap | None:
     """Recover (a, b) with p(x) = a.x XOR b on basis indices, or None.
 
-    Index i encodes the bit-vector with coordinate t = bit (q-1-t) of i, so
-    the unit vector e_t corresponds to index 2^(q-1-t).
+    Indices and bit-vectors correspond by reverse_bits, so the unit vector
+    e_t corresponds to index 2^(q-1-t).
     """
     n = p.n
     q = n.bit_length() - 1
     if n != 1 << q or n < 1:
         raise ValueError("permutation size must be a power of two")
 
-    def to_vec(idx: int) -> int:
-        v = 0
-        for t in range(q):
-            v |= ((idx >> (q - 1 - t)) & 1) << t
-        return v
-
-    def to_idx(v: int) -> int:
-        idx = 0
-        for t in range(q):
-            idx |= ((v >> t) & 1) << (q - 1 - t)
-        return idx
-
-    b = to_vec(p(0))
+    b = reverse_bits(p(0), q)
     cols = [0] * q
     for t in range(q):
-        cols[t] = to_vec(p(1 << (q - 1 - t))) ^ b
+        cols[t] = reverse_bits(p(1 << (q - 1 - t)), q) ^ b
     rows = [0] * q
     for t in range(q):
         for j in range(q):
@@ -338,7 +339,7 @@ def recognize_affine(p: Permutation) -> AffineMap | None:
         return None
     amap = AffineMap(a, b)
     for idx in range(n):
-        if p(idx) != to_idx(amap.apply(to_vec(idx))):
+        if p(idx) != reverse_bits(amap.apply(reverse_bits(idx, q)), q):
             return None
     return amap
 

@@ -57,13 +57,12 @@ class QuperConfig:
     iterations: int = 1000
     seed: int = 0
     lr: float | None = None  # None: 0.005 for QAP, 0.4 for GIP
-    grad_step: float = 1e-5
-    entropy_eps: float = 1e-8
-    random_order_trials: int = 50
 
     def __post_init__(self):
         if self.m_max < 0 or self.iterations < 1:
             raise ValueError("need m_max >= 0 and iterations >= 1")
+        if self.lr is not None and not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be None or finite and > 0, got {self.lr!r}")
 
 
 @dataclass
@@ -165,6 +164,20 @@ def _problem_costs(problem):
     raise TypeError("problem must be a QapInstance or GipInstance")
 
 
+def best_projection(d: Dsm, cost, seed):
+    """Project d onto permutations and cost each distinct candidate once.
+
+    The candidates are the Hungarian projection and the random-order ones,
+    costed in map order.  Returns (argmin, its value, Hungarian cost, best
+    random-order cost); ties go to the first candidate in map order.
+    """
+    ph = project_hungarian(d)
+    rand = project_random_order(d, seed)
+    costs = {p: float(cost(p)) for p in sorted(rand | {ph}, key=lambda p: p.map)}
+    best_p = min(costs, key=costs.__getitem__)
+    return best_p, costs[best_p], costs[ph], min(costs[p] for p in rand)
+
+
 def _default_lr(problem) -> float:
     return GIP_LR if isinstance(problem, GipInstance) else DEFAULT_LR
 
@@ -177,7 +190,7 @@ def quper_solve(problem, cfg: QuperConfig):
         raise ValueError("problem size must be a power of two")
     cost = _problem_costs(problem)
     lr = cfg.lr if cfg.lr is not None else _default_lr(problem)
-    loss_cfg = LossConfig(entropy_eps=cfg.entropy_eps, cost=cost)
+    loss_cfg = LossConfig(cost=cost)
 
     rng = np.random.default_rng([cfg.seed])
     trace = QuperTrace()
@@ -201,20 +214,13 @@ def quper_solve(problem, cfg: QuperConfig):
             return loss(DsmJob(circuit, m, th), loss_cfg)
 
         for _ in range(cfg.iterations):
-            g = fd_gradient(loss_fn, state.theta, cfg.grad_step)
+            g = fd_gradient(loss_fn, state.theta)
             state = adam_nesterov_step(state, g)
             d = extract_dsm(DsmJob(circuit, m, state.theta))
             raw = float(cost(d))
-            ph = project_hungarian(d)
-            ph_cost = float(cost(ph))
-            rand = project_random_order(
-                d, [cfg.seed, m, it_global], cfg.random_order_trials
-            )
-            pr_cost = min(float(cost(p)) for p in rand)
-            for p in sorted(rand | {ph}, key=lambda p: p.map):
-                v = float(cost(p))
-                if v < best_v:
-                    best_p, best_v = p, v
+            p, v, ph_cost, pr_cost = best_projection(d, cost, [cfg.seed, m, it_global])
+            if v < best_v:
+                best_p, best_v = p, v
             trace.records.append(
                 {
                     "iter": it_global,

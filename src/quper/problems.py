@@ -10,14 +10,13 @@ i.e. A[i][j] = B[p(i)][p(j)] for all i, j.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dsm import Dsm
-from .gf2 import AffineMap, Gf2Matrix, Permutation
+from .gf2 import AffineMap, Gf2Matrix, Permutation, reverse_bits
 
 
 @dataclass(frozen=True)
@@ -62,6 +61,11 @@ class GipInstance:
                 raise ValueError(
                     f"{label} must be a binary symmetric zero-diagonal matrix"
                 )
+        if np.shape(self.a) != np.shape(self.b):
+            raise ValueError(
+                f"A and B must have the same number of vertices, got "
+                f"{np.shape(self.a)[0]} and {np.shape(self.b)[0]}"
+            )
         object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
         object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
 
@@ -178,14 +182,9 @@ def _affine_permutation(q: int, rng: np.random.Generator) -> Permutation:
             break
     b = int(rng.integers(0, 1 << q))
     amap = AffineMap(a, b)
-
-    def to_vec(idx: int) -> int:
-        return sum(((idx >> (q - 1 - t)) & 1) << t for t in range(q))
-
-    def to_idx(v: int) -> int:
-        return sum(((v >> t) & 1) << (q - 1 - t) for t in range(q))
-
-    return Permutation(tuple(to_idx(amap.apply(to_vec(i))) for i in range(1 << q)))
+    return Permutation(
+        tuple(reverse_bits(amap.apply(reverse_bits(i, q)), q) for i in range(1 << q))
+    )
 
 
 def random_gip(
@@ -245,30 +244,6 @@ def parse_adjacency_csv(text: str) -> np.ndarray:
         if ln.strip()
     ]
     return np.array(rows, dtype=int)
-
-
-def instance_to_json(inst) -> str:
-    if isinstance(inst, QapInstance):
-        return json.dumps(
-            {
-                "type": "qap",
-                "n": inst.n,
-                "name": inst.name,
-                "W": inst.w.tolist(),
-                "D": inst.d.tolist(),
-                "known_optimum": inst.known_optimum,
-            }
-        )
-    return json.dumps(
-        {
-            "type": "gip",
-            "n": inst.n,
-            "name": inst.name,
-            "A": inst.a.astype(int).tolist(),
-            "B": inst.b.astype(int).tolist(),
-            "planted": list(inst.planted.map) if inst.planted else None,
-        }
-    )
 
 
 def relative_optimality_gap(value: float, optimum: float) -> float | None:

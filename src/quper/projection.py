@@ -6,8 +6,6 @@ Permutations act in row convention here: the matrix of p has a 1 at
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
@@ -15,12 +13,6 @@ from .dsm import Dsm
 from .gf2 import Permutation
 
 RANDOM_ORDER_TRIALS = 50
-
-
-@dataclass(frozen=True)
-class ProjectionResult:
-    candidates: frozenset[Permutation]
-    source: str
 
 
 def project_hungarian(d: Dsm) -> Permutation:
@@ -71,13 +63,3 @@ def _substream(seed, t: int) -> list[int]:
         return [*seed, t]
     return [int(seed), t]
 
-
-def best_projection(d: Dsm, cost, seed, trials: int = RANDOM_ORDER_TRIALS):
-    """Argmin of cost over the Hungarian and random-order candidates."""
-    best_p = project_hungarian(d)
-    best_v = float(cost(best_p))
-    for p in sorted(project_random_order(d, seed, trials), key=lambda p: p.map):
-        v = float(cost(p))
-        if v < best_v:
-            best_p, best_v = p, v
-    return best_p, best_v

@@ -1,0 +1,62 @@
+"""Record the fixed-seed solves that tests/test_reference_runs.py replays.
+
+    PYTHONPATH=src python3 tests/data/record_reference_runs.py
+
+Writes reference_runs.json: for each run, the instance, the solver config and
+what quper_solve returned (best permutation and value, every trace record and
+every level).  Re-record only when a change is meant to alter the solver's
+trajectory; a refactor must reproduce the file as it is.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+REFERENCE = HERE / "reference_runs.json"
+
+RUNS = [
+    {
+        "problem": {"kind": "gip", "n": 8, "seed": 4, "span_restricted": True},
+        "config": {"ansatz": "bruhat", "m_max": 0, "iterations": 30, "seed": 4},
+    },
+    {
+        "problem": {"kind": "qap", "n": 4, "seed": 4},
+        "config": {"ansatz": "bruhat", "m_max": 1, "iterations": 10, "seed": 4},
+    },
+]
+
+
+def run(spec: dict) -> dict:
+    """Solve one run spec; the result as it is stored in the reference file."""
+    from quper.optimizer import QuperConfig, quper_solve
+    from quper.problems import random_gip, random_qap
+
+    prob = spec["problem"]
+    if prob["kind"] == "gip":
+        problem = random_gip(
+            prob["n"], prob["seed"], span_restricted=prob["span_restricted"]
+        )
+    else:
+        problem = random_qap(prob["n"], prob["seed"])
+    best_p, best_v, trace = quper_solve(problem, QuperConfig(**spec["config"]))
+    return {
+        **spec,
+        "best_permutation": list(best_p.map),
+        "best_value": best_v,
+        "records": trace.records,
+        "levels": trace.levels,
+    }
+
+
+def main() -> int:
+    sys.path.insert(0, str(HERE.parent.parent / "src"))
+    runs = [run(spec) for spec in RUNS]
+    REFERENCE.write_text(json.dumps(runs, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,7 +6,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quper.cli import main
+from quper.circuits import ANSATZ_KINDS, SOLVER_ANSATZE
+from quper.cli import build_parser, main
 from quper.verify import run_suites
 
 DATA = Path(__file__).parent / "data"
@@ -121,6 +122,29 @@ class TestSolveCommands:
 
     def test_missing_file_is_input_error(self, capsys):
         assert main(["solve-qap", "--instance", "nope.dat"]) == 3
+
+    def test_nan_lr_is_input_error(self, capsys):
+        code = main(["solve-gip", "--random", "4", "--iters", "1", "--lr", "nan"])
+        assert code == 3
+        assert "lr must be" in capsys.readouterr().err
+
+    def test_graphs_of_different_sizes_are_input_error(self, tmp_path, capsys):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("4 0 1 1 2 2 3\n")
+        b.write_text("5 0 1 1 2 2 3 3 4\n")
+        code = main(["solve-gip", "--graphs", str(a), str(b), "--iters", "1"])
+        assert code == 3
+        assert "same number of vertices" in capsys.readouterr().err
+
+    def test_ansatz_choices_come_from_circuits(self):
+        parser = build_parser()
+        for name in SOLVER_ANSATZE:
+            for argv in (["solve-qap", "--random", "4", "0"], ["span", "--q", "2"]):
+                assert parser.parse_args([*argv, "--ansatz", name]).ansatz == name
+        for kind in ANSATZ_KINDS:
+            assert parser.parse_args(["compile", "--ansatz", kind]).ansatz == kind
+        with pytest.raises(SystemExit):
+            parser.parse_args(["span", "--q", "2", "--ansatz", "LX"])
 
     def test_bad_usage_exits_2(self):
         with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from quper.gf2 import (
     AffineMap,
@@ -16,6 +18,7 @@ from quper.gf2 import (
     bruhat_span_size,
     longest_element_word,
     recognize_affine,
+    reverse_bits,
     weyl_subword_mask,
     word_to_matrix,
 )
@@ -166,6 +169,20 @@ class TestRecognizeAffine:
     def test_non_power_of_two_rejected(self):
         with pytest.raises(ValueError):
             recognize_affine(Permutation((1, 2, 0)))
+
+
+class TestReverseBits:
+    def test_examples(self):
+        assert reverse_bits(0b001, 3) == 0b100
+        assert reverse_bits(0b110, 3) == 0b011
+        assert reverse_bits(0b1, 1) == 0b1
+
+    @given(st.data())
+    def test_involution(self, data):
+        q = data.draw(st.integers(1, 12))
+        x = data.draw(st.integers(0, (1 << q) - 1))
+        assert 0 <= reverse_bits(x, q) < 1 << q
+        assert reverse_bits(reverse_bits(x, q), q) == x
 
 
 def reduced_words(p: Permutation):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quper.circuits import solver_ansatz
 from quper.dsm import Dsm, DsmJob, extract_dsm
@@ -14,6 +16,7 @@ from quper.optimizer import (
     LossConfig,
     QuperConfig,
     adam_nesterov_step,
+    best_projection,
     embed_theta,
     fd_gradient,
     loss,
@@ -22,8 +25,20 @@ from quper.optimizer import (
     regularizers,
 )
 from quper.problems import QapInstance, qap_cost, random_qap
+from quper.projection import project_hungarian, project_random_order
 
 PI = math.pi
+
+
+def perm_row_matrix(p):
+    return np.eye(p.n)[list(p.map)]
+
+
+def random_dsm(n, rng, terms=6):
+    e = np.zeros((n, n))
+    for lam in rng.dirichlet(np.ones(terms)):
+        e[np.arange(n), rng.permutation(n)] += lam
+    return Dsm(e)
 
 
 class TestRegularizers:
@@ -155,6 +170,85 @@ class TestEmbedTheta:
         theta = embed_theta(small, big, np.zeros(small.param_count))
         new_slots = big.param_count - small.param_count
         assert np.sum(theta == PI / 8) == new_slots
+
+
+def inline_incumbent_step(d, cost, seed, best_p, best_v):
+    """Reference for best_projection: the incumbent step as quper_solve once
+    inlined it, costing every candidate twice."""
+    ph = project_hungarian(d)
+    ph_cost = float(cost(ph))
+    rand = project_random_order(d, seed)
+    pr_cost = min(float(cost(p)) for p in rand)
+    for p in sorted(rand | {ph}, key=lambda p: p.map):
+        v = float(cost(p))
+        if v < best_v:
+            best_p, best_v = p, v
+    return best_p, best_v, ph_cost, pr_cost
+
+
+class TestBestProjection:
+    def test_optimal_permutation_dsm(self):
+        # Cost is minimized by the permutation the DSM already encodes.
+        p = Permutation((1, 2, 3, 0))
+        d = Dsm(perm_row_matrix(p))
+        cost = lambda x: 0.0 if x == p else 1.0
+        best_p, best_v, ph_cost, pr_cost = best_projection(d, cost, seed=7)
+        assert best_p == p and best_v == 0.0
+        assert ph_cost == pr_cost == 0.0
+
+    def test_never_worse_than_hungarian(self):
+        rng = np.random.default_rng(8)
+        w = rng.uniform(0, 10, (6, 6))
+
+        def cost(p):
+            return float(w[np.arange(6), list(p.map)].sum())
+
+        for _ in range(10):
+            d = random_dsm(6, rng)
+            _, v, ph_cost, pr_cost = best_projection(d, cost, seed=9)
+            assert v <= cost(project_hungarian(d)) + 1e-12
+            assert ph_cost == cost(project_hungarian(d))
+            assert v == min(ph_cost, pr_cost)
+
+    def test_costs_each_distinct_candidate_once(self):
+        d = random_dsm(8, np.random.default_rng(10))
+        calls = []
+        best_projection(d, lambda p: calls.append(p) or 0.0, seed=11)
+        candidates = project_random_order(d, 11) | {project_hungarian(d)}
+        assert calls == sorted(candidates, key=lambda p: p.map)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([4, 8]),
+        dsm_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
+        incumbent=st.sampled_from([math.inf, 0.0, 3.0, 6.0]),
+    )
+    def test_matches_inline_incumbent_step(self, n, dsm_seed, seed, incumbent):
+        # Costs in 0..2 per row make ties between candidates common.
+        rng = np.random.default_rng(dsm_seed)
+        w = rng.integers(0, 3, (n, n))
+        d = random_dsm(n, rng)
+
+        def cost(p):
+            return float(w[np.arange(n), list(p.map)].sum())
+
+        start = Permutation.identity(n)
+        want = inline_incumbent_step(d, cost, seed, start, incumbent)
+        p, v, ph_cost, pr_cost = best_projection(d, cost, seed)
+        best_p, best_v = (p, v) if v < incumbent else (start, incumbent)
+        assert (best_p, best_v, ph_cost, pr_cost) == want
+
+
+class TestQuperConfig:
+    @pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+    def test_rejects_bad_lr(self, lr):
+        with pytest.raises(ValueError, match="lr"):
+            QuperConfig(lr=lr)
+
+    @pytest.mark.parametrize("lr", [None, 0.4, 1e-6])
+    def test_accepts_good_lr(self, lr):
+        assert QuperConfig(lr=lr).lr == lr
 
 
 class TestQuperSolve:

@@ -6,10 +6,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from quper.gf2 import Permutation, recognize_affine
+from quper.gf2 import Permutation, recognize_affine, reverse_bits
 from quper.problems import (
     GipInstance,
+    _affine_permutation,
     QapInstance,
     gip_cost,
     gip_to_qap,
@@ -205,6 +208,21 @@ class TestGenerators:
     def test_gip_validation(self):
         with pytest.raises(ValueError):
             GipInstance(np.eye(4, dtype=int), np.zeros((4, 4), dtype=int))
+
+    def test_gip_size_mismatch(self):
+        with pytest.raises(ValueError, match="same number of vertices"):
+            GipInstance(np.zeros((4, 4), dtype=int), np.zeros((5, 5), dtype=int))
+
+    @given(q=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_recognize_affine_inverts_affine_permutation(self, q, seed):
+        p = _affine_permutation(q, np.random.default_rng(seed))
+        amap = recognize_affine(p)
+        assert amap is not None and amap.q == q
+        # Distinct affine maps give distinct permutations, so this pins amap.
+        rebuilt = tuple(
+            reverse_bits(amap.apply(reverse_bits(i, q)), q) for i in range(1 << q)
+        )
+        assert rebuilt == p.map
 
 
 class TestGapMetrics:

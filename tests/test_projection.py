@@ -6,11 +6,7 @@ import numpy as np
 
 from quper.dsm import Dsm
 from quper.gf2 import Permutation
-from quper.projection import (
-    best_projection,
-    project_hungarian,
-    project_random_order,
-)
+from quper.projection import project_hungarian, project_random_order
 
 
 def perm_row_matrix(p):
@@ -76,24 +72,3 @@ class TestRandomOrder:
             u = perm_row_matrix(p) @ v
             assert len(set(u.tolist())) == 8
 
-
-class TestBestProjection:
-    def test_optimal_permutation_dsm(self):
-        # Cost is minimized by the permutation the DSM already encodes.
-        p = Permutation((1, 2, 3, 0))
-        d = Dsm(perm_row_matrix(p))
-        cost = lambda x: 0.0 if x == p else 1.0
-        best_p, best_v = best_projection(d, cost, seed=7)
-        assert best_p == p and best_v == 0.0
-
-    def test_never_worse_than_hungarian(self):
-        rng = np.random.default_rng(8)
-        w = rng.uniform(0, 10, (6, 6))
-
-        def cost(p):
-            return float(w[np.arange(6), list(p.map)].sum())
-
-        for _ in range(10):
-            d = random_dsm(6, rng)
-            _, v = best_projection(d, cost, seed=9)
-            assert v <= cost(project_hungarian(d)) + 1e-12

@@ -1,0 +1,42 @@
+"""Fixed-seed solves replayed against tests/data/reference_runs.json.
+
+The file was recorded by tests/data/record_reference_runs.py.  Permutations,
+best values, levels and iteration counters must match exactly; the float trace
+fields (losses, relaxed and projected costs) to a relative 1e-9.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+DATA = Path(__file__).parent / "data"
+REFERENCE = json.loads((DATA / "reference_runs.json").read_text())
+
+_spec = importlib.util.spec_from_file_location(
+    "record_reference_runs", DATA / "record_reference_runs.py"
+)
+recorder = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(recorder)
+
+
+def _run_id(ref):
+    return ref["problem"]["kind"] + str(ref["problem"]["n"])
+
+
+@pytest.mark.parametrize("ref", REFERENCE, ids=_run_id)
+def test_reference_run_reproduced(ref):
+    got = recorder.run({"problem": ref["problem"], "config": ref["config"]})
+    assert got["best_permutation"] == ref["best_permutation"]
+    # The best value is also the last level's value, which must match exactly.
+    assert got["best_value"] == ref["best_value"]
+    assert got["levels"] == ref["levels"]
+    assert len(got["records"]) == len(ref["records"])
+    for rec, want in zip(got["records"], ref["records"]):
+        assert rec.keys() == want.keys()
+        for key, value in want.items():
+            if isinstance(value, int):
+                assert rec[key] == value, key
+            else:
+                assert rec[key] == pytest.approx(value, rel=1e-9, abs=1e-12), key
