@@ -25,6 +25,7 @@ from .circuits import (
     lower_to_linear_topology,
     solver_ansatz,
     synthesize_params,
+    unitary_chunks,
 )
 from .dsm import (
     BirkhoffDecomposition,
@@ -32,6 +33,7 @@ from .dsm import (
     DsmJob,
     birkhoff_decompose,
     extract_dsm,
+    extract_dsms,
     statevector_oracle,
 )
 from .projection import project_hungarian, project_random_order

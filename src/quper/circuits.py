@@ -196,64 +196,11 @@ def circuit_stats(c: Circuit) -> CircuitStats:
     return CircuitStats(c.param_count, max(avail, default=0), two_q)
 
 
-def _rx_matrix(theta: float) -> np.ndarray:
-    if theta == 0.0:
-        return np.eye(2, dtype=complex)
-    if theta == math.pi:
-        return np.array([[0.0, -1.0j], [-1.0j, 0.0]])
-    c, s = math.cos(theta / 2), math.sin(theta / 2)
-    return np.array([[c, -1.0j * s], [-1.0j * s, c]])
-
-
-def _phase_matrix(theta: float) -> np.ndarray:
-    if theta == 0.0:
-        ph = 1.0
-    elif theta == math.pi:
-        ph = -1.0
-    elif theta == math.pi / 2:
-        ph = 1.0j
-    else:
-        ph = complex(math.cos(theta), math.sin(theta))
-    return np.array([[1.0, 0.0], [0.0, ph]])
-
-
-def _apply_1q(psi: np.ndarray, m: np.ndarray, t: int) -> np.ndarray:
-    psi = np.tensordot(m, psi, axes=([1], [t]))
-    return np.moveaxis(psi, 0, t)
-
-
-def _apply_controlled_1q(
-    psi: np.ndarray, m: np.ndarray, c: int, t: int
-) -> np.ndarray:
-    idx = [slice(None)] * psi.ndim
-    idx[c] = 1
-    sub = psi[tuple(idx)]
-    t_sub = t if t < c else t - 1
-    sub = np.moveaxis(np.tensordot(m, sub, axes=([1], [t_sub])), 0, t_sub)
-    psi = psi.copy()
-    psi[tuple(idx)] = sub
-    return psi
-
-
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-
-def _apply_gate(psi: np.ndarray, g: Gate, theta: float | None) -> np.ndarray:
-    if g.kind == "RX":
-        return _apply_1q(psi, _rx_matrix(theta), g.qubits[0])
-    if g.kind == "CX":
-        c, t = g.qubits
-        return _apply_controlled_1q(psi, _X, c, t)
-    if g.kind == "PCX":
-        c, t = g.qubits
-        psi = _apply_1q(psi, _phase_matrix(theta / 2), c)
-        return _apply_controlled_1q(psi, _rx_matrix(theta), c, t)
-    # PSWAP(a, b; phi) = CX(b -> a), PCX(a -> b; phi), CX(b -> a)
-    a, b = g.qubits
-    psi = _apply_controlled_1q(psi, _X, b, a)
-    psi = _apply_1q(psi, _phase_matrix(theta / 2), a)
-    psi = _apply_controlled_1q(psi, _rx_matrix(theta), a, b)
-    return _apply_controlled_1q(psi, _X, b, a)
+# Amplitudes per chunk of a unitary stack (1 MiB of complex128).  The kernel's
+# working memory stays near this whatever the stack size, and a chunk and its
+# temporaries fit a 2 MiB L2 cache, while numpy call overhead is still shared
+# by many small unitaries.
+CHUNK_AMPLITUDES = 1 << 16
 
 
 def _check_theta(c: Circuit, theta) -> np.ndarray:
@@ -265,19 +212,90 @@ def _check_theta(c: Circuit, theta) -> np.ndarray:
     return theta
 
 
-def eval_unitary(c: Circuit, theta, max_qubits: int | None = None) -> np.ndarray:
-    """Dense 2^q x 2^q unitary of the circuit at the given parameters."""
+def _gate_blocks(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """RX(theta) and PHASE(theta/2) . RX(theta) for every (row, slot).
+
+    The second block is PCX's action on its target inside the control-1
+    slice.  cos and sin of theta/2 are exact at theta in {0, pi}, so PCX(pi)
+    is CX and PSWAP(pi) is SWAP exactly.
+    """
+    c, s = np.cos(thetas / 2), np.sin(thetas / 2)
+    zero, pi = thetas == 0.0, thetas == math.pi
+    c[zero], s[zero] = 1.0, 0.0
+    c[pi], s[pi] = 0.0, 1.0
+    rx = np.empty(thetas.shape + (2, 2), dtype=complex)
+    rx[..., 0, 0] = rx[..., 1, 1] = c
+    rx[..., 0, 1] = rx[..., 1, 0] = -1.0j * s
+    return rx, (c + 1.0j * s)[..., None, None] * rx
+
+
+def _apply_gates(c: Circuit, psi: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Apply c's gates to the rows of every matrix in the stack psi (B, 2^q, k).
+
+    Each gate is one matmul of a per-row 2x2 block on a reshaped view; a
+    controlled gate rewrites only its control-1 slice, in place.
+    """
+    b = psi.shape[0]
+    rx, pcx = _gate_blocks(thetas)
+    for g in c.gates:
+        if g.kind == "RX":
+            (t,) = g.qubits
+            view = psi.reshape(b, 1 << t, 2, -1)
+            psi = (rx[:, g.slot, None] @ view).reshape(psi.shape)
+            continue
+        lo, hi = sorted(g.qubits)
+        # Axes: batch, qubits above lo, lo, qubits between, hi, the rest.
+        view = psi.reshape(b, 1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
+        if g.kind == "PSWAP":
+            # PSWAP(a, b) is PCX's block acting on the pair (a=1, b=0),
+            # (a=0, b=1) and the identity on (0, 0) and (1, 1).
+            x0, x1 = view[:, :, 1, :, 0], view[:, :, 0, :, 1]
+            if g.qubits[0] == hi:
+                x0, x1 = x1, x0
+            pair = pcx[:, g.slot, None, None] @ np.stack((x0, x1), axis=-2)
+            x0[...], x1[...] = pair[..., 0, :], pair[..., 1, :]
+            continue
+        # Control-1 slice with the target axis second to last.
+        if g.qubits[0] == lo:
+            sub = view[:, :, 1]
+        else:
+            sub = view[:, :, :, :, 1].swapaxes(2, 3)
+        if g.kind == "CX":
+            sub[...] = sub[..., ::-1, :]
+        else:  # PCX
+            sub[...] = pcx[:, g.slot, None, None] @ sub
+    return psi
+
+
+def unitary_chunks(c: Circuit, thetas, max_qubits: int | None = None):
+    """Dense unitaries of the circuit at each row of thetas (B, L).
+
+    Yields consecutive (b, 2^q, 2^q) slices of the stack, of equal size up to
+    one, each under CHUNK_AMPLITUDES amplitudes (one unitary at least).
+    """
     limit = max_qubits if max_qubits is not None else max_dense_qubits()
     if c.q > limit:
         raise QubitBudgetError(
             f"dense evaluation of {c.q} qubits exceeds the guard ({limit})"
         )
-    theta = _check_theta(c, theta)
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2 or thetas.shape[1] != c.param_count:
+        raise ValueError(
+            f"expected rows of {c.param_count} parameters, got shape {thetas.shape}"
+        )
     dim = 1 << c.q
-    psi = np.eye(dim, dtype=complex).reshape((2,) * c.q + (dim,))
-    for g in c.gates:
-        psi = _apply_gate(psi, g, None if g.slot is None else theta[g.slot])
-    return psi.reshape(dim, dim)
+    chunks = -(-len(thetas) // max(1, CHUNK_AMPLITUDES // (dim * dim)))
+    eye = np.eye(dim, dtype=complex)
+    for chunk in np.array_split(thetas, chunks):
+        psi = np.broadcast_to(eye, (len(chunk), dim, dim)).copy()
+        yield _apply_gates(c, psi, chunk)
+
+
+def eval_unitary(c: Circuit, theta, max_qubits: int | None = None) -> np.ndarray:
+    """Dense 2^q x 2^q unitary of the circuit at the given parameters."""
+    theta = _check_theta(c, theta)
+    (u,) = unitary_chunks(c, theta[None], max_qubits)
+    return u[0]
 
 
 def _binary_theta(c: Circuit, theta) -> np.ndarray:

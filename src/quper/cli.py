@@ -178,6 +178,8 @@ def cmd_span(args) -> int:
             return EXIT_BUDGET
         settings = itertools.product((0.0, math.pi), repeat=ell)
     else:
+        if args.samples < 1:
+            raise InputError(f"--samples must be >= 1, got {args.samples}")
         rng = np.random.default_rng([args.seed])
         settings = (
             rng.choice([0.0, math.pi], ell) for _ in range(args.samples)

@@ -8,12 +8,14 @@ the doubly-stochastic matrix
 the exact outcome distribution of feeding the circuit half of 2^(m+q)
 maximally entangled pairs and measuring the 2q non-ancilla qubits.  Both the
 closed-form block sum and a literal doubled-register statevector oracle are
-provided; they must agree to 1e-10.
+provided; they must agree to 1e-10.  The oracle walks the gates with its own
+serial gate helpers, independent of the batched kernel in quper.circuits.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,12 +23,11 @@ from scipy.optimize import linear_sum_assignment
 
 from .circuits import (
     Circuit,
+    Gate,
     QubitBudgetError,
-    _apply_1q,
-    _apply_controlled_1q,
-    _apply_gate,
     eval_unitary,
     max_dense_qubits,
+    unitary_chunks,
 )
 from .gf2 import Permutation
 
@@ -110,13 +111,90 @@ class DsmJob:
         return self.circuit.q - self.m
 
 
+def _block_sums(u: np.ndarray, m: int) -> np.ndarray:
+    """p_ij of every unitary in the stack u (B, 2^(m+q), 2^(m+q))."""
+    k = 1 << m
+    n = u.shape[-1] >> m
+    blocks = np.abs(u.reshape(len(u), k, n, k, n)) ** 2
+    return blocks.sum(axis=(1, 3)) / k
+
+
 def extract_dsm(job: DsmJob) -> Dsm:
     """Closed-form block sum over the ancilla indices of |U|^2."""
     u = eval_unitary(job.circuit, job.theta)
-    n = 1 << job.q
-    k = 1 << job.m
-    blocks = np.abs(u.reshape(k, n, k, n)) ** 2
-    return Dsm(blocks.sum(axis=(0, 2)) / k)
+    return Dsm(_block_sums(u[None], job.m)[0])
+
+
+def extract_dsms(circuit: Circuit, m: int, thetas) -> list[Dsm]:
+    """extract_dsm at every row of thetas (B, L), built as one unitary stack."""
+    if not 0 <= m < circuit.q:
+        raise ValueError("need 0 <= m < circuit.q")
+    return [
+        Dsm(e)
+        for u in unitary_chunks(circuit, thetas)
+        for e in _block_sums(u, m)
+    ]
+
+
+def _rx_matrix(theta: float) -> np.ndarray:
+    if theta == 0.0:
+        return np.eye(2, dtype=complex)
+    if theta == math.pi:
+        return np.array([[0.0, -1.0j], [-1.0j, 0.0]])
+    c, s = math.cos(theta / 2), math.sin(theta / 2)
+    return np.array([[c, -1.0j * s], [-1.0j * s, c]])
+
+
+def _phase_matrix(theta: float) -> np.ndarray:
+    if theta == 0.0:
+        ph = 1.0
+    elif theta == math.pi:
+        ph = -1.0
+    elif theta == math.pi / 2:
+        ph = 1.0j
+    else:
+        ph = complex(math.cos(theta), math.sin(theta))
+    return np.array([[1.0, 0.0], [0.0, ph]])
+
+
+def _apply_1q(psi: np.ndarray, m: np.ndarray, t: int) -> np.ndarray:
+    psi = np.tensordot(m, psi, axes=([1], [t]))
+    return np.moveaxis(psi, 0, t)
+
+
+def _apply_controlled_1q(
+    psi: np.ndarray, m: np.ndarray, c: int, t: int
+) -> np.ndarray:
+    idx = [slice(None)] * psi.ndim
+    idx[c] = 1
+    sub = psi[tuple(idx)]
+    t_sub = t if t < c else t - 1
+    sub = np.moveaxis(np.tensordot(m, sub, axes=([1], [t_sub])), 0, t_sub)
+    psi = psi.copy()
+    psi[tuple(idx)] = sub
+    return psi
+
+
+_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def _apply_gate(psi: np.ndarray, g: Gate, theta: float | None) -> np.ndarray:
+    """One gate on the tensor psi, one qubit per axis: the serial reference."""
+    if g.kind == "RX":
+        return _apply_1q(psi, _rx_matrix(theta), g.qubits[0])
+    if g.kind == "CX":
+        c, t = g.qubits
+        return _apply_controlled_1q(psi, _X, c, t)
+    if g.kind == "PCX":
+        c, t = g.qubits
+        psi = _apply_1q(psi, _phase_matrix(theta / 2), c)
+        return _apply_controlled_1q(psi, _rx_matrix(theta), c, t)
+    # PSWAP(a, b; phi) = CX(b -> a), PCX(a -> b; phi), CX(b -> a)
+    a, b = g.qubits
+    psi = _apply_controlled_1q(psi, _X, b, a)
+    psi = _apply_1q(psi, _phase_matrix(theta / 2), a)
+    psi = _apply_controlled_1q(psi, _rx_matrix(theta), a, b)
+    return _apply_controlled_1q(psi, _X, b, a)
 
 
 def statevector_oracle(job: DsmJob) -> Dsm:
@@ -138,10 +216,9 @@ def statevector_oracle(job: DsmJob) -> Dsm:
     psi = np.zeros((2,) * (2 * w), dtype=complex)
     psi[(0,) * (2 * w)] = 1.0
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     for t in range(w):
         psi = _apply_1q(psi, h, t)
-        psi = _apply_controlled_1q(psi, x, t, w + t)
+        psi = _apply_controlled_1q(psi, _X, t, w + t)
     theta = np.asarray(job.theta, dtype=float)
     for g in job.circuit.gates:
         psi = _apply_gate(psi, g, None if g.slot is None else theta[g.slot])

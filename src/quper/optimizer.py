@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .circuits import Circuit, solver_ansatz
-from .dsm import Dsm, DsmJob, extract_dsm
+from .dsm import Dsm, DsmJob, extract_dsm, extract_dsms
 from .gf2 import Permutation
 from .problems import GipInstance, QapInstance, gip_cost, qap_cost
 from .projection import project_hungarian, project_random_order
@@ -97,19 +97,25 @@ def loss_from_dsm(d: Dsm, cfg: LossConfig) -> float:
 
 
 def fd_gradient(f, theta, h: float = 1e-5) -> np.ndarray:
-    """Central differences, one independent coordinate at a time."""
+    """Central differences in every coordinate, from one call of f.
+
+    f maps a (2L, L) stack of points to its 2L values: row i is
+    theta + h e_i and row L + i is theta - h e_i.
+    """
     if h <= 0:
         raise ValueError("h must be positive")
     theta = np.asarray(theta, dtype=float)
-    g = np.zeros_like(theta)
-    for i in range(theta.size):
-        step = np.zeros_like(theta)
-        step[i] = h
-        hi, lo = f(theta + step), f(theta - step)
-        if not (math.isfinite(hi) and math.isfinite(lo)):
-            raise ValueError("non-finite loss value in gradient")
-        g[i] = (hi - lo) / (2 * h)
-    return g
+    steps = h * np.eye(theta.size)
+    points = np.concatenate([theta + steps, theta - steps])
+    values = np.asarray(f(points), dtype=float)
+    if values.shape != (2 * theta.size,):
+        raise ValueError(
+            f"f must return {2 * theta.size} values, got shape {values.shape}"
+        )
+    if not np.all(np.isfinite(values)):
+        raise ValueError("non-finite loss value in gradient")
+    hi, lo = values[: theta.size], values[theta.size :]
+    return (hi - lo) / (2 * h)
 
 
 def adam_nesterov_step(s: AdamState, g) -> AdamState:
@@ -210,8 +216,9 @@ def quper_solve(problem, cfg: QuperConfig):
             theta = embed_theta(prev_circuit, circuit, theta)
         state = AdamState.fresh(theta, eta=lr)
 
-        def loss_fn(th):
-            return loss(DsmJob(circuit, m, th), loss_cfg)
+        def loss_fn(thetas):
+            dsms = extract_dsms(circuit, m, thetas)
+            return [loss_from_dsm(d, loss_cfg) for d in dsms]
 
         for _ in range(cfg.iterations):
             g = fd_gradient(loss_fn, state.theta)

@@ -29,33 +29,31 @@ def _base_vector(n: int) -> np.ndarray:
     return np.arange(n, dtype=float)
 
 
-def _order(v: np.ndarray) -> np.ndarray:
-    # Stable order by (value, index): deterministic under ties.
-    return np.argsort(v, kind="stable")
-
-
 def project_random_order(
     d: Dsm, seed, trials: int = RANDOM_ORDER_TRIALS
 ) -> set[Permutation]:
     """Order-tracking projection: permute v, read how d.v reorders it.
 
     The returned p satisfies: the k-th smallest component of d.v sits at the
-    row mapped to the position of the k-th smallest component of v.
+    row mapped to the position of the k-th smallest component of v.  Trial t
+    draws v from its own stream (seed, t); all trials share one product.
     """
     n = d.n
     base = _base_vector(n)
-    out: set[Permutation] = set()
-    for t in range(trials):
-        rng = np.random.default_rng(_substream(seed, t))
-        v = base[rng.permutation(n)]
-        u = d.entries @ v
-        ov = _order(v)
-        ou = _order(u)
-        pmap = [0] * n
-        for k in range(n):
-            pmap[int(ou[k])] = int(ov[k])
-        out.add(Permutation(tuple(pmap)))
-    return out
+    v = np.stack(
+        [base[np.random.default_rng(_substream(seed, t)).permutation(n)]
+         for t in range(trials)]
+    )
+    # One matrix-vector product per trial, as d @ v would compute it: a
+    # matrix-matrix product sums in another order and can break near-ties in
+    # d.v the other way.
+    u = (d.entries @ v[:, :, None])[:, :, 0]
+    # Stable order by (value, index): deterministic under ties.
+    ov = np.argsort(v, axis=1, kind="stable")
+    ou = np.argsort(u, axis=1, kind="stable")
+    pmaps = np.empty_like(ov)
+    np.put_along_axis(pmaps, ou, ov, axis=1)
+    return {Permutation(tuple(row)) for row in pmaps.tolist()}
 
 
 def _substream(seed, t: int) -> list[int]:

@@ -2,12 +2,17 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quper import circuits
 from quper.circuits import (
     ANSATZ_KINDS,
+    SOLVER_ANSATZE,
     Circuit,
     Gate,
     QubitBudgetError,
@@ -20,7 +25,9 @@ from quper.circuits import (
     lower_to_linear_topology,
     solver_ansatz,
     synthesize_params,
+    unitary_chunks,
 )
+from quper.dsm import _apply_gate
 from quper.gf2 import AffineMap, Gf2Matrix, Permutation, recognize_affine
 
 PI = math.pi
@@ -160,6 +167,74 @@ class TestEvalUnitary:
     def test_param_length_mismatch(self):
         with pytest.raises(ValueError):
             eval_unitary(build_ansatz("LX", 2), [0.0])
+
+
+def serial_unitary(c, theta):
+    """Reference for the batched kernel: the serial gate walk."""
+    dim = 1 << c.q
+    psi = np.eye(dim, dtype=complex).reshape((2,) * c.q + (dim,))
+    for g in c.gates:
+        psi = _apply_gate(psi, g, None if g.slot is None else theta[g.slot])
+    return psi.reshape(dim, dim)
+
+
+def any_circuit(name, q):
+    if name in SOLVER_ANSATZE:
+        return solver_ansatz(name, q)
+    return build_ansatz(name, q)
+
+
+class TestBatchedKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        name=st.sampled_from(ANSATZ_KINDS + SOLVER_ANSATZE),
+        q=st.integers(2, 6),
+        batch=st.integers(1, 7),
+        chunk_rows=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_serial_walk(self, name, q, batch, chunk_rows, seed):
+        # Chunks of 1..3 unitaries, so most stacks cross a chunk boundary.
+        c = any_circuit(name, q)
+        rng = np.random.default_rng(seed)
+        thetas = rng.uniform(-2 * PI, 2 * PI, (batch, c.param_count))
+        binary = rng.random(thetas.shape) < 0.3
+        thetas[binary] = rng.choice([0.0, PI], np.count_nonzero(binary))
+        with mock.patch.object(circuits, "CHUNK_AMPLITUDES", chunk_rows * 4**q):
+            chunks = list(unitary_chunks(c, thetas))
+        sizes = [len(u) for u in chunks]
+        assert len(sizes) == -(-batch // chunk_rows)
+        assert max(sizes) <= chunk_rows and max(sizes) - min(sizes) <= 1
+        stack = np.concatenate(chunks)
+        assert stack.shape == (batch, 1 << q, 1 << q)
+        for theta, u in zip(thetas, stack):
+            assert np.max(np.abs(u - serial_unitary(c, theta))) <= 1e-12
+
+    def test_long_range_and_reversed_gates(self):
+        c = Circuit(
+            4,
+            (
+                Gate("PCX", (3, 0), 0),
+                Gate("PSWAP", (2, 0), 1),
+                Gate("CX", (1, 3), None),
+                Gate("CX", (3, 1), None),
+                Gate("PSWAP", (1, 3), 2),
+                Gate("PCX", (0, 2), 1),
+            ),
+            3,
+        )
+        rng = np.random.default_rng(12)
+        thetas = rng.uniform(0, 2 * PI, (5, 3))
+        (stack,) = unitary_chunks(c, thetas)
+        for theta, u in zip(thetas, stack):
+            assert np.max(np.abs(u - serial_unitary(c, theta))) <= 1e-12
+
+    def test_rejects_bad_stack_shape(self):
+        c = build_ansatz("LX", 2)
+        with pytest.raises(ValueError):
+            list(unitary_chunks(c, np.zeros(c.param_count)))
+        with pytest.raises(ValueError):
+            list(unitary_chunks(c, np.zeros((3, c.param_count + 1))))
 
 
 class TestEvalPermutation:

@@ -67,6 +67,14 @@ class TestSpanCommand:
         assert 1 <= int(count_h) <= int(cap)
         assert 1 <= int(count_r) <= int(cap)
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_non_positive_samples_is_input_error(self, samples, capsys):
+        code = main(["span", "--q", "2", "--mode", "sample", "--samples", samples])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "--samples" in captured.err
+        assert captured.out == ""
+
     def test_params_prefix_restriction(self, capsys):
         assert main(["span", "--q", "2", "--params", "0"]) == 0
         line = capsys.readouterr().out.strip().splitlines()[-1]

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quper.circuits import build_ansatz
+from quper.circuits import SOLVER_ANSATZE, build_ansatz, solver_ansatz
 from quper.dsm import (
     BirkhoffDecomposition,
     Dsm,
@@ -13,6 +15,7 @@ from quper.dsm import (
     NotDoublyStochasticError,
     birkhoff_decompose,
     extract_dsm,
+    extract_dsms,
     statevector_oracle,
 )
 from quper.gf2 import Permutation, recognize_affine
@@ -86,6 +89,34 @@ class TestExtractDsm:
     def test_bad_ancilla_count(self):
         with pytest.raises(ValueError):
             DsmJob(build_ansatz("LX", 2), 2, np.zeros(5))
+        with pytest.raises(ValueError):
+            extract_dsms(build_ansatz("LX", 2), 2, np.zeros((1, 5)))
+
+
+class TestExtractDsms:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(SOLVER_ANSATZE),
+        q=st.integers(1, 3),
+        m=st.integers(0, 2),
+        batch=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_unit_sums_and_rows_match_extract_dsm(self, name, q, m, batch, seed):
+        c = solver_ansatz(name, max(2, q + m))
+        m = min(m, c.q - 1)
+        thetas = np.random.default_rng(seed).uniform(
+            0, 2 * PI, (batch, c.param_count)
+        )
+        dsms = extract_dsms(c, m, thetas)
+        assert len(dsms) == batch
+        for theta, d in zip(thetas, dsms):
+            e = d.entries
+            assert e.shape == (1 << (c.q - m),) * 2
+            assert np.max(np.abs(e.sum(axis=0) - 1)) <= 1e-12
+            assert np.max(np.abs(e.sum(axis=1) - 1)) <= 1e-12
+            one = extract_dsm(DsmJob(c, m, theta)).entries
+            assert np.max(np.abs(e - one)) <= 1e-15
 
 
 class TestBirkhoff:

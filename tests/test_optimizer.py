@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quper.circuits import solver_ansatz
-from quper.dsm import Dsm, DsmJob, extract_dsm
+from quper.dsm import Dsm, DsmJob, extract_dsm, extract_dsms
 from quper.gf2 import Permutation
 from quper.optimizer import (
     AdamState,
@@ -20,6 +20,7 @@ from quper.optimizer import (
     embed_theta,
     fd_gradient,
     loss,
+    loss_from_dsm,
     quper_solve,
     random_baseline,
     regularizers,
@@ -78,11 +79,11 @@ class TestLoss:
 
 class TestFdGradient:
     def test_sin_sum(self):
-        g = fd_gradient(lambda t: float(np.sum(np.sin(t))), np.zeros(4), 1e-5)
+        g = fd_gradient(lambda ts: np.sum(np.sin(ts), axis=1), np.zeros(4), 1e-5)
         assert np.max(np.abs(g - 1.0)) <= 1e-8
 
     def test_constant(self):
-        g = fd_gradient(lambda t: 3.0, np.ones(3), 1e-5)
+        g = fd_gradient(lambda ts: [3.0] * len(ts), np.ones(3), 1e-5)
         assert np.array_equal(g, np.zeros(3))
 
     def test_step_halving_on_loss(self):
@@ -91,8 +92,8 @@ class TestFdGradient:
         c = solver_ansatz("bruhat", 3)
         rng = np.random.default_rng(2)
 
-        def f(theta):
-            return loss(DsmJob(c, 1, theta), cfg)
+        def f(thetas):
+            return [loss(DsmJob(c, 1, t), cfg) for t in thetas]
 
         for _ in range(5):
             theta = rng.uniform(0, 2 * PI, c.param_count)
@@ -103,7 +104,65 @@ class TestFdGradient:
 
     def test_rejects_bad_h(self):
         with pytest.raises(ValueError):
-            fd_gradient(lambda t: 0.0, np.zeros(2), 0.0)
+            fd_gradient(lambda ts: [0.0] * len(ts), np.zeros(2), 0.0)
+
+
+def fd_gradient_loop(f, theta, h=1e-5):
+    """Reference for fd_gradient: one coordinate, two calls of f at a time."""
+    theta = np.asarray(theta, dtype=float)
+    g = np.zeros_like(theta)
+    for i in range(theta.size):
+        step = np.zeros_like(theta)
+        step[i] = h
+        hi, lo = f(theta + step), f(theta - step)
+        if not (math.isfinite(hi) and math.isfinite(lo)):
+            raise ValueError("non-finite loss value in gradient")
+        g[i] = (hi - lo) / (2 * h)
+    return g
+
+
+class TestStackedFdGradient:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        name=st.sampled_from(["bruhat", "borel", "sel"]),
+        q=st.sampled_from([2, 3]),
+        m=st.integers(0, 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_one_coordinate_loop(self, name, q, m, seed):
+        inst = random_qap(1 << q, seed % 1000)
+        cfg = LossConfig(cost=lambda d: qap_cost(inst, d))
+        c = solver_ansatz(name, q + m)
+        theta = np.random.default_rng(seed).uniform(0, 2 * PI, c.param_count)
+
+        def stacked(thetas):
+            return [loss_from_dsm(d, cfg) for d in extract_dsms(c, m, thetas)]
+
+        got = fd_gradient(stacked, theta)
+        want = fd_gradient_loop(lambda t: loss(DsmJob(c, m, t), cfg), theta)
+        assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
+
+    def test_evaluation_points(self):
+        theta = np.array([0.5, -1.25, 3.0])
+        seen = []
+        fd_gradient(lambda ts: seen.append(ts.copy()) or [0.0] * len(ts), theta, 0.1)
+        (ts,) = seen
+        assert np.array_equal(ts[:3], theta + 0.1 * np.eye(3))
+        assert np.array_equal(ts[3:], theta - 0.1 * np.eye(3))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_loss(self, bad):
+        def f(ts):
+            values = [0.0] * len(ts)
+            values[-1] = bad
+            return values
+
+        with pytest.raises(ValueError, match="non-finite"):
+            fd_gradient(f, np.zeros(3))
+
+    def test_rejects_wrong_value_count(self):
+        with pytest.raises(ValueError, match="6 values"):
+            fd_gradient(lambda ts: [0.0] * 5, np.zeros(3))
 
 
 class TestAdamNesterov:

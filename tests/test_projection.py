@@ -3,10 +3,15 @@
 import itertools
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from quper.dsm import Dsm
+from quper.circuits import solver_ansatz
+from quper.dsm import Dsm, DsmJob, extract_dsm
 from quper.gf2 import Permutation
 from quper.projection import project_hungarian, project_random_order
+
+PI = np.pi
 
 
 def perm_row_matrix(p):
@@ -72,3 +77,65 @@ class TestRandomOrder:
             u = perm_row_matrix(p) @ v
             assert len(set(u.tolist())) == 8
 
+
+
+def random_order_loop(d, seed, trials=50):
+    """Reference for project_random_order: one trial at a time."""
+    n = d.n
+    base = np.ldexp(1.0, np.arange(n))
+    out = set()
+    for t in range(trials):
+        sub = [*seed, t] if isinstance(seed, (list, tuple)) else [int(seed), t]
+        v = base[np.random.default_rng(sub).permutation(n)]
+        u = d.entries @ v
+        ov = np.argsort(v, kind="stable")
+        ou = np.argsort(u, kind="stable")
+        pmap = [0] * n
+        for k in range(n):
+            pmap[int(ou[k])] = int(ov[k])
+        out.add(Permutation(tuple(pmap)))
+    return out
+
+
+@st.composite
+def dsms(draw):
+    """Birkhoff mixtures with few terms, permutation and uniform matrices
+    (exact ties in d.v), and circuit DSMs as the solver sees them.  Decimal
+    mixture weights and circuit angles on a pi/4 grid give rows whose d.v
+    differ in the last bit only, so summation order decides their order."""
+    kind = draw(st.sampled_from(["mixture", "permutation", "uniform", "circuit"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "circuit":
+        q, m = draw(st.sampled_from([(2, 0), (3, 0), (2, 1), (3, 1)]))
+        c = solver_ansatz("bruhat", q + m)
+        if draw(st.booleans()):
+            theta = rng.choice([0.0, PI / 4, PI / 2, PI], c.param_count)
+        else:
+            theta = rng.uniform(PI / 2 - 0.05, PI / 2 + 0.05, c.param_count)
+        return extract_dsm(DsmJob(c, m, theta))
+    n = draw(st.sampled_from([2, 4, 8, 16]))
+    if kind == "mixture":
+        if draw(st.booleans()):
+            e = np.zeros((n, n))
+            for lam in (0.1, 0.3, 0.6):
+                e[np.arange(n), rng.permutation(n)] += lam
+            return Dsm(e)
+        return random_dsm(n, rng, terms=draw(st.integers(1, 4)))
+    if kind == "permutation":
+        return Dsm(np.eye(n)[rng.permutation(n)])
+    return Dsm(np.full((n, n), 1.0 / n))
+
+
+class TestRandomOrderMatchesLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=dsms(),
+        seed=st.one_of(
+            st.integers(0, 2**32 - 1),
+            st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+        ),
+        trials=st.integers(1, 60),
+    )
+    def test_same_candidate_set(self, d, seed, trials):
+        want = random_order_loop(d, seed, trials)
+        assert project_random_order(d, seed, trials) == want
