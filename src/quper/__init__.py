@@ -29,8 +29,6 @@ from .circuits import (
 )
 from .dsm import (
     BirkhoffDecomposition,
-    Dsm,
-    DsmJob,
     birkhoff_decompose,
     extract_dsm,
     extract_dsms,
@@ -39,13 +37,12 @@ from .dsm import (
 from .projection import project_hungarian, project_random_order
 from .optimizer import (
     AdamState,
-    LossConfig,
     QuperConfig,
     QuperTrace,
     adam_nesterov_step,
     best_projection,
     fd_gradient,
-    loss,
+    loss_from_dsm,
     quper_solve,
     random_baseline,
     regularizers,

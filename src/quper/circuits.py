@@ -114,7 +114,7 @@ def _weyl_gates(q: int, slot0: int) -> list[Gate]:
     return [Gate("PSWAP", (i - 1, i), slot0 + g) for g, i in enumerate(word)]
 
 
-def build_ansatz(kind: str, q: int, sel_layers: int | None = None) -> Circuit:
+def build_ansatz(kind: str, q: int) -> Circuit:
     if kind not in ANSATZ_KINDS:
         raise ValueError(f"unknown ansatz kind {kind!r}")
     if q < 1 or (kind in ("Borel", "Weyl", "Bruhat") and q < 2):
@@ -147,13 +147,12 @@ def build_ansatz(kind: str, q: int, sel_layers: int | None = None) -> Circuit:
     else:  # SEL
         if q < 2:
             raise ValueError("SEL needs q >= 2")
-        if sel_layers is None:
-            # Match the LX parameter count as closely as a whole number of
-            # layers (2q slots each) allows.
-            sel_layers = max(1, round((q + 3 * pairs) / (2 * q)))
+        # Match the LX parameter count as closely as a whole number of
+        # layers (2q slots each) allows.
+        layers = max(1, round((q + 3 * pairs) / (2 * q)))
         gates = []
         slot = 0
-        for _ in range(sel_layers):
+        for _ in range(layers):
             gates += _xlayer_gates(list(range(q)), slot)
             slot += q
             for i in range(q):
@@ -267,13 +266,13 @@ def _apply_gates(c: Circuit, psi: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     return psi
 
 
-def unitary_chunks(c: Circuit, thetas, max_qubits: int | None = None):
+def unitary_chunks(c: Circuit, thetas):
     """Dense unitaries of the circuit at each row of thetas (B, L).
 
     Yields consecutive (b, 2^q, 2^q) slices of the stack, of equal size up to
     one, each under CHUNK_AMPLITUDES amplitudes (one unitary at least).
     """
-    limit = max_qubits if max_qubits is not None else max_dense_qubits()
+    limit = max_dense_qubits()
     if c.q > limit:
         raise QubitBudgetError(
             f"dense evaluation of {c.q} qubits exceeds the guard ({limit})"
@@ -291,10 +290,10 @@ def unitary_chunks(c: Circuit, thetas, max_qubits: int | None = None):
         yield _apply_gates(c, psi, chunk)
 
 
-def eval_unitary(c: Circuit, theta, max_qubits: int | None = None) -> np.ndarray:
+def eval_unitary(c: Circuit, theta) -> np.ndarray:
     """Dense 2^q x 2^q unitary of the circuit at the given parameters."""
     theta = _check_theta(c, theta)
-    (u,) = unitary_chunks(c, theta[None], max_qubits)
+    (u,) = unitary_chunks(c, theta[None])
     return u[0]
 
 

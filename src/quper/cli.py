@@ -28,7 +28,7 @@ from .circuits import (
     lower_to_linear_topology,
     solver_ansatz,
 )
-from .dsm import DsmJob, extract_dsm
+from .dsm import extract_dsm
 from .gf2 import bruhat_span_size
 from .optimizer import QuperConfig, quper_solve, random_baseline
 from .problems import (
@@ -195,7 +195,7 @@ def cmd_span(args) -> int:
             seen_h.add(p)
             seen_r.add(p)
         else:
-            d = extract_dsm(DsmJob(circuit, m, theta))
+            d = extract_dsm(circuit, m, theta)
             seen_h.add(project_hungarian(d).map)
             for p in project_random_order(d, [args.seed, idx], 1):
                 seen_r.add(p.map)

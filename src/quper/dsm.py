@@ -14,7 +14,6 @@ serial gate helpers, independent of the batched kernel in quper.circuits.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -41,74 +40,14 @@ class NotDoublyStochasticError(ValueError):
 
 
 @dataclass(frozen=True)
-class Dsm:
-    """n x n real matrix with unit row and column sums."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        e = np.asarray(self.entries, dtype=float)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValueError("DSM must be square")
-        object.__setattr__(self, "entries", e)
-
-    @property
-    def n(self) -> int:
-        return self.entries.shape[0]
-
-    def validate(self) -> None:
-        e = self.entries
-        if np.min(e) < -ENTRY_TOL or np.max(e) > 1 + ENTRY_TOL:
-            raise NotDoublyStochasticError("entries outside [0, 1]")
-        sums = np.concatenate([e.sum(axis=0) - 1, e.sum(axis=1) - 1])
-        if np.max(np.abs(sums)) > ROW_SUM_TOL:
-            raise NotDoublyStochasticError("row/column sums deviate from 1")
-
-    def to_csv(self) -> str:
-        return "\n".join(
-            ",".join(f"{v:.17g}" for v in row) for row in self.entries
-        )
-
-    @staticmethod
-    def from_csv(text: str) -> Dsm:
-        rows = [
-            [float(t) for t in ln.split(",")]
-            for ln in text.strip().splitlines()
-            if ln.strip()
-        ]
-        return Dsm(np.array(rows))
-
-
-@dataclass(frozen=True)
 class BirkhoffDecomposition:
     terms: tuple[tuple[float, Permutation], ...]
     residual: float
 
-    def to_json(self) -> str:
-        return json.dumps(
-            [
-                {"lambda": lam, "permutation": list(p.map)}
-                for lam, p in self.terms
-            ]
-        )
 
-
-@dataclass(frozen=True)
-class DsmJob:
-    """Ansatz on m + q qubits; the m ancillas are the most-significant qubits."""
-
-    circuit: Circuit
-    m: int
-    theta: np.ndarray
-
-    def __post_init__(self):
-        if self.m < 0 or self.m >= self.circuit.q:
-            raise ValueError("need 0 <= m < circuit.q")
-        object.__setattr__(self, "theta", np.asarray(self.theta, dtype=float))
-
-    @property
-    def q(self) -> int:
-        return self.circuit.q - self.m
+def _check_ancillas(circuit: Circuit, m: int) -> None:
+    if not 0 <= m < circuit.q:
+        raise ValueError("need 0 <= m < circuit.q")
 
 
 def _block_sums(u: np.ndarray, m: int) -> np.ndarray:
@@ -119,21 +58,22 @@ def _block_sums(u: np.ndarray, m: int) -> np.ndarray:
     return blocks.sum(axis=(1, 3)) / k
 
 
-def extract_dsm(job: DsmJob) -> Dsm:
-    """Closed-form block sum over the ancilla indices of |U|^2."""
-    u = eval_unitary(job.circuit, job.theta)
-    return Dsm(_block_sums(u[None], job.m)[0])
+def extract_dsm(circuit: Circuit, m: int, theta) -> np.ndarray:
+    """The (n, n) DSM of the circuit on m + q qubits, the m ancillas being the
+    most-significant ones: the closed-form block sum over the ancilla indices
+    of |U|^2."""
+    _check_ancillas(circuit, m)
+    u = eval_unitary(circuit, theta)
+    return _block_sums(u[None], m)[0]
 
 
-def extract_dsms(circuit: Circuit, m: int, thetas) -> list[Dsm]:
-    """extract_dsm at every row of thetas (B, L), built as one unitary stack."""
-    if not 0 <= m < circuit.q:
-        raise ValueError("need 0 <= m < circuit.q")
-    return [
-        Dsm(e)
-        for u in unitary_chunks(circuit, thetas)
-        for e in _block_sums(u, m)
-    ]
+def extract_dsms(circuit: Circuit, m: int, thetas) -> np.ndarray:
+    """extract_dsm at every row of thetas (B, L): one (B, n, n) array, from
+    one unitary stack."""
+    _check_ancillas(circuit, m)
+    return np.concatenate(
+        [_block_sums(u, m) for u in unitary_chunks(circuit, thetas)]
+    )
 
 
 def _rx_matrix(theta: float) -> np.ndarray:
@@ -197,7 +137,7 @@ def _apply_gate(psi: np.ndarray, g: Gate, theta: float | None) -> np.ndarray:
     return _apply_controlled_1q(psi, _X, b, a)
 
 
-def statevector_oracle(job: DsmJob) -> Dsm:
+def statevector_oracle(circuit: Circuit, m: int, theta) -> np.ndarray:
     """Literal doubled-register simulation; the ground truth for extract_dsm.
 
     Register 1 (qubits 0..m+q-1) and register 2 (qubits m+q..2(m+q)-1) are
@@ -205,41 +145,58 @@ def statevector_oracle(job: DsmJob) -> Dsm:
     circuit acts on register 1, and the exact joint distribution of the 2q
     non-ancilla qubits is scaled by n.
     """
-    w = job.circuit.q
+    _check_ancillas(circuit, m)
+    w = circuit.q
     if 2 * w > max_dense_qubits():
         raise QubitBudgetError(
             f"oracle needs {2 * w} qubits, over the guard ({max_dense_qubits()})"
         )
-    if len(np.asarray(job.theta)) != job.circuit.param_count:
+    theta = np.asarray(theta, dtype=float)
+    if len(theta) != circuit.param_count:
         raise ValueError("parameter length mismatch")
-    n = 1 << job.q
+    n = 1 << (w - m)
     psi = np.zeros((2,) * (2 * w), dtype=complex)
     psi[(0,) * (2 * w)] = 1.0
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     for t in range(w):
         psi = _apply_1q(psi, h, t)
         psi = _apply_controlled_1q(psi, _X, t, w + t)
-    theta = np.asarray(job.theta, dtype=float)
-    for g in job.circuit.gates:
+    for g in circuit.gates:
         psi = _apply_gate(psi, g, None if g.slot is None else theta[g.slot])
     probs = np.abs(psi) ** 2
     # Axes: [reg1 ancillas (m), reg1 system (q), reg2 ancillas (m), reg2
     # system (q)]; measure the 2q system qubits, marginalizing the rest.
-    k = 1 << job.m
+    k = 1 << m
     probs = probs.reshape(k, n, k, n).sum(axis=(0, 2))
-    return Dsm(probs * n)
+    return probs * n
 
 
-def birkhoff_decompose(d: Dsm, tol: float = BIRKHOFF_TOL) -> BirkhoffDecomposition:
+def _check_doubly_stochastic(d) -> np.ndarray:
+    """d as a float array, if it is square with entries in [0, 1] and unit
+    row and column sums (within ENTRY_TOL and ROW_SUM_TOL)."""
+    d = np.asarray(d, dtype=float)
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise NotDoublyStochasticError("DSM must be square")
+    if np.min(d) < -ENTRY_TOL or np.max(d) > 1 + ENTRY_TOL:
+        raise NotDoublyStochasticError("entries outside [0, 1]")
+    sums = np.concatenate([d.sum(axis=0) - 1, d.sum(axis=1) - 1])
+    if np.max(np.abs(sums)) > ROW_SUM_TOL:
+        raise NotDoublyStochasticError("row/column sums deviate from 1")
+    return d
+
+
+def birkhoff_decompose(
+    d: np.ndarray, tol: float = BIRKHOFF_TOL
+) -> BirkhoffDecomposition:
     """Greedy Birkhoff-von-Neumann peeling via maximum-weight assignment.
 
     Each step subtracts lambda = min entry of the heaviest permutation
     support; choosing the assignment maximizing the total weight is the
     deterministic tie-break.
     """
-    d.validate()
-    n = d.n
-    rem = d.entries.clip(min=0.0).copy()
+    d = _check_doubly_stochastic(d)
+    n = len(d)
+    rem = d.clip(min=0.0)
     terms: dict[tuple[int, ...], float] = {}
     while rem.sum() > tol * n:
         rows, cols = linear_sum_assignment(rem, maximize=True)
@@ -253,11 +210,11 @@ def birkhoff_decompose(d: Dsm, tol: float = BIRKHOFF_TOL) -> BirkhoffDecompositi
         pmap = tuple(int(c) for c in cols[np.argsort(rows)])
         terms[pmap] = terms.get(pmap, 0.0) + lam
         rem[rows, cols] -= lam
-    recon = np.zeros_like(d.entries)
+    recon = np.zeros_like(d)
     out = []
     for pmap, lam in terms.items():
         p = Permutation(pmap)
         out.append((lam, p))
         recon[np.arange(n), pmap] += lam
-    residual = float(np.max(np.abs(d.entries - recon)))
+    residual = float(np.max(np.abs(d - recon)))
     return BirkhoffDecomposition(tuple(out), residual)

@@ -71,9 +71,6 @@ class Gf2Matrix:
     def entry(self, j: int, k: int) -> int:
         return (self.rows[j] >> k) & 1
 
-    def entries(self) -> list[list[int]]:
-        return [[self.entry(j, k) for k in range(self.q)] for j in range(self.q)]
-
     def __matmul__(self, other: Gf2Matrix) -> Gf2Matrix:
         if self.q != other.q:
             raise ValueError("dimension mismatch")
@@ -95,13 +92,6 @@ class Gf2Matrix:
         for j, r in enumerate(self.rows):
             y |= ((r & x).bit_count() & 1) << j
         return y
-
-    def transpose(self) -> Gf2Matrix:
-        rows = [0] * self.q
-        for j in range(self.q):
-            for k in range(self.q):
-                rows[k] |= self.entry(j, k) << j
-        return Gf2Matrix(self.q, tuple(rows))
 
     def inverse(self) -> Gf2Matrix:
         """Inverse by Gauss-Jordan elimination; raises on singular input."""

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .circuits import Circuit, solver_ansatz
-from .dsm import Dsm, DsmJob, extract_dsm, extract_dsms
+from .circuits import Circuit, QubitBudgetError, max_dense_qubits, solver_ansatz
+from .dsm import extract_dsm, extract_dsms
 from .gf2 import Permutation
 from .problems import GipInstance, QapInstance, gip_cost, qap_cost
 from .projection import project_hungarian, project_random_order
@@ -23,14 +23,11 @@ DEFAULT_LR = 0.005
 GIP_LR = 0.4
 PAD_ANGLE = math.pi / 8
 
-
-@dataclass(frozen=True)
-class LossConfig:
-    w_st: float = 1 / 10
-    w_entropy: float = 15 / 100
-    w_ort: float = 1 / 100
-    entropy_eps: float = 1e-8
-    cost: object = None  # Dsm -> real
+# Weights of the regularizers in the loss, and the entropy's log offset.
+W_ST = 1 / 10
+W_ENTROPY = 15 / 100
+W_ORT = 1 / 100
+ENTROPY_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -71,29 +68,19 @@ class QuperTrace:
     levels: list[dict] = field(default_factory=list)
 
 
-def regularizers(d: Dsm, entropy_eps: float) -> tuple[float, float, float]:
-    """(st, S_eps, ort) as defined by the loss."""
-    e = d.entries
-    st = float(np.sum((e.sum(axis=0) - 1.0) ** 2))
-    s_eps = float(-np.sum(e * np.log(e + entropy_eps)))
-    gram = e.T @ e - np.eye(d.n)
+def regularizers(d: np.ndarray, entropy_eps: float) -> tuple[float, float, float]:
+    """(st, S_eps, ort) of the DSM d, as defined by the loss."""
+    st = float(np.sum((d.sum(axis=0) - 1.0) ** 2))
+    s_eps = float(-np.sum(d * np.log(d + entropy_eps)))
+    gram = d.T @ d - np.eye(len(d))
     ort = float(np.sum(gram**2))
     return st, s_eps, ort
 
 
-def loss(job: DsmJob, cfg: LossConfig) -> float:
-    d = extract_dsm(job)
-    return loss_from_dsm(d, cfg)
-
-
-def loss_from_dsm(d: Dsm, cfg: LossConfig) -> float:
-    st, s_eps, ort = regularizers(d, cfg.entropy_eps)
-    return (
-        float(cfg.cost(d))
-        + cfg.w_st * st
-        + cfg.w_entropy * s_eps
-        + cfg.w_ort * ort
-    )
+def loss_from_dsm(d: np.ndarray, cost) -> float:
+    """cost(d) plus the weighted regularizers of the DSM d."""
+    st, s_eps, ort = regularizers(d, ENTROPY_EPS)
+    return float(cost(d)) + W_ST * st + W_ENTROPY * s_eps + W_ORT * ort
 
 
 def fd_gradient(f, theta, h: float = 1e-5) -> np.ndarray:
@@ -170,7 +157,7 @@ def _problem_costs(problem):
     raise TypeError("problem must be a QapInstance or GipInstance")
 
 
-def best_projection(d: Dsm, cost, seed):
+def best_projection(d: np.ndarray, cost, seed):
     """Project d onto permutations and cost each distinct candidate once.
 
     The candidates are the Hungarian projection and the random-order ones,
@@ -194,9 +181,13 @@ def quper_solve(problem, cfg: QuperConfig):
     q = n.bit_length() - 1
     if 1 << q != n:
         raise ValueError("problem size must be a power of two")
+    if q + cfg.m_max > max_dense_qubits():
+        raise QubitBudgetError(
+            f"{q} qubits plus {cfg.m_max} ancillas exceed the guard "
+            f"({max_dense_qubits()})"
+        )
     cost = _problem_costs(problem)
     lr = cfg.lr if cfg.lr is not None else _default_lr(problem)
-    loss_cfg = LossConfig(cost=cost)
 
     rng = np.random.default_rng([cfg.seed])
     trace = QuperTrace()
@@ -217,13 +208,12 @@ def quper_solve(problem, cfg: QuperConfig):
         state = AdamState.fresh(theta, eta=lr)
 
         def loss_fn(thetas):
-            dsms = extract_dsms(circuit, m, thetas)
-            return [loss_from_dsm(d, loss_cfg) for d in dsms]
+            return [loss_from_dsm(d, cost) for d in extract_dsms(circuit, m, thetas)]
 
         for _ in range(cfg.iterations):
             g = fd_gradient(loss_fn, state.theta)
             state = adam_nesterov_step(state, g)
-            d = extract_dsm(DsmJob(circuit, m, state.theta))
+            d = extract_dsm(circuit, m, state.theta)
             raw = float(cost(d))
             p, v, ph_cost, pr_cost = best_projection(d, cost, [cfg.seed, m, it_global])
             if v < best_v:
@@ -232,7 +222,7 @@ def quper_solve(problem, cfg: QuperConfig):
                 {
                     "iter": it_global,
                     "m": m,
-                    "loss": loss_from_dsm(d, loss_cfg),
+                    "loss": loss_from_dsm(d, cost),
                     "raw_cost": raw,
                     "proj_hungarian_cost": ph_cost,
                     "proj_random_cost": pr_cost,

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsm import Dsm
 from .gf2 import AffineMap, Gf2Matrix, Permutation, reverse_bits
 
 
@@ -77,8 +76,6 @@ class GipInstance:
 def _as_matrix(p) -> np.ndarray:
     if isinstance(p, Permutation):
         return np.eye(p.n)[list(p.map)]  # row i has a 1 at column p(i)
-    if isinstance(p, Dsm):
-        return p.entries
     return np.asarray(p, dtype=float)
 
 
@@ -190,7 +187,6 @@ def _affine_permutation(q: int, rng: np.random.Generator) -> Permutation:
 def random_gip(
     n: int,
     seed: int,
-    edge_prob: float = 0.5,
     span_restricted: bool = False,
 ) -> GipInstance:
     """Random graph pair with a planted isomorphism (gip_cost = 0).
@@ -209,7 +205,7 @@ def random_gip(
         planted = _affine_permutation(q, rng)
     else:
         planted = Permutation(tuple(int(v) for v in rng.permutation(n)))
-    a = np.triu((rng.random((n, n)) < edge_prob).astype(int), 1)
+    a = np.triu((rng.random((n, n)) < 0.5).astype(int), 1)
     a = a + a.T
     # B[p(i)][p(j)] = A[i][j] makes gip_cost(planted) = 0.
     b = np.zeros_like(a)

@@ -9,15 +9,14 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .dsm import Dsm
 from .gf2 import Permutation
 
 RANDOM_ORDER_TRIALS = 50
 
 
-def project_hungarian(d: Dsm) -> Permutation:
+def project_hungarian(d: np.ndarray) -> Permutation:
     """Exact maximizer of sum_i d[i, p(i)], i.e. the closest permutation."""
-    rows, cols = linear_sum_assignment(d.entries, maximize=True)
+    rows, cols = linear_sum_assignment(d, maximize=True)
     return Permutation(tuple(int(c) for c in cols[np.argsort(rows)]))
 
 
@@ -30,7 +29,7 @@ def _base_vector(n: int) -> np.ndarray:
 
 
 def project_random_order(
-    d: Dsm, seed, trials: int = RANDOM_ORDER_TRIALS
+    d: np.ndarray, seed, trials: int = RANDOM_ORDER_TRIALS
 ) -> set[Permutation]:
     """Order-tracking projection: permute v, read how d.v reorders it.
 
@@ -38,7 +37,7 @@ def project_random_order(
     row mapped to the position of the k-th smallest component of v.  Trial t
     draws v from its own stream (seed, t); all trials share one product.
     """
-    n = d.n
+    n = len(d)
     base = _base_vector(n)
     v = np.stack(
         [base[np.random.default_rng(_substream(seed, t)).permutation(n)]
@@ -47,7 +46,7 @@ def project_random_order(
     # One matrix-vector product per trial, as d @ v would compute it: a
     # matrix-matrix product sums in another order and can break near-ties in
     # d.v the other way.
-    u = (d.entries @ v[:, :, None])[:, :, 0]
+    u = (d @ v[:, :, None])[:, :, 0]
     # Stable order by (value, index): deterministic under ties.
     ov = np.argsort(v, axis=1, kind="stable")
     ou = np.argsort(u, axis=1, kind="stable")

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .circuits import Circuit, Gate, build_ansatz, eval_unitary
-from .dsm import DsmJob, extract_dsm, statevector_oracle
+from .dsm import extract_dsm, statevector_oracle
 from .gf2 import (
     Gf2Matrix,
     Transvection,
@@ -150,9 +150,8 @@ def suite_dsm_agreement(seed: int = 0, jobs: int = 20):
         m = int(rng.integers(0, 2))
         c = build_ansatz("Bruhat", 2 + m)
         theta = rng.uniform(0, 2 * math.pi, c.param_count)
-        job = DsmJob(c, m, theta)
         err = float(
-            np.max(np.abs(extract_dsm(job).entries - statevector_oracle(job).entries))
+            np.max(np.abs(extract_dsm(c, m, theta) - statevector_oracle(c, m, theta)))
         )
         worst = max(worst, err)
         if err > 1e-10:

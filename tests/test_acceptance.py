@@ -17,7 +17,7 @@ from quper.circuits import (
     lower_to_linear_topology,
     synthesize_params,
 )
-from quper.dsm import Dsm, DsmJob, birkhoff_decompose, extract_dsm, statevector_oracle
+from quper.dsm import birkhoff_decompose, extract_dsm, statevector_oracle
 from quper.gf2 import (
     AffineMap,
     Gf2Matrix,
@@ -31,11 +31,10 @@ from quper.gf2 import (
 )
 from quper.optimizer import (
     AdamState,
-    LossConfig,
     QuperConfig,
     adam_nesterov_step,
     fd_gradient,
-    loss,
+    loss_from_dsm,
     quper_solve,
     random_baseline,
 )
@@ -182,20 +181,17 @@ def test_criterion_05_dsm_properties():
                 c = build_ansatz(kind, q + m)
                 for _ in range(100):
                     theta = rng.uniform(0, 2 * PI, c.param_count)
-                    job = DsmJob(c, m, theta)
-                    d = extract_dsm(job)
-                    sums = np.concatenate(
-                        [d.entries.sum(axis=0) - 1, d.entries.sum(axis=1) - 1]
-                    )
+                    d = extract_dsm(c, m, theta)
+                    sums = np.concatenate([d.sum(axis=0) - 1, d.sum(axis=1) - 1])
                     ok &= np.max(np.abs(sums)) <= 1e-9
-                    o = statevector_oracle(job)
-                    ok &= np.max(np.abs(d.entries - o.entries)) <= 1e-10
+                    o = statevector_oracle(c, m, theta)
+                    ok &= np.max(np.abs(d - o)) <= 1e-10
         c = build_ansatz(kind, 3)
         for _ in range(20):
             theta = rng.choice([0.0, PI], c.param_count)
-            d = extract_dsm(DsmJob(c, 0, theta))
+            d = extract_dsm(c, 0, theta)
             p = eval_permutation(c, theta)
-            ok &= np.array_equal(d.entries, perm_column_matrix(p))
+            ok &= np.array_equal(d, perm_column_matrix(p))
     report(5, "DSM sums, oracle agreement, exact binary m=0 matrices", ok)
 
 
@@ -205,7 +201,7 @@ def test_criterion_06_birkhoff_membership():
     ok = True
     for _ in range(500):
         theta = rng.choice([0.0, PI], c.param_count)
-        d = extract_dsm(DsmJob(c, 1, theta))
+        d = extract_dsm(c, 1, theta)
         bd = birkhoff_decompose(d)
         ok &= len(bd.terms) <= 2 ** (3 * 1 * 3)
         for _, p in bd.terms:
@@ -250,13 +246,12 @@ def test_criterion_09_projections():
         e = np.zeros((8, 8))
         for lam in rng.dirichlet(np.ones(6)):
             e[np.arange(8), rng.permutation(8)] += lam
-        d = Dsm(e)
-        p = project_hungarian(d)
+        p = project_hungarian(e)
         got = e[np.arange(8), list(p.map)].sum()
         best = e[np.arange(8)[None, :], all_p8].sum(axis=1).max()
         ok &= got == best
     p = Permutation((3, 0, 2, 1))
-    out = project_random_order(Dsm(np.eye(4)[list(p.map)]), seed=9, trials=50)
+    out = project_random_order(np.eye(4)[list(p.map)], seed=9, trials=50)
     ok &= out == {p}
     report(9, "Hungarian matches exhaustive optimum; random-order fixed point", ok)
 
@@ -331,13 +326,13 @@ def test_criterion_12_optimizer_numerics():
     from quper.circuits import solver_ansatz
 
     inst = random_qap(4, 121)
-    cfg = LossConfig(cost=lambda d: qap_cost(inst, d))
+    cost = lambda d: qap_cost(inst, d)
     c = solver_ansatz("bruhat", 3)
     rng = np.random.default_rng(122)
     ok = True
     for _ in range(20):
         theta = rng.uniform(0, 2 * PI, c.param_count)
-        f = lambda ts: [loss(DsmJob(c, 1, t), cfg) for t in ts]
+        f = lambda ts: [loss_from_dsm(extract_dsm(c, 1, t), cost) for t in ts]
         g1 = fd_gradient(f, theta, 1e-5)
         g2 = fd_gradient(f, theta, 0.5e-5)
         rel = np.max(np.abs(g1 - g2)) / max(1e-9, np.max(np.abs(g2)))

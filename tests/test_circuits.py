@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quper import circuits
@@ -155,14 +155,16 @@ class TestEvalUnitary:
             mags = np.abs(eval_unitary(c, theta))
             assert np.all((mags < 1e-12) | (np.abs(mags - 1) < 1e-12))
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
         c = build_ansatz("XLayer", 15)
         with pytest.raises(QubitBudgetError):
             eval_unitary(c, np.zeros(15))
         small = build_ansatz("XLayer", 4)
+        monkeypatch.setenv("QUPER_MAX_QUBITS", "3")
         with pytest.raises(QubitBudgetError):
-            eval_unitary(small, np.zeros(4), max_qubits=3)
-        assert eval_unitary(small, np.zeros(4), max_qubits=4).shape == (16, 16)
+            eval_unitary(small, np.zeros(4))
+        monkeypatch.setenv("QUPER_MAX_QUBITS", "4")
+        assert eval_unitary(small, np.zeros(4)).shape == (16, 16)
 
     def test_param_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -276,11 +278,18 @@ class TestSynthesizeParams:
         assert theta[0] == PI
         assert np.all(theta[1:] == 0.0)
 
-    def test_roundtrip_q3_200_random(self):
-        rng = np.random.default_rng(13)
-        for _ in range(200):
+    @settings(deadline=None)
+    @given(
+        q=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 5),
+    )
+    @example(q=3, seed=13, count=200)
+    def test_roundtrip_random_affine(self, q, seed, count):
+        rng = np.random.default_rng(seed)
+        for _ in range(count):
             amap = AffineMap(
-                random_invertible(3, rng), int(rng.integers(0, 8))
+                random_invertible(q, rng), int(rng.integers(0, 1 << q))
             )
             c, theta = synthesize_params(amap)
             assert recognize_affine(eval_permutation(c, theta)) == amap

@@ -131,6 +131,18 @@ class TestSolveCommands:
     def test_missing_file_is_input_error(self, capsys):
         assert main(["solve-qap", "--instance", "nope.dat"]) == 3
 
+    def test_ancillas_over_the_qubit_guard_exit_4_at_once(self, monkeypatch, capsys):
+        # 3 + 20 qubits: the guard fires before the first level is built.
+        import quper.optimizer as opt_mod
+
+        def no_level(*args):
+            pytest.fail("quper_solve built a level before checking the guard")
+
+        monkeypatch.setattr(opt_mod, "solver_ansatz", no_level)
+        argv = ["solve-gip", "--random", "8", "--ancilla", "20", "--iters", "2"]
+        assert main(argv) == 4
+        assert "budget guard" in capsys.readouterr().err
+
     def test_nan_lr_is_input_error(self, capsys):
         code = main(["solve-gip", "--random", "4", "--iters", "1", "--lr", "nan"])
         assert code == 3

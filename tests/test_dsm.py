@@ -9,9 +9,6 @@ from hypothesis import strategies as st
 
 from quper.circuits import SOLVER_ANSATZE, build_ansatz, solver_ansatz
 from quper.dsm import (
-    BirkhoffDecomposition,
-    Dsm,
-    DsmJob,
     NotDoublyStochasticError,
     birkhoff_decompose,
     extract_dsm,
@@ -36,23 +33,23 @@ def random_dsm(n, rng, terms=6):
     lams = rng.dirichlet(np.ones(terms))
     for lam in lams:
         e[np.arange(n), rng.permutation(n)] += lam
-    return Dsm(e)
+    return e
 
 
 class TestExtractDsm:
     def test_identity_circuit(self):
         c = build_ansatz("XLayer", 2)
-        d = extract_dsm(DsmJob(c, 0, np.zeros(2)))
-        assert np.array_equal(d.entries, np.eye(4))
+        d = extract_dsm(c, 0, np.zeros(2))
+        assert np.array_equal(d, np.eye(4))
 
     def test_m0_binary_matches_eval_permutation(self):
         rng = np.random.default_rng(0)
         c = build_ansatz("LX", 3)
         for _ in range(20):
             theta = rng.choice([0.0, PI], c.param_count)
-            d = extract_dsm(DsmJob(c, 0, theta))
+            d = extract_dsm(c, 0, theta)
             p = eval_permutation(c, theta)
-            assert np.array_equal(d.entries, perm_column_matrix(p))
+            assert np.array_equal(d, perm_column_matrix(p))
 
     def test_m0_any_theta_is_mod_squared_unitary(self):
         from quper.circuits import eval_unitary
@@ -60,19 +57,17 @@ class TestExtractDsm:
         rng = np.random.default_rng(1)
         c = build_ansatz("LX", 2)
         theta = rng.uniform(0, 2 * PI, c.param_count)
-        d = extract_dsm(DsmJob(c, 0, theta))
+        d = extract_dsm(c, 0, theta)
         assert np.allclose(
-            d.entries, np.abs(eval_unitary(c, theta)) ** 2, atol=1e-15
+            d, np.abs(eval_unitary(c, theta)) ** 2, atol=1e-15
         )
 
     def test_double_stochasticity_m1(self):
         rng = np.random.default_rng(2)
         c = build_ansatz("Bruhat", 3)
         for _ in range(100):
-            d = extract_dsm(DsmJob(c, 1, rng.uniform(0, 2 * PI, c.param_count)))
-            sums = np.concatenate(
-                [d.entries.sum(axis=0) - 1, d.entries.sum(axis=1) - 1]
-            )
+            d = extract_dsm(c, 1, rng.uniform(0, 2 * PI, c.param_count))
+            sums = np.concatenate([d.sum(axis=0) - 1, d.sum(axis=1) - 1])
             assert np.max(np.abs(sums)) <= 1e-10
 
     def test_oracle_agreement_50_jobs(self):
@@ -80,15 +75,17 @@ class TestExtractDsm:
         for _ in range(50):
             m = int(rng.integers(0, 2))
             c = build_ansatz("Bruhat", 2 + m)
-            job = DsmJob(c, m, rng.uniform(0, 2 * PI, c.param_count))
+            theta = rng.uniform(0, 2 * PI, c.param_count)
             delta = np.abs(
-                extract_dsm(job).entries - statevector_oracle(job).entries
+                extract_dsm(c, m, theta) - statevector_oracle(c, m, theta)
             )
             assert np.max(delta) <= 1e-10
 
     def test_bad_ancilla_count(self):
         with pytest.raises(ValueError):
-            DsmJob(build_ansatz("LX", 2), 2, np.zeros(5))
+            extract_dsm(build_ansatz("LX", 2), 2, np.zeros(5))
+        with pytest.raises(ValueError):
+            statevector_oracle(build_ansatz("LX", 2), 2, np.zeros(5))
         with pytest.raises(ValueError):
             extract_dsms(build_ansatz("LX", 2), 2, np.zeros((1, 5)))
 
@@ -109,20 +106,18 @@ class TestExtractDsms:
             0, 2 * PI, (batch, c.param_count)
         )
         dsms = extract_dsms(c, m, thetas)
-        assert len(dsms) == batch
+        assert dsms.shape == (batch,) + (1 << (c.q - m),) * 2
         for theta, d in zip(thetas, dsms):
-            e = d.entries
-            assert e.shape == (1 << (c.q - m),) * 2
-            assert np.max(np.abs(e.sum(axis=0) - 1)) <= 1e-12
-            assert np.max(np.abs(e.sum(axis=1) - 1)) <= 1e-12
-            one = extract_dsm(DsmJob(c, m, theta)).entries
-            assert np.max(np.abs(e - one)) <= 1e-15
+            assert np.max(np.abs(d.sum(axis=0) - 1)) <= 1e-12
+            assert np.max(np.abs(d.sum(axis=1) - 1)) <= 1e-12
+            one = extract_dsm(c, m, theta)
+            assert np.max(np.abs(d - one)) <= 1e-15
 
 
 class TestBirkhoff:
     def test_permutation_matrix_single_term(self):
         p = Permutation((2, 0, 1, 3))
-        bd = birkhoff_decompose(Dsm(np.eye(4)[list(p.map)]))
+        bd = birkhoff_decompose(np.eye(4)[list(p.map)])
         assert len(bd.terms) == 1
         lam, term = bd.terms[0]
         assert lam == pytest.approx(1.0)
@@ -130,7 +125,7 @@ class TestBirkhoff:
         assert bd.residual <= 1e-12
 
     def test_half_half(self):
-        d = Dsm(np.array([[0.5, 0.5], [0.5, 0.5]]))
+        d = np.array([[0.5, 0.5], [0.5, 0.5]])
         bd = birkhoff_decompose(d)
         assert sorted(lam for lam, _ in bd.terms) == [
             pytest.approx(0.5),
@@ -150,37 +145,40 @@ class TestBirkhoff:
 
     def test_non_dsm_rejected(self):
         with pytest.raises(NotDoublyStochasticError):
-            birkhoff_decompose(Dsm(np.full((3, 3), 0.5)))
+            birkhoff_decompose(np.full((3, 3), 0.5))
 
     def test_extracted_terms_are_affine(self):
         rng = np.random.default_rng(5)
         c = build_ansatz("Bruhat", 4)
         for _ in range(30):
             theta = rng.choice([0.0, PI], c.param_count)
-            d = extract_dsm(DsmJob(c, 1, theta))
+            d = extract_dsm(c, 1, theta)
             bd = birkhoff_decompose(d)
             for _, p in bd.terms:
                 assert recognize_affine(p) is not None
 
-    def test_json_export(self):
-        import json
-
-        bd = BirkhoffDecomposition(((1.0, Permutation((1, 0))),), 0.0)
-        data = json.loads(bd.to_json())
-        assert data == [{"lambda": 1.0, "permutation": [1, 0]}]
-
 
 class TestDsmType:
-    def test_csv_roundtrip_exact(self):
-        rng = np.random.default_rng(6)
-        d = random_dsm(5, rng)
-        back = Dsm.from_csv(d.to_csv())
-        assert np.array_equal(back.entries, d.entries)
+    """A DSM is a square float array with entries in [0, 1] and unit row and
+    column sums; birkhoff_decompose checks all three."""
 
     def test_validate_rejects_negative(self):
-        with pytest.raises(NotDoublyStochasticError):
-            Dsm(np.array([[1.5, -0.5], [-0.5, 1.5]])).validate()
+        # Unit row and column sums: only the entry range is wrong.
+        with pytest.raises(NotDoublyStochasticError, match=r"\[0, 1\]"):
+            birkhoff_decompose(np.array([[1.5, -0.5], [-0.5, 1.5]]))
 
     def test_non_square_rejected(self):
-        with pytest.raises(ValueError):
-            Dsm(np.zeros((2, 3)))
+        with pytest.raises(NotDoublyStochasticError, match="square"):
+            birkhoff_decompose(np.zeros((2, 3)))
+
+    def test_bad_sums_rejected(self):
+        # Entries in [0, 1], but the first row sums to 1 - 1e-6.
+        d = np.eye(3)
+        d[0, 0] -= 1e-6
+        with pytest.raises(NotDoublyStochasticError, match="sums"):
+            birkhoff_decompose(d)
+
+    def test_sums_within_tolerance_accepted(self):
+        d = np.eye(3)
+        d[0, 0] -= 1e-10
+        assert birkhoff_decompose(d).terms[0][1] == Permutation.identity(3)

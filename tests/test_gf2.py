@@ -4,7 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quper.gf2 import (
@@ -107,14 +107,23 @@ class TestBruhatDecompose:
             count += 1
         assert count == 168
 
-    def test_random_gl4_reassemble(self):
-        rng = np.random.default_rng(0)
+    @settings(deadline=None)
+    @given(
+        q=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+        count=st.integers(1, 5),
+    )
+    @example(q=4, seed=0, count=300)
+    def test_random_reassemble(self, q, seed, count):
+        rng = np.random.default_rng(seed)
         done = 0
-        while done < 300:
-            m = Gf2Matrix(4, tuple(int(v) for v in rng.integers(0, 16, 4)))
+        while done < count:
+            m = Gf2Matrix(q, tuple(int(v) for v in rng.integers(0, 1 << q, q)))
             if not m.is_invertible():
                 continue
             f = bruhat_decompose(m)
+            assert f.u1.is_upper_unitriangular()
+            assert f.u2.is_upper_unitriangular()
             assert f.u1 @ f.w.gf2_matrix() @ f.u2 == m
             done += 1
 

@@ -9,17 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quper.circuits import solver_ansatz
-from quper.dsm import Dsm, DsmJob, extract_dsm, extract_dsms
+from quper import optimizer
+from quper.dsm import extract_dsm, extract_dsms
 from quper.gf2 import Permutation
 from quper.optimizer import (
     AdamState,
-    LossConfig,
     QuperConfig,
     adam_nesterov_step,
     best_projection,
     embed_theta,
     fd_gradient,
-    loss,
     loss_from_dsm,
     quper_solve,
     random_baseline,
@@ -39,19 +38,19 @@ def random_dsm(n, rng, terms=6):
     e = np.zeros((n, n))
     for lam in rng.dirichlet(np.ones(terms)):
         e[np.arange(n), rng.permutation(n)] += lam
-    return Dsm(e)
+    return e
 
 
 class TestRegularizers:
     def test_permutation_matrix(self):
-        d = Dsm(np.eye(4)[[1, 0, 3, 2]])
+        d = np.eye(4)[[1, 0, 3, 2]]
         st, s_eps, ort = regularizers(d, entropy_eps=1e-300)
         assert st == 0.0
         assert abs(s_eps) <= 1e-12
         assert ort == 0.0
 
     def test_uniform_2x2(self):
-        d = Dsm(np.full((2, 2), 0.5))
+        d = np.full((2, 2), 0.5)
         st, s_eps, ort = regularizers(d, entropy_eps=0.0)
         assert st == pytest.approx(0.0)
         assert s_eps == pytest.approx(2 * math.log(2))
@@ -61,19 +60,20 @@ class TestRegularizers:
     def test_column_sum_deviation(self):
         e = np.eye(3).astype(float)
         e[0, 0] = 1.1
-        st, _, _ = regularizers(Dsm(e), 1e-8)
+        st, _, _ = regularizers(e, 1e-8)
         assert st == pytest.approx(0.01)
 
 
 class TestLoss:
-    def test_zero_weights_is_raw_cost(self):
+    def test_zero_weights_is_raw_cost(self, monkeypatch):
+        for name in ("W_ST", "W_ENTROPY", "W_ORT"):
+            monkeypatch.setattr(optimizer, name, 0.0)
         inst = random_qap(4, 0)
-        cfg = LossConfig(0.0, 0.0, 0.0, 1e-8, cost=lambda d: qap_cost(inst, d))
         c = solver_ansatz("bruhat", 2)
         theta = np.random.default_rng(0).uniform(0, 2 * PI, c.param_count)
-        job = DsmJob(c, 0, theta)
-        assert loss(job, cfg) == pytest.approx(
-            qap_cost(inst, extract_dsm(job))
+        d = extract_dsm(c, 0, theta)
+        assert loss_from_dsm(d, lambda d: qap_cost(inst, d)) == pytest.approx(
+            qap_cost(inst, d)
         )
 
 
@@ -88,12 +88,12 @@ class TestFdGradient:
 
     def test_step_halving_on_loss(self):
         inst = random_qap(4, 1)
-        cfg = LossConfig(cost=lambda d: qap_cost(inst, d))
+        cost = lambda d: qap_cost(inst, d)
         c = solver_ansatz("bruhat", 3)
         rng = np.random.default_rng(2)
 
         def f(thetas):
-            return [loss(DsmJob(c, 1, t), cfg) for t in thetas]
+            return [loss_from_dsm(extract_dsm(c, 1, t), cost) for t in thetas]
 
         for _ in range(5):
             theta = rng.uniform(0, 2 * PI, c.param_count)
@@ -131,15 +131,17 @@ class TestStackedFdGradient:
     )
     def test_matches_one_coordinate_loop(self, name, q, m, seed):
         inst = random_qap(1 << q, seed % 1000)
-        cfg = LossConfig(cost=lambda d: qap_cost(inst, d))
+        cost = lambda d: qap_cost(inst, d)
         c = solver_ansatz(name, q + m)
         theta = np.random.default_rng(seed).uniform(0, 2 * PI, c.param_count)
 
         def stacked(thetas):
-            return [loss_from_dsm(d, cfg) for d in extract_dsms(c, m, thetas)]
+            return [loss_from_dsm(d, cost) for d in extract_dsms(c, m, thetas)]
 
         got = fd_gradient(stacked, theta)
-        want = fd_gradient_loop(lambda t: loss(DsmJob(c, m, t), cfg), theta)
+        want = fd_gradient_loop(
+            lambda t: loss_from_dsm(extract_dsm(c, m, t), cost), theta
+        )
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
     def test_evaluation_points(self):
@@ -219,9 +221,9 @@ class TestEmbedTheta:
             big = solver_ansatz(name, 4)
             theta0 = rng.uniform(0, 2 * PI, small.param_count)
             theta1 = embed_theta(small, big, theta0, fill=0.0)
-            d0 = extract_dsm(DsmJob(small, 0, theta0))
-            d1 = extract_dsm(DsmJob(big, 1, theta1))
-            assert np.array_equal(d0.entries, d1.entries)
+            d0 = extract_dsm(small, 0, theta0)
+            d1 = extract_dsm(big, 1, theta1)
+            assert np.array_equal(d0, d1)
 
     def test_fill_value(self):
         small = solver_ansatz("bruhat", 2)
@@ -249,7 +251,7 @@ class TestBestProjection:
     def test_optimal_permutation_dsm(self):
         # Cost is minimized by the permutation the DSM already encodes.
         p = Permutation((1, 2, 3, 0))
-        d = Dsm(perm_row_matrix(p))
+        d = perm_row_matrix(p)
         cost = lambda x: 0.0 if x == p else 1.0
         best_p, best_v, ph_cost, pr_cost = best_projection(d, cost, seed=7)
         assert best_p == p and best_v == 0.0

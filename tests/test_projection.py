@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quper.circuits import solver_ansatz
-from quper.dsm import Dsm, DsmJob, extract_dsm
+from quper.dsm import extract_dsm
 from quper.gf2 import Permutation
 from quper.projection import project_hungarian, project_random_order
 
@@ -22,7 +22,7 @@ def random_dsm(n, rng, terms=6):
     e = np.zeros((n, n))
     for lam in rng.dirichlet(np.ones(terms)):
         e[np.arange(n), rng.permutation(n)] += lam
-    return Dsm(e)
+    return e
 
 
 ALL_P8 = np.array(list(itertools.permutations(range(8))))
@@ -30,34 +30,34 @@ ALL_P8 = np.array(list(itertools.permutations(range(8))))
 
 class TestHungarian:
     def test_identity(self):
-        assert project_hungarian(Dsm(np.eye(4))) == Permutation.identity(4)
+        assert project_hungarian(np.eye(4)) == Permutation.identity(4)
 
     def test_permutation_matrix_fixed_point(self):
         p = Permutation((3, 1, 0, 2))
-        assert project_hungarian(Dsm(perm_row_matrix(p))) == p
+        assert project_hungarian(perm_row_matrix(p)) == p
 
     def test_matches_exhaustive_optimum_8x8(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             d = random_dsm(8, rng)
             p = project_hungarian(d)
-            got = d.entries[np.arange(8), list(p.map)].sum()
-            best = d.entries[np.arange(8)[None, :], ALL_P8].sum(axis=1).max()
+            got = d[np.arange(8), list(p.map)].sum()
+            best = d[np.arange(8)[None, :], ALL_P8].sum(axis=1).max()
             assert got == best
 
 
 class TestRandomOrder:
     def test_permutation_matrix_every_trial(self):
         p = Permutation((2, 0, 3, 1))
-        out = project_random_order(Dsm(perm_row_matrix(p)), seed=1, trials=50)
+        out = project_random_order(perm_row_matrix(p), seed=1, trials=50)
         assert out == {p}
 
     def test_identity(self):
-        out = project_random_order(Dsm(np.eye(4)), seed=2, trials=10)
+        out = project_random_order(np.eye(4), seed=2, trials=10)
         assert out == {Permutation.identity(4)}
 
     def test_uniform_matrix_yields_valid_candidates(self):
-        d = Dsm(np.full((4, 4), 0.25))
+        d = np.full((4, 4), 0.25)
         out = project_random_order(d, seed=3, trials=50)
         assert all(isinstance(p, Permutation) and p.n == 4 for p in out)
 
@@ -81,13 +81,13 @@ class TestRandomOrder:
 
 def random_order_loop(d, seed, trials=50):
     """Reference for project_random_order: one trial at a time."""
-    n = d.n
+    n = len(d)
     base = np.ldexp(1.0, np.arange(n))
     out = set()
     for t in range(trials):
         sub = [*seed, t] if isinstance(seed, (list, tuple)) else [int(seed), t]
         v = base[np.random.default_rng(sub).permutation(n)]
-        u = d.entries @ v
+        u = d @ v
         ov = np.argsort(v, kind="stable")
         ou = np.argsort(u, kind="stable")
         pmap = [0] * n
@@ -112,18 +112,18 @@ def dsms(draw):
             theta = rng.choice([0.0, PI / 4, PI / 2, PI], c.param_count)
         else:
             theta = rng.uniform(PI / 2 - 0.05, PI / 2 + 0.05, c.param_count)
-        return extract_dsm(DsmJob(c, m, theta))
+        return extract_dsm(c, m, theta)
     n = draw(st.sampled_from([2, 4, 8, 16]))
     if kind == "mixture":
         if draw(st.booleans()):
             e = np.zeros((n, n))
             for lam in (0.1, 0.3, 0.6):
                 e[np.arange(n), rng.permutation(n)] += lam
-            return Dsm(e)
+            return e
         return random_dsm(n, rng, terms=draw(st.integers(1, 4)))
     if kind == "permutation":
-        return Dsm(np.eye(n)[rng.permutation(n)])
-    return Dsm(np.full((n, n), 1.0 / n))
+        return np.eye(n)[rng.permutation(n)]
+    return np.full((n, n), 1.0 / n)
 
 
 class TestRandomOrderMatchesLoop:
