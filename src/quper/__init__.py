@@ -21,17 +21,18 @@ from .circuits import (
     build_ansatz,
     circuit_stats,
     eval_permutation,
+    eval_unitaries,
     eval_unitary,
     lower_to_linear_topology,
+    reverse_sweep,
     solver_ansatz,
     synthesize_params,
-    unitary_chunks,
 )
 from .dsm import (
     BirkhoffDecomposition,
+    adjoint_gradient,
     birkhoff_decompose,
     extract_dsm,
-    extract_dsms,
     statevector_oracle,
 )
 from .projection import project_hungarian, project_random_order
@@ -45,17 +46,20 @@ from .optimizer import (
     loss_from_dsm,
     quper_solve,
     random_baseline,
+    regularizer_grad,
     regularizers,
 )
 from .problems import (
     GipInstance,
     QapInstance,
     gip_cost,
+    gip_cost_grad,
     gip_to_qap,
     load_qaplib,
     parse_qaplib,
     parse_sln,
     qap_cost,
+    qap_cost_grad,
     random_gip,
     random_qap,
 )

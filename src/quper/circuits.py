@@ -45,8 +45,17 @@ class QubitBudgetError(RuntimeError):
 
 
 def max_dense_qubits() -> int:
+    """The qubit guard: QUPER_MAX_QUBITS if set, else DEFAULT_MAX_QUBITS."""
     env = os.environ.get(MAX_QUBITS_ENV)
-    return int(env) if env else DEFAULT_MAX_QUBITS
+    if not env:
+        return DEFAULT_MAX_QUBITS
+    try:
+        limit = int(env)
+    except ValueError:
+        limit = 0
+    if limit < 1:
+        raise ValueError(f"{MAX_QUBITS_ENV} must be a positive integer, got {env!r}")
+    return limit
 
 
 @dataclass(frozen=True)
@@ -195,13 +204,6 @@ def circuit_stats(c: Circuit) -> CircuitStats:
     return CircuitStats(c.param_count, max(avail, default=0), two_q)
 
 
-# Amplitudes per chunk of a unitary stack (1 MiB of complex128).  The kernel's
-# working memory stays near this whatever the stack size, and a chunk and its
-# temporaries fit a 2 MiB L2 cache, while numpy call overhead is still shared
-# by many small unitaries.
-CHUNK_AMPLITUDES = 1 << 16
-
-
 def _check_theta(c: Circuit, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float)
     if theta.shape != (c.param_count,):
@@ -211,67 +213,67 @@ def _check_theta(c: Circuit, theta) -> np.ndarray:
     return theta
 
 
-def _gate_blocks(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """RX(theta) and PHASE(theta/2) . RX(theta) for every (row, slot).
+def _gate_blocks(c: Circuit, thetas: np.ndarray) -> list[np.ndarray | None]:
+    """The (B, 2, 2) block of each gate of c at every row of thetas (B, L).
 
-    The second block is PCX's action on its target inside the control-1
-    slice.  cos and sin of theta/2 are exact at theta in {0, pi}, so PCX(pi)
-    is CX and PSWAP(pi) is SWAP exactly.
+    RX's block is RX(theta); PCX's and PSWAP's is PHASE(theta/2) . RX(theta),
+    PCX's action on its target inside the control-1 slice; CX has None.  cos
+    and sin of theta/2 are exact at theta in {0, pi}, so PCX(pi) is CX and
+    PSWAP(pi) is SWAP exactly.
     """
-    c, s = np.cos(thetas / 2), np.sin(thetas / 2)
+    cos, sin = np.cos(thetas / 2), np.sin(thetas / 2)
     zero, pi = thetas == 0.0, thetas == math.pi
-    c[zero], s[zero] = 1.0, 0.0
-    c[pi], s[pi] = 0.0, 1.0
+    cos[zero], sin[zero] = 1.0, 0.0
+    cos[pi], sin[pi] = 0.0, 1.0
     rx = np.empty(thetas.shape + (2, 2), dtype=complex)
-    rx[..., 0, 0] = rx[..., 1, 1] = c
-    rx[..., 0, 1] = rx[..., 1, 0] = -1.0j * s
-    return rx, (c + 1.0j * s)[..., None, None] * rx
+    rx[..., 0, 0] = rx[..., 1, 1] = cos
+    rx[..., 0, 1] = rx[..., 1, 0] = -1.0j * sin
+    pcx = (cos + 1.0j * sin)[..., None, None] * rx
+    return [
+        None if g.slot is None else (rx if g.kind == "RX" else pcx)[:, g.slot]
+        for g in c.gates
+    ]
 
 
-def _apply_gates(c: Circuit, psi: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Apply c's gates to the rows of every matrix in the stack psi (B, 2^q, k).
+def _apply_gate(g: Gate, psi: np.ndarray, block: np.ndarray | None) -> np.ndarray:
+    """Apply g with the 2x2 block (B or 1, 2, 2) to the rows of every matrix
+    in the stack psi (B, 2^q, k); returns the new stack.
 
-    Each gate is one matmul of a per-row 2x2 block on a reshaped view; a
-    controlled gate rewrites only its control-1 slice, in place.
+    The gate is one matmul of the block on a reshaped view; a controlled gate
+    rewrites only its control-1 slice, in place.
     """
     b = psi.shape[0]
-    rx, pcx = _gate_blocks(thetas)
-    for g in c.gates:
-        if g.kind == "RX":
-            (t,) = g.qubits
-            view = psi.reshape(b, 1 << t, 2, -1)
-            psi = (rx[:, g.slot, None] @ view).reshape(psi.shape)
-            continue
-        lo, hi = sorted(g.qubits)
-        # Axes: batch, qubits above lo, lo, qubits between, hi, the rest.
-        view = psi.reshape(b, 1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
-        if g.kind == "PSWAP":
-            # PSWAP(a, b) is PCX's block acting on the pair (a=1, b=0),
-            # (a=0, b=1) and the identity on (0, 0) and (1, 1).
-            x0, x1 = view[:, :, 1, :, 0], view[:, :, 0, :, 1]
-            if g.qubits[0] == hi:
-                x0, x1 = x1, x0
-            pair = pcx[:, g.slot, None, None] @ np.stack((x0, x1), axis=-2)
-            x0[...], x1[...] = pair[..., 0, :], pair[..., 1, :]
-            continue
-        # Control-1 slice with the target axis second to last.
-        if g.qubits[0] == lo:
-            sub = view[:, :, 1]
-        else:
-            sub = view[:, :, :, :, 1].swapaxes(2, 3)
-        if g.kind == "CX":
-            sub[...] = sub[..., ::-1, :]
-        else:  # PCX
-            sub[...] = pcx[:, g.slot, None, None] @ sub
+    if g.kind == "RX":
+        (t,) = g.qubits
+        view = psi.reshape(b, 1 << t, 2, -1)
+        return (block[:, None] @ view).reshape(psi.shape)
+    lo, hi = sorted(g.qubits)
+    # Axes: batch, qubits above lo, lo, qubits between, hi, the rest.
+    view = psi.reshape(b, 1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
+    if g.kind == "PSWAP":
+        # PSWAP(a, b) is PCX's block acting on the pair (a=1, b=0),
+        # (a=0, b=1) and the identity on (0, 0) and (1, 1).
+        x0, x1 = view[:, :, 1, :, 0], view[:, :, 0, :, 1]
+        if g.qubits[0] == hi:
+            x0, x1 = x1, x0
+        pair = block[:, None, None] @ np.stack((x0, x1), axis=-2)
+        x0[...], x1[...] = pair[..., 0, :], pair[..., 1, :]
+        return psi
+    # Control-1 slice with the target axis second to last.
+    if g.qubits[0] == lo:
+        sub = view[:, :, 1]
+    else:
+        sub = view[:, :, :, :, 1].swapaxes(2, 3)
+    if g.kind == "CX":
+        sub[...] = sub[..., ::-1, :]
+    else:  # PCX
+        sub[...] = block[:, None, None] @ sub
     return psi
 
 
-def unitary_chunks(c: Circuit, thetas):
-    """Dense unitaries of the circuit at each row of thetas (B, L).
-
-    Yields consecutive (b, 2^q, 2^q) slices of the stack, of equal size up to
-    one, each under CHUNK_AMPLITUDES amplitudes (one unitary at least).
-    """
+def eval_unitaries(c: Circuit, thetas) -> np.ndarray:
+    """Dense unitaries of the circuit at each row of thetas (B, L), as one
+    (B, 2^q, 2^q) stack."""
     limit = max_dense_qubits()
     if c.q > limit:
         raise QubitBudgetError(
@@ -283,18 +285,57 @@ def unitary_chunks(c: Circuit, thetas):
             f"expected rows of {c.param_count} parameters, got shape {thetas.shape}"
         )
     dim = 1 << c.q
-    chunks = -(-len(thetas) // max(1, CHUNK_AMPLITUDES // (dim * dim)))
-    eye = np.eye(dim, dtype=complex)
-    for chunk in np.array_split(thetas, chunks):
-        psi = np.broadcast_to(eye, (len(chunk), dim, dim)).copy()
-        yield _apply_gates(c, psi, chunk)
+    psi = np.broadcast_to(np.eye(dim, dtype=complex), (len(thetas), dim, dim)).copy()
+    for g, block in zip(c.gates, _gate_blocks(c, thetas)):
+        psi = _apply_gate(g, psi, block)
+    return psi
 
 
 def eval_unitary(c: Circuit, theta) -> np.ndarray:
     """Dense 2^q x 2^q unitary of the circuit at the given parameters."""
+    return eval_unitaries(c, _check_theta(c, theta)[None])[0]
+
+
+# Each parametrized gate with its block replaced by X: X on the target for
+# RX, CX for PCX, SWAP for PSWAP.
+_FLIP = np.array([[[0.0, 1.0], [1.0, 0.0]]], dtype=complex)
+
+
+def reverse_sweep(
+    c: Circuit, theta, u: np.ndarray, lam: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exact gradient over c's slots of a real loss of U = eval_unitary(c,
+    theta) whose derivative in |U_rc|^2 is the real lam_rc (the adjoint
+    method, Jones & Gacon, arXiv:2009.02823).
+
+    Walks the stack [U, lam * U] back through the gates.  Before undoing
+    gate g it holds [U_g, B_g]: U_g is the unitary after the first g gates
+    and B_g the later gates' inverse applied to lam * U, so the loss moves
+    by 2 Re<B_g, H_g U_g> per unit of g's angle, H_g being g's generator:
+    -(i/2) X on the target for RX, (i/2)(I - X) on the target inside the
+    control-1 slice for PCX and on the |10>, |01> pair for PSWAP.  With F
+    the gate's flip (_FLIP), H_g U_g is -(i/2) F U_g or (i/2)(U_g - F U_g),
+    and <B_g, U_g> = sum(lam |U|^2) is real, so both give Im<B_g, F U_g>.
+    The inverse of each block is its conjugate transpose, exact at
+    theta in {0, pi}; CX is its own inverse.
+
+    Returns the gradient and the swept stack, whose first row is the
+    identity up to rounding.
+    """
     theta = _check_theta(c, theta)
-    (u,) = unitary_chunks(c, theta[None])
-    return u[0]
+    dim = 1 << c.q
+    if u.shape != (dim, dim) or lam.shape != (dim, dim):
+        raise ValueError(f"U and lam must be {dim} x {dim}")
+    blocks = _gate_blocks(c, theta[None])
+    psi = np.stack((u, lam * u))
+    grad = np.zeros(c.param_count)
+    for g, block in zip(reversed(c.gates), reversed(blocks)):
+        if block is not None:
+            flipped = _apply_gate(g, psi[:1].copy(), _FLIP)
+            grad[g.slot] += np.vdot(psi[1], flipped[0]).imag
+            block = block.conj().swapaxes(-1, -2)
+        psi = _apply_gate(g, psi, block)
+    return grad, psi
 
 
 def _binary_theta(c: Circuit, theta) -> np.ndarray:

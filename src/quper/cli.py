@@ -95,7 +95,7 @@ def _load_gip(args) -> GipInstance:
                 else:
                     mats.append(parse_edge_list(text))
             except ValueError as exc:
-                raise InputError(str(exc)) from exc
+                raise InputError(f"{path}: {exc}") from exc
         try:
             return GipInstance(mats[0], mats[1], name="files")
         except ValueError as exc:

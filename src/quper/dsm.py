@@ -26,7 +26,7 @@ from .circuits import (
     QubitBudgetError,
     eval_unitary,
     max_dense_qubits,
-    unitary_chunks,
+    reverse_sweep,
 )
 from .gf2 import Permutation
 
@@ -51,11 +51,10 @@ def _check_ancillas(circuit: Circuit, m: int) -> None:
 
 
 def _block_sums(u: np.ndarray, m: int) -> np.ndarray:
-    """p_ij of every unitary in the stack u (B, 2^(m+q), 2^(m+q))."""
+    """p_ij of the unitary u (2^(m+q), 2^(m+q))."""
     k = 1 << m
     n = u.shape[-1] >> m
-    blocks = np.abs(u.reshape(len(u), k, n, k, n)) ** 2
-    return blocks.sum(axis=(1, 3)) / k
+    return (np.abs(u.reshape(k, n, k, n)) ** 2).sum(axis=(0, 2)) / k
 
 
 def extract_dsm(circuit: Circuit, m: int, theta) -> np.ndarray:
@@ -63,17 +62,23 @@ def extract_dsm(circuit: Circuit, m: int, theta) -> np.ndarray:
     most-significant ones: the closed-form block sum over the ancilla indices
     of |U|^2."""
     _check_ancillas(circuit, m)
-    u = eval_unitary(circuit, theta)
-    return _block_sums(u[None], m)[0]
+    return _block_sums(eval_unitary(circuit, theta), m)
 
 
-def extract_dsms(circuit: Circuit, m: int, thetas) -> np.ndarray:
-    """extract_dsm at every row of thetas (B, L): one (B, n, n) array, from
-    one unitary stack."""
+def adjoint_gradient(circuit: Circuit, m: int, theta, loss_grad) -> np.ndarray:
+    """Exact gradient over theta of a loss of the DSM extract_dsm(circuit, m,
+    theta), given loss_grad, which maps the DSM d to dloss/dd (n, n).
+
+    d_ij sums |U_rc|^2 / 2^m over the rows r and columns c whose system part
+    is (i, j), so dloss/d|U|^2 is dloss/dd tiled 2^m x 2^m and divided by
+    2^m; circuits.reverse_sweep takes it from there.
+    """
     _check_ancillas(circuit, m)
-    return np.concatenate(
-        [_block_sums(u, m) for u in unitary_chunks(circuit, thetas)]
-    )
+    u = eval_unitary(circuit, theta)
+    k = 1 << m
+    lam = np.tile(loss_grad(_block_sums(u, m)), (k, k)) / k
+    grad, _ = reverse_sweep(circuit, theta, u, lam)
+    return grad
 
 
 def _rx_matrix(theta: float) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Problem definitions: quadratic assignment (QAP), graph isomorphism (GIP).
 
 Costs take either a Permutation (row convention: matrix has a 1 at
-(i, p(i))) or a relaxed doubly-stochastic matrix.
+(i, p(i))) or a relaxed doubly-stochastic matrix; their gradients in the
+matrix entries are closed-form.
 
 QAP: minimize f(P) = tr(W P D^T P^T).
 GIP: minimize f(P) = ||A - P B P^T||_F^2, zero iff P is an isomorphism,
@@ -73,24 +74,38 @@ class GipInstance:
         return self.a.shape[0]
 
 
-def _as_matrix(p) -> np.ndarray:
+def _as_matrix(p, shape: tuple[int, int]) -> np.ndarray:
     if isinstance(p, Permutation):
-        return np.eye(p.n)[list(p.map)]  # row i has a 1 at column p(i)
-    return np.asarray(p, dtype=float)
+        pm = np.eye(p.n)[list(p.map)]  # row i has a 1 at column p(i)
+    else:
+        pm = np.asarray(p, dtype=float)
+    if pm.shape != shape:
+        raise ValueError("dimension mismatch")
+    return pm
 
 
 def qap_cost(inst: QapInstance, p) -> float:
-    pm = _as_matrix(p)
-    if pm.shape != inst.w.shape:
-        raise ValueError("dimension mismatch")
+    pm = _as_matrix(p, inst.w.shape)
     return float(np.trace(inst.w @ pm @ inst.d.T @ pm.T))
 
 
 def gip_cost(inst: GipInstance, p) -> float:
-    pm = _as_matrix(p)
-    if pm.shape != inst.a.shape:
-        raise ValueError("dimension mismatch")
+    pm = _as_matrix(p, inst.a.shape)
     return float(np.sum((inst.a - pm @ inst.b @ pm.T) ** 2))
+
+
+def qap_cost_grad(inst: QapInstance, d) -> np.ndarray:
+    """d qap_cost / d d at the relaxed matrix d: W^T d D + W d D^T."""
+    pm = _as_matrix(d, inst.w.shape)
+    return inst.w.T @ pm @ inst.d + inst.w @ pm @ inst.d.T
+
+
+def gip_cost_grad(inst: GipInstance, d) -> np.ndarray:
+    """d gip_cost / d d at the relaxed matrix d: -2 (R d B^T + R^T d B), with
+    R = A - d B d^T."""
+    pm = _as_matrix(d, inst.a.shape)
+    r = inst.a - pm @ inst.b @ pm.T
+    return -2.0 * (r @ pm @ inst.b.T + r.T @ pm @ inst.b)
 
 
 def gip_to_qap(inst: GipInstance) -> QapInstance:
@@ -218,11 +233,13 @@ def random_gip(
 
 def parse_edge_list(text: str) -> np.ndarray:
     """Graph as 'n' then one 'u v' pair per edge; returns the adjacency matrix."""
-    toks = text.split()
-    if not toks:
+    try:
+        vals = [int(t) for t in text.split()]
+    except ValueError as exc:
+        raise ValueError(f"non-integer token in edge list: {exc}") from exc
+    if not vals:
         raise ValueError("empty edge list")
-    n = int(toks[0])
-    rest = [int(t) for t in toks[1:]]
+    n, rest = vals[0], vals[1:]
     if len(rest) % 2:
         raise ValueError("edge list must contain pairs")
     adj = np.zeros((n, n), dtype=int)
@@ -234,11 +251,19 @@ def parse_edge_list(text: str) -> np.ndarray:
 
 
 def parse_adjacency_csv(text: str) -> np.ndarray:
-    rows = [
-        [int(t) for t in ln.split(",")]
-        for ln in text.strip().splitlines()
-        if ln.strip()
-    ]
+    """Graph as one comma-separated row of integers per vertex."""
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    rows = []
+    for i, ln in lines:
+        try:
+            rows.append([int(t) for t in ln.split(",")])
+        except ValueError as exc:
+            raise ValueError(f"line {i}: non-integer entry: {exc}") from exc
+        if len(rows[-1]) != len(lines):
+            raise ValueError(
+                f"line {i} has {len(rows[-1])} entries, expected {len(lines)} "
+                "(one per row)"
+            )
     return np.array(rows, dtype=int)
 
 

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,13 +20,16 @@ from quper.circuits import (
     circuit_stats,
     circuit_to_text,
     eval_permutation,
+    eval_unitaries,
     eval_unitary,
     lower_to_linear_topology,
+    max_dense_qubits,
+    reverse_sweep,
     solver_ansatz,
     synthesize_params,
-    unitary_chunks,
 )
 from quper.dsm import _apply_gate
+from quper.optimizer import fd_gradient
 from quper.gf2 import AffineMap, Gf2Matrix, Permutation, recognize_affine
 
 PI = math.pi
@@ -180,6 +182,14 @@ def serial_unitary(c, theta):
     return psi.reshape(dim, dim)
 
 
+def random_thetas(c, rng, batch):
+    """(batch, L) angles in [-2 pi, 2 pi], about 30% of them exactly 0 or pi."""
+    thetas = rng.uniform(-2 * PI, 2 * PI, (batch, c.param_count))
+    binary = rng.random(thetas.shape) < 0.3
+    thetas[binary] = rng.choice([0.0, PI], np.count_nonzero(binary))
+    return thetas
+
+
 def any_circuit(name, q):
     if name in SOLVER_ANSATZE:
         return solver_ansatz(name, q)
@@ -192,22 +202,12 @@ class TestBatchedKernel:
         name=st.sampled_from(ANSATZ_KINDS + SOLVER_ANSATZE),
         q=st.integers(2, 6),
         batch=st.integers(1, 7),
-        chunk_rows=st.integers(1, 3),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_serial_walk(self, name, q, batch, chunk_rows, seed):
-        # Chunks of 1..3 unitaries, so most stacks cross a chunk boundary.
+    def test_matches_serial_walk(self, name, q, batch, seed):
         c = any_circuit(name, q)
-        rng = np.random.default_rng(seed)
-        thetas = rng.uniform(-2 * PI, 2 * PI, (batch, c.param_count))
-        binary = rng.random(thetas.shape) < 0.3
-        thetas[binary] = rng.choice([0.0, PI], np.count_nonzero(binary))
-        with mock.patch.object(circuits, "CHUNK_AMPLITUDES", chunk_rows * 4**q):
-            chunks = list(unitary_chunks(c, thetas))
-        sizes = [len(u) for u in chunks]
-        assert len(sizes) == -(-batch // chunk_rows)
-        assert max(sizes) <= chunk_rows and max(sizes) - min(sizes) <= 1
-        stack = np.concatenate(chunks)
+        thetas = random_thetas(c, np.random.default_rng(seed), batch)
+        stack = eval_unitaries(c, thetas)
         assert stack.shape == (batch, 1 << q, 1 << q)
         for theta, u in zip(thetas, stack):
             assert np.max(np.abs(u - serial_unitary(c, theta))) <= 1e-12
@@ -227,16 +227,94 @@ class TestBatchedKernel:
         )
         rng = np.random.default_rng(12)
         thetas = rng.uniform(0, 2 * PI, (5, 3))
-        (stack,) = unitary_chunks(c, thetas)
+        stack = eval_unitaries(c, thetas)
         for theta, u in zip(thetas, stack):
             assert np.max(np.abs(u - serial_unitary(c, theta))) <= 1e-12
 
     def test_rejects_bad_stack_shape(self):
         c = build_ansatz("LX", 2)
         with pytest.raises(ValueError):
-            list(unitary_chunks(c, np.zeros(c.param_count)))
+            eval_unitaries(c, np.zeros(c.param_count))
         with pytest.raises(ValueError):
-            list(unitary_chunks(c, np.zeros((3, c.param_count + 1))))
+            eval_unitaries(c, np.zeros((3, c.param_count + 1)))
+
+
+MIXED_CIRCUIT = Circuit(
+    4,
+    (
+        Gate("RX", (2,), 3),
+        Gate("PCX", (3, 0), 0),
+        Gate("PSWAP", (2, 0), 1),
+        Gate("CX", (1, 3), None),
+        Gate("CX", (3, 1), None),
+        Gate("PSWAP", (1, 3), 2),
+        Gate("PCX", (0, 2), 1),
+        Gate("RX", (0,), 3),
+    ),
+    4,
+)
+
+
+def linear_loss(c, lam):
+    """sum(lam |U|^2) at each row of a parameter stack."""
+    return lambda ts: np.sum(lam * np.abs(eval_unitaries(c, ts)) ** 2, axis=(1, 2))
+
+
+class TestReverseSweep:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(ANSATZ_KINDS + SOLVER_ANSATZE),
+        q=st.integers(2, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_u_row_ends_at_identity(self, name, q, seed):
+        c = any_circuit(name, q)
+        rng = np.random.default_rng(seed)
+        (theta,) = random_thetas(c, rng, 1)
+        lam = rng.normal(size=(1 << q, 1 << q))
+        _, swept = reverse_sweep(c, theta, eval_unitary(c, theta), lam)
+        assert np.max(np.abs(swept[0] - np.eye(1 << q))) <= 1e-12
+
+    @pytest.mark.parametrize("lowered", [False, True])
+    def test_matches_fd_on_long_range_reversed_and_shared_slots(self, lowered):
+        # Slots 1 and 3 drive two gates each; lowering adds CX ladders and
+        # gives the lowered PCX's slot to two gates.
+        c = MIXED_CIRCUIT
+        if lowered:
+            c = lower_to_linear_topology(
+                Circuit(4, tuple(g for g in c.gates if g.kind != "PSWAP"), 4)
+            )
+        rng = np.random.default_rng(21)
+        lam = rng.normal(size=(16, 16))
+        for theta in random_thetas(c, rng, 5):
+            grad, _ = reverse_sweep(c, theta, eval_unitary(c, theta), lam)
+            want = fd_gradient(linear_loss(c, lam), theta)
+            assert np.max(np.abs(grad - want)) <= 1e-8 * np.max(np.abs(want))
+
+    def test_rejects_bad_shapes(self):
+        c = build_ansatz("LX", 2)
+        u = eval_unitary(c, np.zeros(c.param_count))
+        with pytest.raises(ValueError):
+            reverse_sweep(c, np.zeros(c.param_count), u, np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            reverse_sweep(c, np.zeros(c.param_count + 1), u, np.zeros((4, 4)))
+
+
+class TestMaxQubitsEnv:
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "2.5"])
+    def test_rejects_non_positive_or_non_integer(self, value, monkeypatch):
+        monkeypatch.setenv("QUPER_MAX_QUBITS", value)
+        want = f"QUPER_MAX_QUBITS must be a positive integer, got '{value}'"
+        with pytest.raises(ValueError, match=want):
+            max_dense_qubits()
+
+    def test_unset_or_empty_is_default(self, monkeypatch):
+        monkeypatch.delenv("QUPER_MAX_QUBITS", raising=False)
+        assert max_dense_qubits() == circuits.DEFAULT_MAX_QUBITS
+        monkeypatch.setenv("QUPER_MAX_QUBITS", "")
+        assert max_dense_qubits() == circuits.DEFAULT_MAX_QUBITS
+        monkeypatch.setenv("QUPER_MAX_QUBITS", "7")
+        assert max_dense_qubits() == 7
 
 
 class TestEvalPermutation:

@@ -156,6 +156,36 @@ class TestSolveCommands:
         assert code == 3
         assert "same number of vertices" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-2"])
+    def test_bad_max_qubits_env_is_input_error(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("QUPER_MAX_QUBITS", value)
+        code = main(["solve-qap", "--random", "4", "1", "--iters", "1"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"input error: QUPER_MAX_QUBITS must be a positive integer, "
+            f"got '{value}'\n"
+        )
+
+    def test_ragged_adjacency_csv_names_file_and_line(self, tmp_path, capsys):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        a.write_text("0,1,0\n1,0,1\n0,1\n")
+        b.write_text("0,1,0\n1,0,1\n0,1,0\n")
+        code = main(["solve-gip", "--graphs", str(a), str(b), "--iters", "1"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert str(a) in err
+        assert "line 3 has 2 entries, expected 3" in err
+        assert "inhomogeneous" not in err
+
+    def test_non_integer_edge_list_names_file(self, tmp_path, capsys):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("4 0 1 1 2 2 3\n")
+        b.write_text("4 0 1 1 two 2 3\n")
+        code = main(["solve-gip", "--graphs", str(a), str(b), "--iters", "1"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {b}: non-integer token in edge list")
+
     def test_ansatz_choices_come_from_circuits(self):
         parser = build_parser()
         for name in SOLVER_ANSATZE:

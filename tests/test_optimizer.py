@@ -5,12 +5,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quper.circuits import solver_ansatz
 from quper import optimizer
-from quper.dsm import extract_dsm, extract_dsms
+from quper.dsm import adjoint_gradient, extract_dsm
 from quper.gf2 import Permutation
 from quper.optimizer import (
     AdamState,
@@ -22,9 +22,18 @@ from quper.optimizer import (
     loss_from_dsm,
     quper_solve,
     random_baseline,
+    regularizer_grad,
     regularizers,
 )
-from quper.problems import QapInstance, qap_cost, random_qap
+from quper.problems import (
+    QapInstance,
+    gip_cost,
+    gip_cost_grad,
+    qap_cost,
+    qap_cost_grad,
+    random_gip,
+    random_qap,
+)
 from quper.projection import project_hungarian, project_random_order
 
 PI = math.pi
@@ -62,6 +71,101 @@ class TestRegularizers:
         e[0, 0] = 1.1
         st, _, _ = regularizers(e, 1e-8)
         assert st == pytest.approx(0.01)
+
+
+def central_differences(f, x, h):
+    """df/dx of a scalar function of the matrix x, entry by entry."""
+    g = np.zeros_like(x)
+    for idx in np.ndindex(x.shape):
+        step = np.zeros_like(x)
+        step[idx] = h
+        g[idx] = (f(x + step) - f(x - step)) / (2 * h)
+    return g
+
+
+class TestRegularizerGrad:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([2, 4, 8]), seed=st.integers(0, 2**32 - 1))
+    def test_matches_central_differences(self, n, seed):
+        # Entries at least 0.01, so the entropy's log is smooth over the step.
+        rng = np.random.default_rng(seed)
+        d = 0.9 * random_dsm(n, rng) + 0.1 / n + rng.uniform(-0.01, 0.01, (n, n))
+
+        def weighted(x):
+            st_, s_eps, ort = regularizers(x, optimizer.ENTROPY_EPS)
+            return (
+                optimizer.W_ST * st_
+                + optimizer.W_ENTROPY * s_eps
+                + optimizer.W_ORT * ort
+            )
+
+        want = central_differences(weighted, d, 1e-6)
+        got = regularizer_grad(d)
+        assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
+
+    def test_only_entropy_at_a_permutation(self):
+        # st and ort are minimal at a permutation matrix: their gradients vanish.
+        d = np.eye(4)[[2, 0, 3, 1]]
+        eps = optimizer.ENTROPY_EPS
+        ent = -(np.log(d + eps) + d / (d + eps))
+        assert np.allclose(regularizer_grad(d), optimizer.W_ENTROPY * ent, atol=1e-15)
+
+
+def solver_loss_grads(problem):
+    """The solver's loss and its gradient in the DSM, for a QAP or GIP."""
+    if isinstance(problem, QapInstance):
+        cost = lambda d: qap_cost(problem, d)
+        cost_grad = lambda d: qap_cost_grad(problem, d)
+    else:
+        cost = lambda d: gip_cost(problem, d)
+        cost_grad = lambda d: gip_cost_grad(problem, d)
+    return (
+        lambda d: loss_from_dsm(d, cost),
+        lambda d: cost_grad(d) + regularizer_grad(d),
+    )
+
+
+class TestAdjointGradient:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(["bruhat", "borel", "sel"]),
+        q=st.integers(1, 3),
+        m=st.integers(0, 2),
+        kind=st.sampled_from(["qap", "gip"]),
+        binary_frac=st.sampled_from([0.0, 0.3, 0.6]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_fd_gradient(self, name, q, m, kind, binary_frac, seed):
+        # binary_frac of the slots sit exactly at 0 or pi.
+        assume(2 <= q + m <= 4)
+        rng = np.random.default_rng(seed)
+        if kind == "qap":
+            problem = random_qap(1 << q, seed % 1000)
+        else:
+            problem = random_gip(1 << q, seed % 1000)
+        loss, loss_grad = solver_loss_grads(problem)
+        c = solver_ansatz(name, q + m)
+        theta = rng.uniform(0, 2 * PI, c.param_count)
+        binary = rng.random(c.param_count) < binary_frac
+        theta[binary] = rng.choice([0.0, PI], np.count_nonzero(binary))
+        got = adjoint_gradient(c, m, theta, loss_grad)
+        # fd_gradient at h and h/2, extrapolated (Richardson) to cancel the
+        # h^2 term: where DSM entries sit at 0 the entropy term curves so
+        # sharply that this term alone reaches 1e-5 relative at h = 1e-5.
+        f = lambda ts: [loss(extract_dsm(c, m, t)) for t in ts]
+        want = (4 * fd_gradient(f, theta, 0.5e-5) - fd_gradient(f, theta, 1e-5)) / 3
+        # The differences' rounding noise, about 1e-16 / h = 1e-11 times the
+        # loss's scale, is the floor where the gradient itself vanishes (n = 2
+        # at 0 or pi, or a GIP solved exactly).
+        noise = 1e-9 * max(1.0, abs(loss(extract_dsm(c, m, theta))))
+        assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want)) + noise
+
+    def test_solver_does_not_call_fd_gradient(self, monkeypatch):
+        def no_fd(*args, **kwargs):
+            pytest.fail("quper_solve called fd_gradient")
+
+        monkeypatch.setattr(optimizer, "fd_gradient", no_fd)
+        quper_solve(random_qap(4, 2), QuperConfig("bruhat", 1, iterations=2))
 
 
 class TestLoss:
@@ -136,7 +240,7 @@ class TestStackedFdGradient:
         theta = np.random.default_rng(seed).uniform(0, 2 * PI, c.param_count)
 
         def stacked(thetas):
-            return [loss_from_dsm(d, cost) for d in extract_dsms(c, m, thetas)]
+            return [loss_from_dsm(extract_dsm(c, m, t), cost) for t in thetas]
 
         got = fd_gradient(stacked, theta)
         want = fd_gradient_loop(

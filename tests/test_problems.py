@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quper.gf2 import Permutation, recognize_affine, reverse_bits
@@ -15,6 +15,7 @@ from quper.problems import (
     _affine_permutation,
     QapInstance,
     gip_cost,
+    gip_cost_grad,
     gip_to_qap,
     load_qaplib,
     normalized_heuristic_gap,
@@ -23,6 +24,7 @@ from quper.problems import (
     parse_qaplib,
     parse_sln,
     qap_cost,
+    qap_cost_grad,
     random_gip,
     random_qap,
     relative_optimality_gap,
@@ -95,6 +97,61 @@ class TestGipCost:
     def test_planted_instance(self):
         inst = random_gip(8, 3)
         assert gip_cost(inst, inst.planted) == 0.0
+
+
+def central_differences(f, x, h=1e-6):
+    """df/dx of a scalar function of the matrix x, entry by entry."""
+    g = np.zeros_like(x)
+    for idx in np.ndindex(x.shape):
+        step = np.zeros_like(x)
+        step[idx] = h
+        g[idx] = (f(x + step) - f(x - step)) / (2 * h)
+    return g
+
+
+def grad_tolerance(want, value):
+    """rel 1e-6, with a floor for the central differences' rounding noise
+    (about 1e-16 / h = 1e-10 times the cost's scale), which is all there is
+    where the gradient vanishes (a GIP on two empty graphs)."""
+    return 1e-6 * np.max(np.abs(want)) + 1e-9 * max(1.0, abs(value))
+
+
+def random_dsm(n, rng, terms=6):
+    d = np.zeros((n, n))
+    for lam in rng.dirichlet(np.ones(terms)):
+        d[np.arange(n), rng.permutation(n)] += lam
+    return d
+
+
+class TestCostGradients:
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([2, 4, 8]), seed=st.integers(0, 2**32 - 1))
+    def test_qap_matches_central_differences(self, n, seed):
+        inst = random_qap(n, seed % 1000)
+        d = random_dsm(n, np.random.default_rng(seed))
+        want = central_differences(lambda x: qap_cost(inst, x), d)
+        got = qap_cost_grad(inst, d)
+        assert np.max(np.abs(got - want)) <= grad_tolerance(want, qap_cost(inst, d))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.sampled_from([2, 4, 8]), seed=st.integers(0, 2**32 - 1))
+    def test_gip_matches_central_differences(self, n, seed):
+        inst = random_gip(n, seed % 1000)
+        d = random_dsm(n, np.random.default_rng(seed))
+        want = central_differences(lambda x: gip_cost(inst, x), d)
+        got = gip_cost_grad(inst, d)
+        assert np.max(np.abs(got - want)) <= grad_tolerance(want, gip_cost(inst, d))
+
+    def test_gip_grad_vanishes_at_the_planted_isomorphism(self):
+        inst = random_gip(8, 5)
+        pm = np.eye(8)[list(inst.planted.map)]
+        assert np.array_equal(gip_cost_grad(inst, pm), np.zeros((8, 8)))
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(ValueError):
+            qap_cost_grad(random_qap(4, 0), np.eye(5))
+        with pytest.raises(ValueError):
+            gip_cost_grad(random_gip(4, 0), np.eye(5))
 
 
 class TestGipToQap:
@@ -175,9 +232,18 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_edge_list("3 1 1")
 
+    def test_edge_list_non_integer_token(self):
+        with pytest.raises(ValueError, match="non-integer token in edge list"):
+            parse_edge_list("3 0 1 1 x")
+
     def test_adjacency_csv(self):
         adj = parse_adjacency_csv("0,1\n1,0")
         assert np.array_equal(adj, [[0, 1], [1, 0]])
+
+    def test_adjacency_csv_ragged_row_named(self):
+        # Blank lines are skipped but still counted in the line numbers.
+        with pytest.raises(ValueError, match="line 4 has 2 entries, expected 3"):
+            parse_adjacency_csv("0,1,0\n1,0,1\n\n0,1\n")
 
 
 class TestGenerators:
