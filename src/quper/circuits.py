@@ -26,13 +26,13 @@ import numpy as np
 
 from .gf2 import (
     AffineMap,
+    Permutation,
     Transvection,
     borel_subword,
     bruhat_decompose,
     longest_element_word,
     weyl_subword_mask,
 )
-from .gf2 import Permutation
 
 DEFAULT_MAX_QUBITS = 14
 MAX_QUBITS_ENV = "QUPER_MAX_QUBITS"
@@ -353,21 +353,17 @@ def eval_permutation(c: Circuit, theta) -> Permutation:
     q = c.q
     x = np.arange(1 << q, dtype=np.int64)
     for g in c.gates:
-        on = g.slot is None or theta[g.slot] == math.pi
+        if g.slot is not None and theta[g.slot] != math.pi:
+            continue  # the gate is off
         if g.kind == "RX":
-            if on:
-                x = x ^ (1 << (q - 1 - g.qubits[0]))
+            x = x ^ (1 << (q - 1 - g.qubits[0]))
         elif g.kind in ("CX", "PCX"):
-            if on:
-                sc = q - 1 - g.qubits[0]
-                st = q - 1 - g.qubits[1]
-                x = x ^ (((x >> sc) & 1) << st)
+            sc, st = q - 1 - g.qubits[0], q - 1 - g.qubits[1]
+            x = x ^ (((x >> sc) & 1) << st)
         else:  # PSWAP
-            if on:
-                sa = q - 1 - g.qubits[0]
-                sb = q - 1 - g.qubits[1]
-                d = ((x >> sa) & 1) ^ ((x >> sb) & 1)
-                x = x ^ ((d << sa) | (d << sb))
+            sa, sb = q - 1 - g.qubits[0], q - 1 - g.qubits[1]
+            d = ((x >> sa) & 1) ^ ((x >> sb) & 1)
+            x = x ^ ((d << sa) | (d << sb))
     return Permutation(tuple(int(v) for v in x))
 
 

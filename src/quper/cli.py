@@ -34,9 +34,10 @@ from .optimizer import QuperConfig, quper_solve, random_baseline
 from .problems import (
     GipInstance,
     QapInstance,
-    load_qaplib,
+    attach_solution,
     parse_adjacency_csv,
     parse_edge_list,
+    parse_qaplib,
     random_gip,
     random_qap,
     relative_optimality_gap,
@@ -55,13 +56,6 @@ class InputError(Exception):
     pass
 
 
-def _read(path: str) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-
-
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ansatz", default="bruhat", choices=SOLVER_ANSATZE)
     p.add_argument("--ancilla", type=int, default=0, metavar="M")
@@ -72,38 +66,50 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace", default=None, help="JSONL trace path")
 
 
+def _parse(path: str, parse):
+    """parse(text of the file at path), its errors prefixed with the path."""
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
+
+
+def _check_min(args, **lowest) -> None:
+    """Each named integer flag must be at least its lowest value."""
+    for flag, low in lowest.items():
+        value = getattr(args, flag)
+        if value < low:
+            raise InputError(f"--{flag} must be >= {low}, got {value}")
+
+
 def _load_qap(args) -> QapInstance:
-    if args.instance:
-        name = Path(args.instance).stem
-        sln = _read(args.sln) if args.sln else None
-        try:
-            return load_qaplib(_read(args.instance), sln, name=name)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-    n, seed = args.random
-    return random_qap(int(n), int(seed))
+    if args.random:
+        return random_qap(*args.random)
+    name = Path(args.instance).stem
+    inst = _parse(args.instance, lambda text: parse_qaplib(text, name))
+    if args.sln:
+        inst = _parse(args.sln, lambda text: attach_solution(inst, text))
+    return inst
+
+
+def _parse_graph(text: str) -> np.ndarray:
+    """An adjacency CSV if the text has a comma, else an edge list."""
+    return parse_adjacency_csv(text) if "," in text else parse_edge_list(text)
 
 
 def _load_gip(args) -> GipInstance:
     if args.graphs:
-        mats = []
-        for path in args.graphs:
-            text = _read(path)
-            try:
-                if "," in text:
-                    mats.append(parse_adjacency_csv(text))
-                else:
-                    mats.append(parse_edge_list(text))
-            except ValueError as exc:
-                raise InputError(f"{path}: {exc}") from exc
-        try:
-            return GipInstance(mats[0], mats[1], name="files")
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        mats = [_parse(path, _parse_graph) for path in args.graphs]
+        return GipInstance(mats[0], mats[1], name="files")  # main: ValueError -> 3
     return random_gip(args.random, args.seed, span_restricted=args.span_restricted)
 
 
 def _run_solver(problem, args, known_optimum=None) -> dict:
+    _check_min(args, ancilla=0, iters=1)
     cfg = QuperConfig(
         ansatz=args.ansatz,
         m_max=args.ancilla,
@@ -160,6 +166,7 @@ def cmd_solve_gip(args) -> int:
 
 
 def cmd_span(args) -> int:
+    _check_min(args, q=1, ancilla=0)
     q, m = args.q, args.ancilla
     circuit = solver_ansatz(args.ansatz, q + m)
     ell = args.params if args.params is not None else circuit.param_count
@@ -178,8 +185,7 @@ def cmd_span(args) -> int:
             return EXIT_BUDGET
         settings = itertools.product((0.0, math.pi), repeat=ell)
     else:
-        if args.samples < 1:
-            raise InputError(f"--samples must be >= 1, got {args.samples}")
+        _check_min(args, samples=1)
         rng = np.random.default_rng([args.seed])
         settings = (
             rng.choice([0.0, math.pi], ell) for _ in range(args.samples)
@@ -196,9 +202,9 @@ def cmd_span(args) -> int:
             seen_r.add(p)
         else:
             d = extract_dsm(circuit, m, theta)
-            seen_h.add(project_hungarian(d).map)
-            for p in project_random_order(d, [args.seed, idx], 1):
-                seen_r.add(p.map)
+            seen_h.add(tuple(project_hungarian(d).tolist()))
+            rand = project_random_order(d, [args.seed, idx], 1)
+            seen_r.update(map(tuple, rand.tolist()))
     line = f"{ell},{len(seen_h)},{len(seen_r)},{cap}"
     out = "params,count_hungarian,count_random_order,theoretical_cap\n" + line
     if args.out:
@@ -208,6 +214,7 @@ def cmd_span(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_min(args, q=1)
     results = run_suites(q=args.q, deep=args.deep)
     all_ok = True
     for name, ok, detail in results:
@@ -218,7 +225,7 @@ def cmd_verify(args) -> int:
 
 def cmd_compile(args) -> int:
     if args.circuit:
-        circuit = circuit_from_text(_read(args.circuit))
+        circuit = _parse(args.circuit, circuit_from_text)
     else:
         circuit = build_ansatz(args.ansatz, args.q)
     lowered = lower_to_linear_topology(circuit)
@@ -242,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     sq = sub.add_parser("solve-qap", help="run the heuristic on a QAP instance")
     src = sq.add_mutually_exclusive_group(required=True)
     src.add_argument("--instance", help="QAPLIB .dat file")
-    src.add_argument("--random", nargs=2, metavar=("N", "SEED"))
+    src.add_argument("--random", nargs=2, type=int, metavar=("N", "SEED"))
     sq.add_argument("--sln", help="QAPLIB .sln file with the known optimum")
     _add_solver_flags(sq)
     sq.set_defaults(func=cmd_solve_qap)

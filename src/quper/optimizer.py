@@ -183,17 +183,17 @@ def _problem_costs(problem):
 
 
 def best_projection(d: np.ndarray, cost, seed):
-    """Project d onto permutations and cost each distinct candidate once.
+    """Project d onto permutations and cost all candidates in one call.
 
-    The candidates are the Hungarian projection and the random-order ones,
-    costed in map order.  Returns (argmin, its value, Hungarian cost, best
-    random-order cost); ties go to the first candidate in map order.
+    The candidates, the Hungarian map then the random-order maps, are costed
+    as one (K, n, n) stack.  Returns (argmin map, its value, Hungarian cost,
+    best random-order cost); ties go to the first candidate in map order.
     """
-    ph = project_hungarian(d)
-    rand = project_random_order(d, seed)
-    costs = {p: float(cost(p)) for p in sorted(rand | {ph}, key=lambda p: p.map)}
-    best_p = min(costs, key=costs.__getitem__)
-    return best_p, costs[best_p], costs[ph], min(costs[p] for p in rand)
+    maps = np.vstack([project_hungarian(d), project_random_order(d, seed)])
+    values = cost(np.eye(len(d))[maps])
+    tied = np.flatnonzero(values == values.min())
+    best = min(tied, key=lambda k: maps[k].tolist())
+    return maps[best], float(values[best]), float(values[0]), float(values[1:].min())
 
 
 def _default_lr(problem) -> float:
@@ -219,7 +219,7 @@ def quper_solve(problem, cfg: QuperConfig):
 
     rng = np.random.default_rng([cfg.seed])
     trace = QuperTrace()
-    best_p: Permutation | None = None
+    best_p: np.ndarray | None = None
     best_v = math.inf
     prev_circuit: Circuit | None = None
     theta: np.ndarray | None = None
@@ -239,7 +239,6 @@ def quper_solve(problem, cfg: QuperConfig):
             g = adjoint_gradient(circuit, m, state.theta, loss_grad)
             state = adam_nesterov_step(state, g)
             d = extract_dsm(circuit, m, state.theta)
-            raw = float(cost(d))
             p, v, ph_cost, pr_cost = best_projection(d, cost, [cfg.seed, m, it_global])
             if v < best_v:
                 best_p, best_v = p, v
@@ -248,31 +247,30 @@ def quper_solve(problem, cfg: QuperConfig):
                     "iter": it_global,
                     "m": m,
                     "loss": loss_from_dsm(d, cost),
-                    "raw_cost": raw,
+                    "raw_cost": cost(d),
                     "proj_hungarian_cost": ph_cost,
                     "proj_random_cost": pr_cost,
                     "best": best_v,
                 }
             )
             it_global += 1
-        trace.levels.append(
-            {"m": m, "value": best_v, "permutation": list(best_p.map)}
-        )
+        trace.levels.append({"m": m, "value": best_v, "permutation": best_p.tolist()})
         prev_circuit, theta = circuit, state.theta
-    return best_p, best_v, trace
+    return Permutation(tuple(best_p.tolist())), best_v, trace
 
 
 def random_baseline(problem, iterations: int, seed: int):
-    """Best of 50 * ceil(I/10) uniformly random permutations."""
+    """Best of 50 * ceil(I/10) uniformly random permutations, costed 50 at a
+    time; ties go to the first drawn."""
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     cost, _ = _problem_costs(problem)
-    trials = 50 * math.ceil(iterations / 10)
     rng = np.random.default_rng([seed])
     best_p, best_v = None, math.inf
-    for _ in range(trials):
-        p = Permutation(tuple(int(v) for v in rng.permutation(problem.n)))
-        v = float(cost(p))
-        if v < best_v:
-            best_p, best_v = p, v
-    return best_p, best_v
+    for _ in range(math.ceil(iterations / 10)):
+        maps = np.array([rng.permutation(problem.n) for _ in range(50)])
+        values = cost(np.eye(problem.n)[maps])
+        k = int(np.argmin(values))
+        if values[k] < best_v:
+            best_p, best_v = maps[k], float(values[k])
+    return Permutation(tuple(best_p.tolist())), best_v

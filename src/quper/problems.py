@@ -1,8 +1,8 @@
 """Problem definitions: quadratic assignment (QAP), graph isomorphism (GIP).
 
-Costs take either a Permutation (row convention: matrix has a 1 at
-(i, p(i))) or a relaxed doubly-stochastic matrix; their gradients in the
-matrix entries are closed-form.
+Costs take a Permutation (row convention: matrix has a 1 at (i, p(i))), a
+relaxed doubly-stochastic matrix, or a (K, n, n) stack of matrices costed in
+one call; their gradients in the matrix entries are closed-form.
 
 QAP: minimize f(P) = tr(W P D^T P^T).
 GIP: minimize f(P) = ||A - P B P^T||_F^2, zero iff P is an isomorphism,
@@ -75,23 +75,26 @@ class GipInstance:
 
 
 def _as_matrix(p, shape: tuple[int, int]) -> np.ndarray:
+    """p as an (n, n) matrix or a (K, n, n) stack of them."""
     if isinstance(p, Permutation):
         pm = np.eye(p.n)[list(p.map)]  # row i has a 1 at column p(i)
     else:
         pm = np.asarray(p, dtype=float)
-    if pm.shape != shape:
+    if pm.ndim not in (2, 3) or pm.shape[-2:] != shape:
         raise ValueError("dimension mismatch")
     return pm
 
 
-def qap_cost(inst: QapInstance, p) -> float:
+def qap_cost(inst: QapInstance, p):
     pm = _as_matrix(p, inst.w.shape)
-    return float(np.trace(inst.w @ pm @ inst.d.T @ pm.T))
+    v = np.trace(inst.w @ pm @ inst.d.T @ pm.swapaxes(-1, -2), axis1=-2, axis2=-1)
+    return float(v) if pm.ndim == 2 else v
 
 
-def gip_cost(inst: GipInstance, p) -> float:
+def gip_cost(inst: GipInstance, p):
     pm = _as_matrix(p, inst.a.shape)
-    return float(np.sum((inst.a - pm @ inst.b @ pm.T) ** 2))
+    v = np.sum((inst.a - pm @ inst.b @ pm.swapaxes(-1, -2)) ** 2, axis=(-2, -1))
+    return float(v) if pm.ndim == 2 else v
 
 
 def qap_cost_grad(inst: QapInstance, d) -> np.ndarray:
@@ -104,8 +107,8 @@ def gip_cost_grad(inst: GipInstance, d) -> np.ndarray:
     """d gip_cost / d d at the relaxed matrix d: -2 (R d B^T + R^T d B), with
     R = A - d B d^T."""
     pm = _as_matrix(d, inst.a.shape)
-    r = inst.a - pm @ inst.b @ pm.T
-    return -2.0 * (r @ pm @ inst.b.T + r.T @ pm @ inst.b)
+    r = inst.a - pm @ inst.b @ pm.swapaxes(-1, -2)
+    return -2.0 * (r @ pm @ inst.b.T + r.swapaxes(-1, -2) @ pm @ inst.b)
 
 
 def gip_to_qap(inst: GipInstance) -> QapInstance:
@@ -159,22 +162,25 @@ def parse_sln(text: str) -> tuple[int, float, Permutation]:
 
 
 def load_qaplib(dat_text: str, sln_text: str | None, name: str = "") -> QapInstance:
-    """Parse a .dat, attaching the .sln optimum and pinning the W/D roles.
+    """Parse a .dat and, given one, attach the .sln optimum (attach_solution)."""
+    inst = parse_qaplib(dat_text, name)
+    return inst if sln_text is None else attach_solution(inst, sln_text)
+
+
+def attach_solution(inst: QapInstance, sln_text: str) -> QapInstance:
+    """inst with the .sln optimum attached and the W/D roles pinned.
 
     If the stored permutation does not reproduce the stored value under
     f(P) = tr(W P D^T P^T), the matrix roles are swapped.
     """
-    inst = parse_qaplib(dat_text, name)
-    if sln_text is None:
-        return inst
     n, value, perm = parse_sln(sln_text)
     if n != inst.n:
         raise ValueError(".sln size does not match instance")
     if not math.isclose(qap_cost(inst, perm), value, abs_tol=1e-6):
-        swapped = QapInstance(inst.d, inst.w, name=name)
+        swapped = QapInstance(inst.d, inst.w, name=inst.name)
         if math.isclose(qap_cost(swapped, perm), value, abs_tol=1e-6):
             inst = swapped
-    return QapInstance(inst.w, inst.d, name=name, known_optimum=value)
+    return QapInstance(inst.w, inst.d, name=inst.name, known_optimum=value)
 
 
 def random_qap(n: int, seed: int) -> QapInstance:
@@ -225,9 +231,7 @@ def random_gip(
     # B[p(i)][p(j)] = A[i][j] makes gip_cost(planted) = 0.
     b = np.zeros_like(a)
     pm = list(planted.map)
-    for i in range(n):
-        for j in range(n):
-            b[pm[i]][pm[j]] = a[i][j]
+    b[np.ix_(pm, pm)] = a
     return GipInstance(a, b, planted=planted, name=f"random_gip_{n}_{seed}")
 
 

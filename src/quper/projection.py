@@ -1,7 +1,8 @@
 """Projections from doubly-stochastic matrices onto permutations.
 
-Permutations act in row convention here: the matrix of p has a 1 at
-(i, p(i)), so projecting d means maximizing sum_i d[i, p(i)].
+Permutations are int maps (p[i] is the image of i) in row convention: the
+matrix of p has a 1 at (i, p[i]), so projecting d means maximizing
+sum_i d[i, p[i]].
 """
 
 from __future__ import annotations
@@ -9,15 +10,13 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .gf2 import Permutation
-
 RANDOM_ORDER_TRIALS = 50
 
 
-def project_hungarian(d: np.ndarray) -> Permutation:
-    """Exact maximizer of sum_i d[i, p(i)], i.e. the closest permutation."""
+def project_hungarian(d: np.ndarray) -> np.ndarray:
+    """The map p maximizing sum_i d[i, p[i]], i.e. the closest permutation."""
     rows, cols = linear_sum_assignment(d, maximize=True)
-    return Permutation(tuple(int(c) for c in cols[np.argsort(rows)]))
+    return cols[np.argsort(rows)]
 
 
 def _base_vector(n: int) -> np.ndarray:
@@ -30,19 +29,20 @@ def _base_vector(n: int) -> np.ndarray:
 
 def project_random_order(
     d: np.ndarray, seed, trials: int = RANDOM_ORDER_TRIALS
-) -> set[Permutation]:
+) -> np.ndarray:
     """Order-tracking projection: permute v, read how d.v reorders it.
 
-    The returned p satisfies: the k-th smallest component of d.v sits at the
-    row mapped to the position of the k-th smallest component of v.  Trial t
-    draws v from its own stream (seed, t); all trials share one product.
+    Each candidate p satisfies: the j-th smallest component of d.v sits at
+    the row mapped to the position of the j-th smallest component of v.
+    Trial t draws v from its own stream (seed, t); all trials share one
+    product.  Returns the distinct candidates as a (k, n) array of maps in
+    lexicographic order, k <= trials.
     """
     n = len(d)
     base = _base_vector(n)
-    v = np.stack(
-        [base[np.random.default_rng(_substream(seed, t)).permutation(n)]
-         for t in range(trials)]
-    )
+    prefix = list(seed) if isinstance(seed, (list, tuple)) else [int(seed)]
+    rngs = (np.random.default_rng([*prefix, t]) for t in range(trials))
+    v = np.stack([base[rng.permutation(n)] for rng in rngs])
     # One matrix-vector product per trial, as d @ v would compute it: a
     # matrix-matrix product sums in another order and can break near-ties in
     # d.v the other way.
@@ -52,11 +52,5 @@ def project_random_order(
     ou = np.argsort(u, axis=1, kind="stable")
     pmaps = np.empty_like(ov)
     np.put_along_axis(pmaps, ou, ov, axis=1)
-    return {Permutation(tuple(row)) for row in pmaps.tolist()}
-
-
-def _substream(seed, t: int) -> list[int]:
-    if isinstance(seed, (list, tuple)):
-        return [*seed, t]
-    return [int(seed), t]
-
+    # A set of row tuples: np.unique(axis=0) costs several times more.
+    return np.array(sorted(set(map(tuple, pmaps.tolist()))))

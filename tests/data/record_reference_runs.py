@@ -1,11 +1,21 @@
 """Record the fixed-seed solves that tests/test_reference_runs.py replays.
 
-    PYTHONPATH=src python3 tests/data/record_reference_runs.py
+    python3 tests/data/record_reference_runs.py [OUT]
 
-Writes reference_runs.json: for each run, the instance, the solver config and
-what quper_solve returned (best permutation and value, every trace record and
-every level).  Re-record only when a change is meant to alter the solver's
-trajectory; a refactor must reproduce the file as it is.
+Writes reference_runs.json (or OUT): for each run, the instance, the solver
+config and what quper_solve returned (best permutation and value, every trace
+record and every level), solved with the quper under ../../src.
+
+The checked-in file was recorded with the finite-difference gradient.  The
+exact gradient that replaced it moved the trace floats by up to 9.4e-11
+relative, so recording today does not reproduce the file byte for byte.  The
+replay's contract is: permutations, best values, levels and iteration counters
+exact; every other float to a relative 1e-9.  Re-record only when a change is
+meant to alter the solver's trajectory.
+
+A change that must not move the trajectory shows it by recording to OUT in a
+checkout of its parent commit and in one of the change, then comparing the
+two outputs with `cmp`: they must be byte-identical.
 """
 
 from __future__ import annotations
@@ -51,12 +61,13 @@ def run(spec: dict) -> dict:
     }
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
     sys.path.insert(0, str(HERE.parent.parent / "src"))
+    out = Path(argv[0]) if argv else REFERENCE
     runs = [run(spec) for spec in RUNS]
-    REFERENCE.write_text(json.dumps(runs, indent=1) + "\n")
+    out.write_text(json.dumps(runs, indent=1) + "\n")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -41,6 +41,14 @@ class TestVerifyCommand:
         assert "FAIL demo" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("q", ["0", "-2"])
+    def test_non_positive_q_is_input_error(self, q, capsys):
+        assert main(["verify", "--q", q]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: --q must be >= 1, got {q}\n"
+        assert captured.out == ""
+
+
 class TestSpanCommand:
     def test_q2_exhaustive_24(self, capsys):
         assert main(["span", "--q", "2"]) == 0
@@ -73,6 +81,19 @@ class TestSpanCommand:
         assert code == 3
         captured = capsys.readouterr()
         assert "--samples" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--q", "3", "--ancilla", "-1"], "--ancilla must be >= 0, got -1"),
+            (["--q", "0"], "--q must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_q_or_ancilla_is_input_error(self, argv, message, capsys):
+        assert main(["span", *argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: {message}\n"
         assert captured.out == ""
 
     def test_params_prefix_restriction(self, capsys):
@@ -185,6 +206,38 @@ class TestSolveCommands:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith(f"input error: {b}: non-integer token in edge list")
+
+    def test_non_integer_qaplib_dat_names_file(self, tmp_path, capsys):
+        dat = tmp_path / "bad.dat"
+        dat.write_text("2\n0 1\n1 x\n0 2\n2 0\n")
+        assert main(["solve-qap", "--instance", str(dat), "--iters", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {dat}: non-integer token in QAPLIB data")
+
+    def test_non_integer_sln_names_file(self, tmp_path, capsys):
+        sln = tmp_path / "bad.sln"
+        sln.write_text("16 0\n1 2 3 x\n")
+        argv = ["solve-qap", "--instance", str(DATA / "esc16f.dat"), "--sln", str(sln)]
+        assert main([*argv, "--iters", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {sln}: non-integer token in .sln data")
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--iters", "0"], "--iters must be >= 1, got 0"),
+            (["--ancilla", "-1", "--iters", "1"], "--ancilla must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_iters_or_ancilla_is_input_error(self, flags, message, capsys):
+        assert main(["solve-qap", "--random", "4", "1", *flags]) == 3
+        assert capsys.readouterr().err == f"input error: {message}\n"
+
+    def test_non_integer_random_is_bad_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve-qap", "--random", "x", "1"])
+        assert exc.value.code == 2
+        assert "--random: invalid int value: 'x'" in capsys.readouterr().err
 
     def test_ansatz_choices_come_from_circuits(self):
         parser = build_parser()

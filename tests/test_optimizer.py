@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quper.circuits import solver_ansatz
@@ -337,12 +337,20 @@ class TestEmbedTheta:
         assert np.sum(theta == PI / 8) == new_slots
 
 
+def per_map(cost):
+    """A stack cost from a per-permutation one: one value per one-hot matrix
+    of the (K, n, n) stack, in stack order."""
+    return lambda stack: np.array(
+        [cost(Permutation(tuple(m.argmax(axis=1).tolist()))) for m in stack]
+    )
+
+
 def inline_incumbent_step(d, cost, seed, best_p, best_v):
     """Reference for best_projection: the incumbent step as quper_solve once
-    inlined it, costing every candidate twice."""
-    ph = project_hungarian(d)
+    inlined it, costing every candidate twice, one Permutation at a time."""
+    ph = Permutation(tuple(project_hungarian(d).tolist()))
     ph_cost = float(cost(ph))
-    rand = project_random_order(d, seed)
+    rand = {Permutation(tuple(r)) for r in project_random_order(d, seed).tolist()}
     pr_cost = min(float(cost(p)) for p in rand)
     for p in sorted(rand | {ph}, key=lambda p: p.map):
         v = float(cost(p))
@@ -357,8 +365,8 @@ class TestBestProjection:
         p = Permutation((1, 2, 3, 0))
         d = perm_row_matrix(p)
         cost = lambda x: 0.0 if x == p else 1.0
-        best_p, best_v, ph_cost, pr_cost = best_projection(d, cost, seed=7)
-        assert best_p == p and best_v == 0.0
+        best_p, best_v, ph_cost, pr_cost = best_projection(d, per_map(cost), seed=7)
+        assert best_p.tolist() == list(p.map) and best_v == 0.0
         assert ph_cost == pr_cost == 0.0
 
     def test_never_worse_than_hungarian(self):
@@ -370,17 +378,32 @@ class TestBestProjection:
 
         for _ in range(10):
             d = random_dsm(6, rng)
-            _, v, ph_cost, pr_cost = best_projection(d, cost, seed=9)
-            assert v <= cost(project_hungarian(d)) + 1e-12
-            assert ph_cost == cost(project_hungarian(d))
+            _, v, ph_cost, pr_cost = best_projection(d, per_map(cost), seed=9)
+            ph = Permutation(tuple(project_hungarian(d).tolist()))
+            assert v <= cost(ph) + 1e-12
+            assert ph_cost == cost(ph)
             assert v == min(ph_cost, pr_cost)
 
-    def test_costs_each_distinct_candidate_once(self):
-        d = random_dsm(8, np.random.default_rng(10))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.sampled_from([2, 4, 8]),
+        dsm_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=8, dsm_seed=10, seed=11)
+    def test_one_cost_call_covers_every_candidate(self, n, dsm_seed, seed):
+        # One call on a (K, n, n) one-hot stack: the Hungarian map, then each
+        # distinct random-order map once, in map order.
+        d = random_dsm(n, np.random.default_rng(dsm_seed))
         calls = []
-        best_projection(d, lambda p: calls.append(p) or 0.0, seed=11)
-        candidates = project_random_order(d, 11) | {project_hungarian(d)}
-        assert calls == sorted(candidates, key=lambda p: p.map)
+        best_projection(d, lambda x: calls.append(x) or np.zeros(len(x)), seed)
+        assert len(calls) == 1
+        stack = calls[0]
+        assert stack.ndim == 3 and stack.shape[1:] == (n, n)
+        assert np.array_equal(stack, np.eye(n)[stack.argmax(axis=2)])
+        rows = stack.argmax(axis=2).tolist()
+        rand = project_random_order(d, seed).tolist()
+        assert rows == [project_hungarian(d).tolist(), *rand]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -389,6 +412,9 @@ class TestBestProjection:
         seed=st.integers(0, 2**32 - 1),
         incumbent=st.sampled_from([math.inf, 0.0, 3.0, 6.0]),
     )
+    # The Hungarian map ties with a random-order map that comes first in map
+    # order, which must win.
+    @example(n=4, dsm_seed=9, seed=9, incumbent=math.inf)
     def test_matches_inline_incumbent_step(self, n, dsm_seed, seed, incumbent):
         # Costs in 0..2 per row make ties between candidates common.
         rng = np.random.default_rng(dsm_seed)
@@ -400,7 +426,8 @@ class TestBestProjection:
 
         start = Permutation.identity(n)
         want = inline_incumbent_step(d, cost, seed, start, incumbent)
-        p, v, ph_cost, pr_cost = best_projection(d, cost, seed)
+        p, v, ph_cost, pr_cost = best_projection(d, per_map(cost), seed)
+        p = Permutation(tuple(p.tolist()))
         best_p, best_v = (p, v) if v < incumbent else (start, incumbent)
         assert (best_p, best_v, ph_cost, pr_cost) == want
 
@@ -448,6 +475,19 @@ class TestQuperSolve:
         with pytest.raises(ValueError):
             quper_solve(inst, QuperConfig("bruhat", 0, 1, seed=0))
 
+    def test_no_permutation_object_inside_the_loop(self, monkeypatch):
+        # The incumbent is an int map; one Permutation is built, on return.
+        built = []
+        real = optimizer.Permutation
+        monkeypatch.setattr(
+            optimizer, "Permutation", lambda m: built.append(m) or real(m)
+        )
+        cfg = QuperConfig("bruhat", 1, 5, seed=3)
+        p, v, trace = quper_solve(random_qap(4, 3), cfg)
+        assert built == [p.map]
+        assert trace.levels[-1]["permutation"] == list(p.map)
+        assert all(type(i) is int for i in trace.levels[-1]["permutation"])
+
     def test_trace_schema(self):
         inst = random_qap(4, 7)
         _, _, trace = quper_solve(inst, QuperConfig("bruhat", 0, 3, seed=2))
@@ -486,3 +526,54 @@ class TestRandomBaseline:
         )
         _, v = random_baseline(inst, 10, seed=4)
         assert v >= opt - 1e-9
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["qap", "qap_ties", "gip"]),
+        n=st.sampled_from([4, 8]),
+        data_seed=st.integers(0, 2**32 - 1),
+        seed=st.integers(0, 2**31 - 1),
+        iterations=st.sampled_from([1, 10, 95]),
+    )
+    def test_matches_per_trial_loop(self, kind, n, data_seed, seed, iterations):
+        # Small integer costs (qap_ties, gip) make ties between trials common,
+        # so the first minimum must win as in the loop.
+        if kind == "qap":
+            problem = random_qap(n, data_seed)
+        elif kind == "qap_ties":
+            rng = np.random.default_rng(data_seed)
+            w, d = rng.integers(0, 2, (2, n, n))
+            problem = QapInstance(w, d)
+        else:
+            problem = random_gip(n, data_seed)
+        want = random_baseline_loop(problem, iterations, seed)
+        assert random_baseline(problem, iterations, seed) == want
+
+    def test_one_cost_call_per_block_of_50(self, monkeypatch):
+        calls = []
+        real = optimizer.qap_cost
+        def counted(inst, p):
+            calls.append(p.shape)
+            return real(inst, p)
+
+        monkeypatch.setattr(optimizer, "qap_cost", counted)
+        random_baseline(random_qap(4, 1), 95, seed=2)
+        assert calls == [(50, 4, 4)] * 10
+
+
+def random_baseline_loop(problem, iterations, seed):
+    """Reference for random_baseline: one trial and one Permutation cost call
+    at a time, keeping the first strict minimum."""
+    if isinstance(problem, QapInstance):
+        cost = lambda p: qap_cost(problem, p)
+    else:
+        cost = lambda p: gip_cost(problem, p)
+    trials = 50 * math.ceil(iterations / 10)
+    rng = np.random.default_rng([seed])
+    best_p, best_v = None, math.inf
+    for _ in range(trials):
+        p = Permutation(tuple(int(v) for v in rng.permutation(problem.n)))
+        v = float(cost(p))
+        if v < best_v:
+            best_p, best_v = p, v
+    return best_p, best_v

@@ -154,6 +154,46 @@ class TestCostGradients:
             gip_cost_grad(random_gip(4, 0), np.eye(5))
 
 
+class TestStackedCost:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["qap", "gip"]),
+        n=st.sampled_from([4, 8, 16]),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 60),
+    )
+    def test_one_hot_stack_equals_single_calls(self, kind, n, seed, k):
+        # Exactly equal: a last-bit difference could flip the solver's ties.
+        if kind == "qap":
+            inst, cost = random_qap(n, seed), qap_cost  # float data
+        else:
+            inst, cost = random_gip(n, seed), gip_cost
+        rng = np.random.default_rng(seed)
+        maps = np.array([rng.permutation(n) for _ in range(k)])
+        got = cost(inst, np.eye(n)[maps])
+        assert got.shape == (k,)
+        want = [cost(inst, Permutation(tuple(m))) for m in maps.tolist()]
+        assert got.tolist() == want
+        # A relaxed DSM costs the same alone (a float) and as a stack of one.
+        d = random_dsm(n, rng)
+        assert isinstance(cost(inst, d), float)
+        assert cost(inst, d[None]).tolist() == [cost(inst, d)]
+
+    def test_gradients_take_stacks(self):
+        rng = np.random.default_rng(3)
+        ds = np.stack([random_dsm(4, rng) for _ in range(3)])
+        cases = ((random_qap(4, 1), qap_cost_grad), (random_gip(4, 1), gip_cost_grad))
+        for inst, grad in cases:
+            got = grad(inst, ds)
+            assert all(np.array_equal(g, grad(inst, d)) for g, d in zip(got, ds))
+
+    def test_stack_dimension_mismatch(self):
+        inst = random_qap(4, 0)
+        for bad in (np.zeros((2, 5, 5)), np.zeros((2, 4, 5)), np.zeros((1, 2, 4, 4))):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                qap_cost(inst, bad)
+
+
 class TestGipToQap:
     def test_identity_holds_100_random(self):
         rng = np.random.default_rng(4)

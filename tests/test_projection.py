@@ -1,4 +1,4 @@
-"""Hungarian and random-order projections onto permutations."""
+"""Hungarian and random-order projections onto permutations, as int maps."""
 
 import itertools
 
@@ -30,18 +30,19 @@ ALL_P8 = np.array(list(itertools.permutations(range(8))))
 
 class TestHungarian:
     def test_identity(self):
-        assert project_hungarian(np.eye(4)) == Permutation.identity(4)
+        want = list(Permutation.identity(4).map)
+        assert project_hungarian(np.eye(4)).tolist() == want
 
     def test_permutation_matrix_fixed_point(self):
         p = Permutation((3, 1, 0, 2))
-        assert project_hungarian(perm_row_matrix(p)) == p
+        assert project_hungarian(perm_row_matrix(p)).tolist() == list(p.map)
 
     def test_matches_exhaustive_optimum_8x8(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             d = random_dsm(8, rng)
             p = project_hungarian(d)
-            got = d[np.arange(8), list(p.map)].sum()
+            got = d[np.arange(8), p].sum()
             best = d[np.arange(8)[None, :], ALL_P8].sum(axis=1).max()
             assert got == best
 
@@ -50,23 +51,24 @@ class TestRandomOrder:
     def test_permutation_matrix_every_trial(self):
         p = Permutation((2, 0, 3, 1))
         out = project_random_order(perm_row_matrix(p), seed=1, trials=50)
-        assert out == {p}
+        assert out.tolist() == [list(p.map)]
 
     def test_identity(self):
         out = project_random_order(np.eye(4), seed=2, trials=10)
-        assert out == {Permutation.identity(4)}
+        assert out.tolist() == [list(Permutation.identity(4).map)]
 
     def test_uniform_matrix_yields_valid_candidates(self):
         d = np.full((4, 4), 0.25)
         out = project_random_order(d, seed=3, trials=50)
-        assert all(isinstance(p, Permutation) and p.n == 4 for p in out)
+        assert out.ndim == 2 and out.shape[1] == 4
+        assert all(sorted(row) == [0, 1, 2, 3] for row in out.tolist())
 
     def test_random_dsm_valid_and_deterministic(self):
         rng = np.random.default_rng(4)
         d = random_dsm(6, rng)
         a = project_random_order(d, seed=5, trials=20)
         b = project_random_order(d, seed=5, trials=20)
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_base_vector_separation(self):
         # With v_i = 2^i, a permutation matrix can never produce ties in d.v.
@@ -137,5 +139,8 @@ class TestRandomOrderMatchesLoop:
         trials=st.integers(1, 60),
     )
     def test_same_candidate_set(self, d, seed, trials):
+        # The same candidates, each once, as int maps in lexicographic order.
         want = random_order_loop(d, seed, trials)
-        assert project_random_order(d, seed, trials) == want
+        got = project_random_order(d, seed, trials)
+        assert got.dtype.kind == "i"
+        assert got.tolist() == sorted(list(p.map) for p in want)
