@@ -21,7 +21,6 @@ from .circuits import (
     build_ansatz,
     circuit_stats,
     eval_permutation,
-    eval_unitaries,
     eval_unitary,
     lower_to_linear_topology,
     reverse_sweep,
@@ -34,6 +33,7 @@ from .dsm import (
     birkhoff_decompose,
     extract_dsm,
     statevector_oracle,
+    unitary_and_dsm,
 )
 from .projection import project_hungarian, project_random_order
 from .optimizer import (

@@ -213,42 +213,42 @@ def _check_theta(c: Circuit, theta) -> np.ndarray:
     return theta
 
 
-def _gate_blocks(c: Circuit, thetas: np.ndarray) -> list[np.ndarray | None]:
-    """The (B, 2, 2) block of each gate of c at every row of thetas (B, L).
+def _gate_blocks(c: Circuit, theta: np.ndarray) -> list[np.ndarray | None]:
+    """The 2x2 block of each gate of c at the parameters theta (L,).
 
     RX's block is RX(theta); PCX's and PSWAP's is PHASE(theta/2) . RX(theta),
     PCX's action on its target inside the control-1 slice; CX has None.  cos
     and sin of theta/2 are exact at theta in {0, pi}, so PCX(pi) is CX and
     PSWAP(pi) is SWAP exactly.
     """
-    cos, sin = np.cos(thetas / 2), np.sin(thetas / 2)
-    zero, pi = thetas == 0.0, thetas == math.pi
+    cos, sin = np.cos(theta / 2), np.sin(theta / 2)
+    zero, pi = theta == 0.0, theta == math.pi
     cos[zero], sin[zero] = 1.0, 0.0
     cos[pi], sin[pi] = 0.0, 1.0
-    rx = np.empty(thetas.shape + (2, 2), dtype=complex)
+    rx = np.empty(theta.shape + (2, 2), dtype=complex)
     rx[..., 0, 0] = rx[..., 1, 1] = cos
     rx[..., 0, 1] = rx[..., 1, 0] = -1.0j * sin
     pcx = (cos + 1.0j * sin)[..., None, None] * rx
     return [
-        None if g.slot is None else (rx if g.kind == "RX" else pcx)[:, g.slot]
+        None if g.slot is None else (rx if g.kind == "RX" else pcx)[g.slot]
         for g in c.gates
     ]
 
 
 def _apply_gate(g: Gate, psi: np.ndarray, block: np.ndarray | None) -> np.ndarray:
-    """Apply g with the 2x2 block (B or 1, 2, 2) to the rows of every matrix
-    in the stack psi (B, 2^q, k); returns the new stack.
+    """Apply g with the 2x2 block to the rows of every matrix in the stack
+    psi (B, 2^q, k); returns the new stack.
 
-    The gate is one matmul of the block on a reshaped view; a controlled gate
-    rewrites only its control-1 slice, in place.
+    The gate is one matmul of the block, broadcast over a reshaped view; a
+    controlled gate rewrites only its control-1 slice, in place.
     """
     b = psi.shape[0]
     if g.kind == "RX":
         (t,) = g.qubits
         view = psi.reshape(b, 1 << t, 2, -1)
-        return (block[:, None] @ view).reshape(psi.shape)
+        return (block @ view).reshape(psi.shape)
     lo, hi = sorted(g.qubits)
-    # Axes: batch, qubits above lo, lo, qubits between, hi, the rest.
+    # Axes: stack, qubits above lo, lo, qubits between, hi, the rest.
     view = psi.reshape(b, 1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
     if g.kind == "PSWAP":
         # PSWAP(a, b) is PCX's block acting on the pair (a=1, b=0),
@@ -256,7 +256,7 @@ def _apply_gate(g: Gate, psi: np.ndarray, block: np.ndarray | None) -> np.ndarra
         x0, x1 = view[:, :, 1, :, 0], view[:, :, 0, :, 1]
         if g.qubits[0] == hi:
             x0, x1 = x1, x0
-        pair = block[:, None, None] @ np.stack((x0, x1), axis=-2)
+        pair = block @ np.stack((x0, x1), axis=-2)
         x0[...], x1[...] = pair[..., 0, :], pair[..., 1, :]
         return psi
     # Control-1 slice with the target axis second to last.
@@ -267,38 +267,27 @@ def _apply_gate(g: Gate, psi: np.ndarray, block: np.ndarray | None) -> np.ndarra
     if g.kind == "CX":
         sub[...] = sub[..., ::-1, :]
     else:  # PCX
-        sub[...] = block[:, None, None] @ sub
-    return psi
-
-
-def eval_unitaries(c: Circuit, thetas) -> np.ndarray:
-    """Dense unitaries of the circuit at each row of thetas (B, L), as one
-    (B, 2^q, 2^q) stack."""
-    limit = max_dense_qubits()
-    if c.q > limit:
-        raise QubitBudgetError(
-            f"dense evaluation of {c.q} qubits exceeds the guard ({limit})"
-        )
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 2 or thetas.shape[1] != c.param_count:
-        raise ValueError(
-            f"expected rows of {c.param_count} parameters, got shape {thetas.shape}"
-        )
-    dim = 1 << c.q
-    psi = np.broadcast_to(np.eye(dim, dtype=complex), (len(thetas), dim, dim)).copy()
-    for g, block in zip(c.gates, _gate_blocks(c, thetas)):
-        psi = _apply_gate(g, psi, block)
+        sub[...] = block @ sub
     return psi
 
 
 def eval_unitary(c: Circuit, theta) -> np.ndarray:
     """Dense 2^q x 2^q unitary of the circuit at the given parameters."""
-    return eval_unitaries(c, _check_theta(c, theta)[None])[0]
+    limit = max_dense_qubits()
+    if c.q > limit:
+        raise QubitBudgetError(
+            f"dense evaluation of {c.q} qubits exceeds the guard ({limit})"
+        )
+    theta = _check_theta(c, theta)
+    psi = np.eye(1 << c.q, dtype=complex)[None]
+    for g, block in zip(c.gates, _gate_blocks(c, theta)):
+        psi = _apply_gate(g, psi, block)
+    return psi[0]
 
 
 # Each parametrized gate with its block replaced by X: X on the target for
 # RX, CX for PCX, SWAP for PSWAP.
-_FLIP = np.array([[[0.0, 1.0], [1.0, 0.0]]], dtype=complex)
+_FLIP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def reverse_sweep(
@@ -326,14 +315,14 @@ def reverse_sweep(
     dim = 1 << c.q
     if u.shape != (dim, dim) or lam.shape != (dim, dim):
         raise ValueError(f"U and lam must be {dim} x {dim}")
-    blocks = _gate_blocks(c, theta[None])
+    blocks = _gate_blocks(c, theta)
     psi = np.stack((u, lam * u))
     grad = np.zeros(c.param_count)
     for g, block in zip(reversed(c.gates), reversed(blocks)):
         if block is not None:
             flipped = _apply_gate(g, psi[:1].copy(), _FLIP)
             grad[g.slot] += np.vdot(psi[1], flipped[0]).imag
-            block = block.conj().swapaxes(-1, -2)
+            block = block.conj().T
         psi = _apply_gate(g, psi, block)
     return grad, psi
 

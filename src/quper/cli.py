@@ -88,7 +88,10 @@ def _check_min(args, **lowest) -> None:
 
 def _load_qap(args) -> QapInstance:
     if args.random:
-        return random_qap(*args.random)
+        n, seed = args.random
+        if seed < 0:
+            raise InputError(f"--random SEED must be >= 0, got {seed}")
+        return random_qap(n, seed)
     name = Path(args.instance).stem
     inst = _parse(args.instance, lambda text: parse_qaplib(text, name))
     if args.sln:
@@ -109,7 +112,6 @@ def _load_gip(args) -> GipInstance:
 
 
 def _run_solver(problem, args, known_optimum=None) -> dict:
-    _check_min(args, ancilla=0, iters=1)
     cfg = QuperConfig(
         ansatz=args.ansatz,
         m_max=args.ancilla,
@@ -152,6 +154,7 @@ def _run_solver(problem, args, known_optimum=None) -> dict:
 
 
 def cmd_solve_qap(args) -> int:
+    _check_min(args, ancilla=0, iters=1, seed=0)
     inst = _load_qap(args)
     report = _run_solver(inst, args, known_optimum=inst.known_optimum)
     print(json.dumps(report))
@@ -159,6 +162,7 @@ def cmd_solve_qap(args) -> int:
 
 
 def cmd_solve_gip(args) -> int:
+    _check_min(args, ancilla=0, iters=1, seed=0)
     inst = _load_gip(args)
     report = _run_solver(inst, args)
     print(json.dumps(report))
@@ -166,7 +170,7 @@ def cmd_solve_gip(args) -> int:
 
 
 def cmd_span(args) -> int:
-    _check_min(args, q=1, ancilla=0)
+    _check_min(args, q=1, ancilla=0, seed=0, budget=0)
     q, m = args.q, args.ancilla
     circuit = solver_ansatz(args.ansatz, q + m)
     ell = args.params if args.params is not None else circuit.param_count

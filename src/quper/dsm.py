@@ -9,7 +9,7 @@ the exact outcome distribution of feeding the circuit half of 2^(m+q)
 maximally entangled pairs and measuring the 2q non-ancilla qubits.  Both the
 closed-form block sum and a literal doubled-register statevector oracle are
 provided; they must agree to 1e-10.  The oracle walks the gates with its own
-serial gate helpers, independent of the batched kernel in quper.circuits.
+serial gate helpers, independent of the kernel in quper.circuits.
 """
 
 from __future__ import annotations
@@ -50,34 +50,36 @@ def _check_ancillas(circuit: Circuit, m: int) -> None:
         raise ValueError("need 0 <= m < circuit.q")
 
 
-def _block_sums(u: np.ndarray, m: int) -> np.ndarray:
-    """p_ij of the unitary u (2^(m+q), 2^(m+q))."""
-    k = 1 << m
-    n = u.shape[-1] >> m
-    return (np.abs(u.reshape(k, n, k, n)) ** 2).sum(axis=(0, 2)) / k
-
-
-def extract_dsm(circuit: Circuit, m: int, theta) -> np.ndarray:
-    """The (n, n) DSM of the circuit on m + q qubits, the m ancillas being the
-    most-significant ones: the closed-form block sum over the ancilla indices
-    of |U|^2."""
-    _check_ancillas(circuit, m)
-    return _block_sums(eval_unitary(circuit, theta), m)
-
-
-def adjoint_gradient(circuit: Circuit, m: int, theta, loss_grad) -> np.ndarray:
-    """Exact gradient over theta of a loss of the DSM extract_dsm(circuit, m,
-    theta), given loss_grad, which maps the DSM d to dloss/dd (n, n).
-
-    d_ij sums |U_rc|^2 / 2^m over the rows r and columns c whose system part
-    is (i, j), so dloss/d|U|^2 is dloss/dd tiled 2^m x 2^m and divided by
-    2^m; circuits.reverse_sweep takes it from there.
-    """
+def unitary_and_dsm(circuit: Circuit, m: int, theta) -> tuple[np.ndarray, np.ndarray]:
+    """U = eval_unitary(circuit, theta) on m + q qubits, the m ancillas being
+    the most-significant ones, and its (n, n) DSM: the closed-form block sum
+    over the ancilla indices of |U|^2."""
     _check_ancillas(circuit, m)
     u = eval_unitary(circuit, theta)
     k = 1 << m
-    lam = np.tile(loss_grad(_block_sums(u, m)), (k, k)) / k
-    grad, _ = reverse_sweep(circuit, theta, u, lam)
+    n = u.shape[-1] >> m
+    return u, (np.abs(u.reshape(k, n, k, n)) ** 2).sum(axis=(0, 2)) / k
+
+
+def extract_dsm(circuit: Circuit, m: int, theta) -> np.ndarray:
+    """The DSM of unitary_and_dsm(circuit, m, theta)."""
+    return unitary_and_dsm(circuit, m, theta)[1]
+
+
+def adjoint_gradient(
+    circuit: Circuit, m: int, theta, u: np.ndarray, g: np.ndarray
+) -> np.ndarray:
+    """Exact gradient over theta of a loss of the DSM d of the circuit at
+    theta, given its unitary u (as unitary_and_dsm returns it) and
+    g = dloss/dd (n, n).  Builds no unitary of its own.
+
+    d_ij sums |U_rc|^2 / 2^m over the rows r and columns c whose system part
+    is (i, j), so dloss/d|U|^2 is g tiled 2^m x 2^m and divided by 2^m;
+    circuits.reverse_sweep takes it from there.
+    """
+    _check_ancillas(circuit, m)
+    k = 1 << m
+    grad, _ = reverse_sweep(circuit, theta, u, np.tile(g, (k, k)) / k)
     return grad
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .circuits import Circuit, QubitBudgetError, max_dense_qubits, solver_ansatz
-from .dsm import adjoint_gradient, extract_dsm
+from .dsm import adjoint_gradient, unitary_and_dsm
 from .gf2 import Permutation
 from .problems import (
     GipInstance,
@@ -102,21 +102,14 @@ def regularizer_grad(d: np.ndarray) -> np.ndarray:
 
 
 def fd_gradient(f, theta, h: float = 1e-5) -> np.ndarray:
-    """Central differences in every coordinate, from one call of f.
-
-    f maps a (2L, L) stack of points to its 2L values: row i is
-    theta + h e_i and row L + i is theta - h e_i.
-    """
+    """Central differences in every coordinate of the one-point loss f,
+    called at theta + h e_i for every i, then at theta - h e_i."""
     if h <= 0:
         raise ValueError("h must be positive")
     theta = np.asarray(theta, dtype=float)
     steps = h * np.eye(theta.size)
     points = np.concatenate([theta + steps, theta - steps])
-    values = np.asarray(f(points), dtype=float)
-    if values.shape != (2 * theta.size,):
-        raise ValueError(
-            f"f must return {2 * theta.size} values, got shape {values.shape}"
-        )
+    values = np.array([f(t) for t in points], dtype=float)
     if not np.all(np.isfinite(values)):
         raise ValueError("non-finite loss value in gradient")
     hi, lo = values[: theta.size], values[theta.size :]
@@ -204,8 +197,8 @@ def quper_solve(problem, cfg: QuperConfig):
     """Run the full heuristic; returns (best permutation, value, trace)."""
     n = problem.n
     q = n.bit_length() - 1
-    if 1 << q != n:
-        raise ValueError("problem size must be a power of two")
+    if n < 2 or 1 << q != n:
+        raise ValueError(f"problem size must be a power of two >= 2, got n={n}")
     if q + cfg.m_max > max_dense_qubits():
         raise QubitBudgetError(
             f"{q} qubits plus {cfg.m_max} ancillas exceed the guard "
@@ -213,10 +206,6 @@ def quper_solve(problem, cfg: QuperConfig):
         )
     cost, cost_grad = _problem_costs(problem)
     lr = cfg.lr if cfg.lr is not None else _default_lr(problem)
-
-    def loss_grad(d):
-        return cost_grad(d) + regularizer_grad(d)
-
     rng = np.random.default_rng([cfg.seed])
     trace = QuperTrace()
     best_p: np.ndarray | None = None
@@ -234,11 +223,15 @@ def quper_solve(problem, cfg: QuperConfig):
         else:
             theta = embed_theta(prev_circuit, circuit, theta)
         state = AdamState.fresh(theta, eta=lr)
-
+        # One forward pass per iterate: its U feeds the next gradient, its d
+        # the projection and the trace.
+        u, d = unitary_and_dsm(circuit, m, state.theta)
         for _ in range(cfg.iterations):
-            g = adjoint_gradient(circuit, m, state.theta, loss_grad)
+            g = adjoint_gradient(
+                circuit, m, state.theta, u, cost_grad(d) + regularizer_grad(d)
+            )
             state = adam_nesterov_step(state, g)
-            d = extract_dsm(circuit, m, state.theta)
+            u, d = unitary_and_dsm(circuit, m, state.theta)
             p, v, ph_cost, pr_cost = best_projection(d, cost, [cfg.seed, m, it_global])
             if v < best_v:
                 best_p, best_v = p, v

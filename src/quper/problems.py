@@ -244,6 +244,8 @@ def parse_edge_list(text: str) -> np.ndarray:
     if not vals:
         raise ValueError("empty edge list")
     n, rest = vals[0], vals[1:]
+    if n < 1:
+        raise ValueError(f"vertex count must be >= 1, got {n}")
     if len(rest) % 2:
         raise ValueError("edge list must contain pairs")
     adj = np.zeros((n, n), dtype=int)

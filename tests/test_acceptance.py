@@ -332,7 +332,7 @@ def test_criterion_12_optimizer_numerics():
     ok = True
     for _ in range(20):
         theta = rng.uniform(0, 2 * PI, c.param_count)
-        f = lambda ts: [loss_from_dsm(extract_dsm(c, 1, t), cost) for t in ts]
+        f = lambda t: loss_from_dsm(extract_dsm(c, 1, t), cost)
         g1 = fd_gradient(f, theta, 1e-5)
         g2 = fd_gradient(f, theta, 0.5e-5)
         rel = np.max(np.abs(g1 - g2)) / max(1e-9, np.max(np.abs(g2)))

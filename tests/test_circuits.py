@@ -20,7 +20,6 @@ from quper.circuits import (
     circuit_stats,
     circuit_to_text,
     eval_permutation,
-    eval_unitaries,
     eval_unitary,
     lower_to_linear_topology,
     max_dense_qubits,
@@ -174,7 +173,7 @@ class TestEvalUnitary:
 
 
 def serial_unitary(c, theta):
-    """Reference for the batched kernel: the serial gate walk."""
+    """Reference for the kernel: the serial gate walk."""
     dim = 1 << c.q
     psi = np.eye(dim, dtype=complex).reshape((2,) * c.q + (dim,))
     for g in c.gates:
@@ -182,9 +181,9 @@ def serial_unitary(c, theta):
     return psi.reshape(dim, dim)
 
 
-def random_thetas(c, rng, batch):
-    """(batch, L) angles in [-2 pi, 2 pi], about 30% of them exactly 0 or pi."""
-    thetas = rng.uniform(-2 * PI, 2 * PI, (batch, c.param_count))
+def random_thetas(c, rng, count):
+    """(count, L) angles in [-2 pi, 2 pi], about 30% of them exactly 0 or pi."""
+    thetas = rng.uniform(-2 * PI, 2 * PI, (count, c.param_count))
     binary = rng.random(thetas.shape) < 0.3
     thetas[binary] = rng.choice([0.0, PI], np.count_nonzero(binary))
     return thetas
@@ -201,15 +200,14 @@ class TestBatchedKernel:
     @given(
         name=st.sampled_from(ANSATZ_KINDS + SOLVER_ANSATZE),
         q=st.integers(2, 6),
-        batch=st.integers(1, 7),
+        count=st.integers(1, 7),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_serial_walk(self, name, q, batch, seed):
+    def test_matches_serial_walk(self, name, q, count, seed):
         c = any_circuit(name, q)
-        thetas = random_thetas(c, np.random.default_rng(seed), batch)
-        stack = eval_unitaries(c, thetas)
-        assert stack.shape == (batch, 1 << q, 1 << q)
-        for theta, u in zip(thetas, stack):
+        for theta in random_thetas(c, np.random.default_rng(seed), count):
+            u = eval_unitary(c, theta)
+            assert u.shape == (1 << q, 1 << q)
             assert np.max(np.abs(u - serial_unitary(c, theta))) <= 1e-12
 
     def test_long_range_and_reversed_gates(self):
@@ -226,17 +224,16 @@ class TestBatchedKernel:
             3,
         )
         rng = np.random.default_rng(12)
-        thetas = rng.uniform(0, 2 * PI, (5, 3))
-        stack = eval_unitaries(c, thetas)
-        for theta, u in zip(thetas, stack):
+        for theta in rng.uniform(0, 2 * PI, (5, 3)):
+            u = eval_unitary(c, theta)
             assert np.max(np.abs(u - serial_unitary(c, theta))) <= 1e-12
 
     def test_rejects_bad_stack_shape(self):
         c = build_ansatz("LX", 2)
         with pytest.raises(ValueError):
-            eval_unitaries(c, np.zeros(c.param_count))
+            eval_unitary(c, np.zeros((3, c.param_count)))
         with pytest.raises(ValueError):
-            eval_unitaries(c, np.zeros((3, c.param_count + 1)))
+            eval_unitary(c, np.zeros(c.param_count + 1))
 
 
 MIXED_CIRCUIT = Circuit(
@@ -256,8 +253,8 @@ MIXED_CIRCUIT = Circuit(
 
 
 def linear_loss(c, lam):
-    """sum(lam |U|^2) at each row of a parameter stack."""
-    return lambda ts: np.sum(lam * np.abs(eval_unitaries(c, ts)) ** 2, axis=(1, 2))
+    """sum(lam |U|^2) at one parameter vector."""
+    return lambda t: np.sum(lam * np.abs(eval_unitary(c, t)) ** 2)
 
 
 class TestReverseSweep:

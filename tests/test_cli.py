@@ -96,6 +96,19 @@ class TestSpanCommand:
         assert captured.err == f"input error: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--seed", "-1"], "--seed must be >= 0, got -1"),
+            (["--budget", "-1"], "--budget must be >= 0, got -1"),
+        ],
+    )
+    def test_negative_seed_or_budget_is_input_error(self, argv, message, capsys):
+        assert main(["span", "--q", "3", *argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: {message}\n"
+        assert captured.out == ""
+
     def test_params_prefix_restriction(self, capsys):
         assert main(["span", "--q", "2", "--params", "0"]) == 0
         line = capsys.readouterr().out.strip().splitlines()[-1]
@@ -232,6 +245,30 @@ class TestSolveCommands:
     def test_bad_iters_or_ancilla_is_input_error(self, flags, message, capsys):
         assert main(["solve-qap", "--random", "4", "1", *flags]) == 3
         assert capsys.readouterr().err == f"input error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["solve-qap", "--random", "4", "-1"], "--random SEED"),
+            (["solve-qap", "--random", "4", "1", "--seed", "-1"], "--seed"),
+            (["solve-gip", "--random", "4", "--seed", "-1"], "--seed"),
+        ],
+    )
+    def test_negative_seed_is_input_error(self, argv, flag, capsys):
+        assert main([*argv, "--iters", "1"]) == 3
+        want = f"input error: {flag} must be >= 0, got -1\n"
+        assert capsys.readouterr().err == want
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_vertex_count_below_one_is_input_error(self, count, tmp_path, capsys):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text(f"{count}\n")
+        b.write_text("4 0 1 1 2 2 3\n")
+        code = main(["solve-gip", "--graphs", str(a), str(b), "--iters", "1"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"input error: {a}: vertex count must be >= 1, got {count}\n"
+        )
 
     def test_non_integer_random_is_bad_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from quper.circuits import solver_ansatz
 from quper import optimizer
-from quper.dsm import adjoint_gradient, extract_dsm
+from quper import dsm
+from quper.dsm import adjoint_gradient, extract_dsm, unitary_and_dsm
 from quper.gf2 import Permutation
 from quper.optimizer import (
     AdamState,
@@ -148,11 +149,12 @@ class TestAdjointGradient:
         theta = rng.uniform(0, 2 * PI, c.param_count)
         binary = rng.random(c.param_count) < binary_frac
         theta[binary] = rng.choice([0.0, PI], np.count_nonzero(binary))
-        got = adjoint_gradient(c, m, theta, loss_grad)
+        u, d = unitary_and_dsm(c, m, theta)
+        got = adjoint_gradient(c, m, theta, u, loss_grad(d))
         # fd_gradient at h and h/2, extrapolated (Richardson) to cancel the
         # h^2 term: where DSM entries sit at 0 the entropy term curves so
         # sharply that this term alone reaches 1e-5 relative at h = 1e-5.
-        f = lambda ts: [loss(extract_dsm(c, m, t)) for t in ts]
+        f = lambda t: loss(extract_dsm(c, m, t))
         want = (4 * fd_gradient(f, theta, 0.5e-5) - fd_gradient(f, theta, 1e-5)) / 3
         # The differences' rounding noise, about 1e-16 / h = 1e-11 times the
         # loss's scale, is the floor where the gradient itself vanishes (n = 2
@@ -166,6 +168,17 @@ class TestAdjointGradient:
 
         monkeypatch.setattr(optimizer, "fd_gradient", no_fd)
         quper_solve(random_qap(4, 2), QuperConfig("bruhat", 1, iterations=2))
+
+    def test_solver_builds_one_unitary_per_iterate(self, monkeypatch):
+        # Each level builds U at its starting theta, then one per Adam step;
+        # the gradient reuses the U of the iterate it starts from.
+        built = []
+        eval_unitary = dsm.eval_unitary
+        monkeypatch.setattr(
+            dsm, "eval_unitary", lambda *args: built.append(1) or eval_unitary(*args)
+        )
+        quper_solve(random_qap(4, 2), QuperConfig("bruhat", 1, iterations=3))
+        assert len(built) == 2 * (3 + 1)
 
 
 class TestLoss:
@@ -183,11 +196,11 @@ class TestLoss:
 
 class TestFdGradient:
     def test_sin_sum(self):
-        g = fd_gradient(lambda ts: np.sum(np.sin(ts), axis=1), np.zeros(4), 1e-5)
+        g = fd_gradient(lambda t: np.sum(np.sin(t)), np.zeros(4), 1e-5)
         assert np.max(np.abs(g - 1.0)) <= 1e-8
 
     def test_constant(self):
-        g = fd_gradient(lambda ts: [3.0] * len(ts), np.ones(3), 1e-5)
+        g = fd_gradient(lambda t: 3.0, np.ones(3), 1e-5)
         assert np.array_equal(g, np.zeros(3))
 
     def test_step_halving_on_loss(self):
@@ -196,8 +209,8 @@ class TestFdGradient:
         c = solver_ansatz("bruhat", 3)
         rng = np.random.default_rng(2)
 
-        def f(thetas):
-            return [loss_from_dsm(extract_dsm(c, 1, t), cost) for t in thetas]
+        def f(theta):
+            return loss_from_dsm(extract_dsm(c, 1, theta), cost)
 
         for _ in range(5):
             theta = rng.uniform(0, 2 * PI, c.param_count)
@@ -208,7 +221,7 @@ class TestFdGradient:
 
     def test_rejects_bad_h(self):
         with pytest.raises(ValueError):
-            fd_gradient(lambda ts: [0.0] * len(ts), np.zeros(2), 0.0)
+            fd_gradient(lambda t: 0.0, np.zeros(2), 0.0)
 
 
 def fd_gradient_loop(f, theta, h=1e-5):
@@ -239,36 +252,30 @@ class TestStackedFdGradient:
         c = solver_ansatz(name, q + m)
         theta = np.random.default_rng(seed).uniform(0, 2 * PI, c.param_count)
 
-        def stacked(thetas):
-            return [loss_from_dsm(extract_dsm(c, m, t), cost) for t in thetas]
+        def f(t):
+            return loss_from_dsm(extract_dsm(c, m, t), cost)
 
-        got = fd_gradient(stacked, theta)
-        want = fd_gradient_loop(
-            lambda t: loss_from_dsm(extract_dsm(c, m, t), cost), theta
-        )
+        got = fd_gradient(f, theta)
+        want = fd_gradient_loop(f, theta)
         assert np.max(np.abs(got - want)) <= 1e-9 * np.max(np.abs(want))
 
     def test_evaluation_points(self):
         theta = np.array([0.5, -1.25, 3.0])
         seen = []
-        fd_gradient(lambda ts: seen.append(ts.copy()) or [0.0] * len(ts), theta, 0.1)
-        (ts,) = seen
+        fd_gradient(lambda t: seen.append(t.copy()) or 0.0, theta, 0.1)
+        ts = np.array(seen)
+        assert ts.shape == (6, 3)
         assert np.array_equal(ts[:3], theta + 0.1 * np.eye(3))
         assert np.array_equal(ts[3:], theta - 0.1 * np.eye(3))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_loss(self, bad):
-        def f(ts):
-            values = [0.0] * len(ts)
-            values[-1] = bad
-            return values
+        # Only the last point, theta - h e_2, has a negative last coordinate.
+        def f(t):
+            return bad if t[-1] < 0 else 0.0
 
         with pytest.raises(ValueError, match="non-finite"):
             fd_gradient(f, np.zeros(3))
-
-    def test_rejects_wrong_value_count(self):
-        with pytest.raises(ValueError, match="6 values"):
-            fd_gradient(lambda ts: [0.0] * 5, np.zeros(3))
 
 
 class TestAdamNesterov:
@@ -473,6 +480,12 @@ class TestQuperSolve:
     def test_non_power_of_two_rejected(self):
         inst = QapInstance(np.zeros((6, 6)), np.zeros((6, 6)))
         with pytest.raises(ValueError):
+            quper_solve(inst, QuperConfig("bruhat", 0, 1, seed=0))
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_size_below_two_rejected(self, n):
+        inst = QapInstance(np.zeros((n, n)), np.zeros((n, n)))
+        with pytest.raises(ValueError, match=f"power of two >= 2, got n={n}"):
             quper_solve(inst, QuperConfig("bruhat", 0, 1, seed=0))
 
     def test_no_permutation_object_inside_the_loop(self, monkeypatch):

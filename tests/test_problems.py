@@ -272,6 +272,11 @@ class TestParsing:
         with pytest.raises(ValueError):
             parse_edge_list("3 1 1")
 
+    @pytest.mark.parametrize("text", ["0", "-3 0 1"])
+    def test_edge_list_rejects_vertex_count_below_one(self, text):
+        with pytest.raises(ValueError, match="vertex count must be >= 1, got"):
+            parse_edge_list(text)
+
     def test_edge_list_non_integer_token(self):
         with pytest.raises(ValueError, match="non-integer token in edge list"):
             parse_edge_list("3 0 1 1 x")
