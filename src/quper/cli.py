@@ -86,12 +86,19 @@ def _check_min(args, **lowest) -> None:
             raise InputError(f"--{flag} must be >= {low}, got {value}")
 
 
+def _random_size(n: int) -> int:
+    """The N of --random: the solver takes sizes that are powers of two."""
+    if n < 2 or n & (n - 1):
+        raise InputError(f"--random N must be a power of two >= 2, got {n}")
+    return n
+
+
 def _load_qap(args) -> QapInstance:
     if args.random:
         n, seed = args.random
         if seed < 0:
             raise InputError(f"--random SEED must be >= 0, got {seed}")
-        return random_qap(n, seed)
+        return random_qap(_random_size(n), seed)
     name = Path(args.instance).stem
     inst = _parse(args.instance, lambda text: parse_qaplib(text, name))
     if args.sln:
@@ -108,10 +115,11 @@ def _load_gip(args) -> GipInstance:
     if args.graphs:
         mats = [_parse(path, _parse_graph) for path in args.graphs]
         return GipInstance(mats[0], mats[1], name="files")  # main: ValueError -> 3
-    return random_gip(args.random, args.seed, span_restricted=args.span_restricted)
+    n = _random_size(args.random)
+    return random_gip(n, args.seed, span_restricted=args.span_restricted)
 
 
-def _run_solver(problem, args, known_optimum=None) -> dict:
+def _run_solver(problem, args, known_optimum=None) -> int:
     cfg = QuperConfig(
         ansatz=args.ansatz,
         m_max=args.ancilla,
@@ -150,23 +158,19 @@ def _run_solver(problem, args, known_optimum=None) -> dict:
         with open(args.trace, "w") as fh:
             for rec in trace.records:
                 fh.write(json.dumps(rec) + "\n")
-    return report
+    print(json.dumps(report))
+    return EXIT_OK
 
 
 def cmd_solve_qap(args) -> int:
     _check_min(args, ancilla=0, iters=1, seed=0)
     inst = _load_qap(args)
-    report = _run_solver(inst, args, known_optimum=inst.known_optimum)
-    print(json.dumps(report))
-    return EXIT_OK
+    return _run_solver(inst, args, known_optimum=inst.known_optimum)
 
 
 def cmd_solve_gip(args) -> int:
     _check_min(args, ancilla=0, iters=1, seed=0)
-    inst = _load_gip(args)
-    report = _run_solver(inst, args)
-    print(json.dumps(report))
-    return EXIT_OK
+    return _run_solver(_load_gip(args), args)
 
 
 def cmd_span(args) -> int:

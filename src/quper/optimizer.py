@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -163,15 +164,9 @@ def embed_theta(
 def _problem_costs(problem):
     """The problem's cost and its gradient in the relaxed matrix."""
     if isinstance(problem, QapInstance):
-        return (
-            lambda p: qap_cost(problem, p),
-            lambda d: qap_cost_grad(problem, d),
-        )
+        return partial(qap_cost, problem), partial(qap_cost_grad, problem)
     if isinstance(problem, GipInstance):
-        return (
-            lambda p: gip_cost(problem, p),
-            lambda d: gip_cost_grad(problem, d),
-        )
+        return partial(gip_cost, problem), partial(gip_cost_grad, problem)
     raise TypeError("problem must be a QapInstance or GipInstance")
 
 

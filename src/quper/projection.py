@@ -34,15 +34,15 @@ def project_random_order(
 
     Each candidate p satisfies: the j-th smallest component of d.v sits at
     the row mapped to the position of the j-th smallest component of v.
-    Trial t draws v from its own stream (seed, t); all trials share one
-    product.  Returns the distinct candidates as a (k, n) array of maps in
+    One generator, seeded by seed, draws the orders of all trials in one
+    call, in trial order, so the first k orders do not depend on trials.
+    Returns the distinct candidates as a (k, n) array of maps in
     lexicographic order, k <= trials.
     """
     n = len(d)
-    base = _base_vector(n)
     prefix = list(seed) if isinstance(seed, (list, tuple)) else [int(seed)]
-    rngs = (np.random.default_rng([*prefix, t]) for t in range(trials))
-    v = np.stack([base[rng.permutation(n)] for rng in rngs])
+    orders = np.tile(np.arange(n), (trials, 1))
+    v = _base_vector(n)[np.random.default_rng(prefix).permuted(orders, axis=1)]
     # One matrix-vector product per trial, as d @ v would compute it: a
     # matrix-matrix product sums in another order and can break near-ties in
     # d.v the other way.

@@ -6,12 +6,11 @@ Writes reference_runs.json (or OUT): for each run, the instance, the solver
 config and what quper_solve returned (best permutation and value, every trace
 record and every level), solved with the quper under ../../src.
 
-The checked-in file was recorded with the finite-difference gradient.  The
-exact gradient that replaced it moved the trace floats by up to 9.4e-11
-relative, so recording today does not reproduce the file byte for byte.  The
-replay's contract is: permutations, best values, levels and iteration counters
-exact; every other float to a relative 1e-9.  Re-record only when a change is
-meant to alter the solver's trajectory.
+The checked-in file was recorded with the adjoint gradient and the
+one-generator random-order draw; recording today reproduces it byte for byte.
+The replay's contract is: permutations, best values, levels and iteration
+counters exact; every other float to a relative 1e-9.  Re-record only when a
+change is meant to alter the solver's trajectory.
 
 A change that must not move the trajectory shows it by recording to OUT in a
 checkout of its parent commit and in one of the change, then comparing the

@@ -259,6 +259,14 @@ class TestSolveCommands:
         want = f"input error: {flag} must be >= 0, got -1\n"
         assert capsys.readouterr().err == want
 
+    @pytest.mark.parametrize("n", ["1", "6", "-4"])
+    @pytest.mark.parametrize("command, seed", [("solve-qap", ["1"]), ("solve-gip", [])])
+    def test_random_size_not_power_of_two_is_input_error(self, command, seed, n, capsys):
+        assert main([command, "--random", n, *seed, "--iters", "1"]) == 3
+        assert capsys.readouterr().err == (
+            f"input error: --random N must be a power of two >= 2, got {n}\n"
+        )
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_vertex_count_below_one_is_input_error(self, count, tmp_path, capsys):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

@@ -80,15 +80,18 @@ class TestRandomOrder:
             assert len(set(u.tolist())) == 8
 
 
-
 def random_order_loop(d, seed, trials=50):
-    """Reference for project_random_order: one trial at a time."""
+    """Reference for project_random_order: the same draw of all orders from
+    one generator, then one trial at a time."""
     n = len(d)
     base = np.ldexp(1.0, np.arange(n))
+    prefix = list(seed) if isinstance(seed, (list, tuple)) else [int(seed)]
+    orders = np.random.default_rng(prefix).permuted(
+        np.tile(np.arange(n), (trials, 1)), axis=1
+    )
     out = set()
     for t in range(trials):
-        sub = [*seed, t] if isinstance(seed, (list, tuple)) else [int(seed), t]
-        v = base[np.random.default_rng(sub).permutation(n)]
+        v = base[orders[t]]
         u = d @ v
         ov = np.argsort(v, kind="stable")
         ou = np.argsort(u, kind="stable")
@@ -144,3 +147,19 @@ class TestRandomOrderMatchesLoop:
         got = project_random_order(d, seed, trials)
         assert got.dtype.kind == "i"
         assert got.tolist() == sorted(list(p.map) for p in want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        d=dsms(),
+        seed=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+        k=st.integers(1, 50),
+    )
+    def test_draw_is_prefix_stable(self, d, seed, k):
+        # Trial t's order is row t of one draw, whatever the trial count, so
+        # fewer trials give a subset of the candidates; each is a permutation
+        # and equal seeds give equal output.
+        full = project_random_order(d, seed, 50)
+        few = project_random_order(d, seed, k)
+        assert set(map(tuple, few.tolist())) <= set(map(tuple, full.tolist()))
+        assert (np.sort(full, axis=1) == np.arange(len(d))).all()
+        assert np.array_equal(project_random_order(d, list(seed), 50), full)
