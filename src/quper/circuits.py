@@ -217,9 +217,9 @@ def _gate_blocks(c: Circuit, theta: np.ndarray) -> list[np.ndarray | None]:
     """The 2x2 block of each gate of c at the parameters theta (L,).
 
     RX's block is RX(theta); PCX's and PSWAP's is PHASE(theta/2) . RX(theta),
-    PCX's action on its target inside the control-1 slice; CX has None.  cos
-    and sin of theta/2 are exact at theta in {0, pi}, so PCX(pi) is CX and
-    PSWAP(pi) is SWAP exactly.
+    PCX's action on its target inside the control-1 slice; CX has None (X).
+    cos and sin of theta/2 are exact at theta in {0, pi}, so PCX(pi) is CX
+    and PSWAP(pi) is SWAP exactly.
     """
     cos, sin = np.cos(theta / 2), np.sin(theta / 2)
     zero, pi = theta == 0.0, theta == math.pi
@@ -236,39 +236,38 @@ def _gate_blocks(c: Circuit, theta: np.ndarray) -> list[np.ndarray | None]:
 
 
 def _apply_gate(g: Gate, psi: np.ndarray, block: np.ndarray | None) -> np.ndarray:
-    """Apply g with the 2x2 block to the rows of every matrix in the stack
-    psi (B, 2^q, k); returns the new stack.
+    """Apply g with the 2x2 block (None = X) to the rows of the state psi
+    (2^q, k), in place; returns psi.
 
-    The gate is one matmul of the block, broadcast over a reshaped view; a
-    controlled gate rewrites only its control-1 slice, in place.
+    RX is the block on its target; PCX is the block on its target inside the
+    control-1 slice, and CX is PCX with block X.  PSWAP(a, b) is applied by
+    its definition: CX(b -> a), PCX(a -> b), CX(b -> a).
     """
-    b = psi.shape[0]
-    if g.kind == "RX":
-        (t,) = g.qubits
-        view = psi.reshape(b, 1 << t, 2, -1)
-        return (block @ view).reshape(psi.shape)
-    lo, hi = sorted(g.qubits)
-    # Axes: stack, qubits above lo, lo, qubits between, hi, the rest.
-    view = psi.reshape(b, 1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
     if g.kind == "PSWAP":
-        # PSWAP(a, b) is PCX's block acting on the pair (a=1, b=0),
-        # (a=0, b=1) and the identity on (0, 0) and (1, 1).
-        x0, x1 = view[:, :, 1, :, 0], view[:, :, 0, :, 1]
-        if g.qubits[0] == hi:
-            x0, x1 = x1, x0
-        pair = block @ np.stack((x0, x1), axis=-2)
-        x0[...], x1[...] = pair[..., 0, :], pair[..., 1, :]
-        return psi
-    # Control-1 slice with the target axis second to last.
-    if g.qubits[0] == lo:
-        sub = view[:, :, 1]
+        a, b = g.qubits
+        _apply_block(psi, (b, a), None)
+        _apply_block(psi, (a, b), block)
+        _apply_block(psi, (b, a), None)
     else:
-        sub = view[:, :, :, :, 1].swapaxes(2, 3)
-    if g.kind == "CX":
-        sub[...] = sub[..., ::-1, :]
-    else:  # PCX
-        sub[...] = block @ sub
+        _apply_block(psi, g.qubits, block)
     return psi
+
+
+def _apply_block(
+    psi: np.ndarray, qubits: tuple[int, ...], block: np.ndarray | None
+) -> None:
+    """The block (None = X) on the last of qubits, inside the control-1
+    slice of the first if there are two: one matmul on a reshaped view."""
+    if len(qubits) == 1:
+        sub = psi.reshape(1 << qubits[0], 2, -1)
+    else:
+        c, t = qubits
+        lo, hi = sorted(qubits)
+        # Axes: qubits above lo, lo, qubits between, hi, the rest.
+        view = psi.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
+        # Control-1 slice with the target axis second to last.
+        sub = view[:, 1] if c == lo else view[:, :, :, 1].swapaxes(1, 2)
+    sub[...] = sub[..., ::-1, :] if block is None else block @ sub
 
 
 def eval_unitary(c: Circuit, theta) -> np.ndarray:
@@ -279,15 +278,10 @@ def eval_unitary(c: Circuit, theta) -> np.ndarray:
             f"dense evaluation of {c.q} qubits exceeds the guard ({limit})"
         )
     theta = _check_theta(c, theta)
-    psi = np.eye(1 << c.q, dtype=complex)[None]
+    psi = np.eye(1 << c.q, dtype=complex)
     for g, block in zip(c.gates, _gate_blocks(c, theta)):
-        psi = _apply_gate(g, psi, block)
-    return psi[0]
-
-
-# Each parametrized gate with its block replaced by X: X on the target for
-# RX, CX for PCX, SWAP for PSWAP.
-_FLIP = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        _apply_gate(g, psi, block)
+    return psi
 
 
 def reverse_sweep(
@@ -297,34 +291,33 @@ def reverse_sweep(
     theta) whose derivative in |U_rc|^2 is the real lam_rc (the adjoint
     method, Jones & Gacon, arXiv:2009.02823).
 
-    Walks the stack [U, lam * U] back through the gates.  Before undoing
-    gate g it holds [U_g, B_g]: U_g is the unitary after the first g gates
-    and B_g the later gates' inverse applied to lam * U, so the loss moves
-    by 2 Re<B_g, H_g U_g> per unit of g's angle, H_g being g's generator:
-    -(i/2) X on the target for RX, (i/2)(I - X) on the target inside the
-    control-1 slice for PCX and on the |10>, |01> pair for PSWAP.  With F
-    the gate's flip (_FLIP), H_g U_g is -(i/2) F U_g or (i/2)(U_g - F U_g),
-    and <B_g, U_g> = sum(lam |U|^2) is real, so both give Im<B_g, F U_g>.
-    The inverse of each block is its conjugate transpose, exact at
-    theta in {0, pi}; CX is its own inverse.
+    Walks the 2^q x 2^(q+1) matrix [U | lam * U] back through the gates.
+    Before undoing gate g it holds [U_g | B_g]: U_g is the unitary after the
+    first g gates and B_g the later gates' inverse applied to lam * U, so
+    the loss moves by 2 Re<B_g, H_g U_g> per unit of g's angle, H_g being
+    g's generator: -(i/2) X on the target for RX, (i/2)(I - X) on the target
+    inside the control-1 slice for PCX, and that conjugated by CX(b -> a)
+    for PSWAP(a, b).  With F the gate at block X (X, CX, SWAP), H_g U_g is
+    -(i/2) F U_g or (i/2)(U_g - F U_g), and <B_g, U_g> = sum(lam |U|^2) is
+    real, so both give Im<B_g, F U_g>.  The inverse of each block is its
+    conjugate transpose, exact at theta in {0, pi}; CX is its own inverse.
 
-    Returns the gradient and the swept stack, whose first row is the
-    identity up to rounding.
+    Returns the gradient and the swept U, the identity up to rounding.
     """
     theta = _check_theta(c, theta)
     dim = 1 << c.q
     if u.shape != (dim, dim) or lam.shape != (dim, dim):
         raise ValueError(f"U and lam must be {dim} x {dim}")
     blocks = _gate_blocks(c, theta)
-    psi = np.stack((u, lam * u))
+    psi = np.hstack((u, lam * u))
     grad = np.zeros(c.param_count)
     for g, block in zip(reversed(c.gates), reversed(blocks)):
         if block is not None:
-            flipped = _apply_gate(g, psi[:1].copy(), _FLIP)
-            grad[g.slot] += np.vdot(psi[1], flipped[0]).imag
+            flipped = _apply_gate(g, psi[:, :dim].copy(), None)
+            grad[g.slot] += np.vdot(psi[:, dim:], flipped).imag
             block = block.conj().T
-        psi = _apply_gate(g, psi, block)
-    return grad, psi
+        _apply_gate(g, psi, block)
+    return grad, psi[:, :dim]
 
 
 def _binary_theta(c: Circuit, theta) -> np.ndarray:

@@ -86,10 +86,10 @@ def _check_min(args, **lowest) -> None:
             raise InputError(f"--{flag} must be >= {low}, got {value}")
 
 
-def _random_size(n: int) -> int:
-    """The N of --random: the solver takes sizes that are powers of two."""
+def _power_of_two(n: int, what: str) -> int:
+    """n, the size named by what; the solver takes powers of two >= 2."""
     if n < 2 or n & (n - 1):
-        raise InputError(f"--random N must be a power of two >= 2, got {n}")
+        raise InputError(f"{what} must be a power of two >= 2, got {n}")
     return n
 
 
@@ -98,9 +98,10 @@ def _load_qap(args) -> QapInstance:
         n, seed = args.random
         if seed < 0:
             raise InputError(f"--random SEED must be >= 0, got {seed}")
-        return random_qap(_random_size(n), seed)
+        return random_qap(_power_of_two(n, "--random N"), seed)
     name = Path(args.instance).stem
     inst = _parse(args.instance, lambda text: parse_qaplib(text, name))
+    _power_of_two(inst.n, f"the size of {args.instance}")
     if args.sln:
         inst = _parse(args.sln, lambda text: attach_solution(inst, text))
     return inst
@@ -114,8 +115,10 @@ def _parse_graph(text: str) -> np.ndarray:
 def _load_gip(args) -> GipInstance:
     if args.graphs:
         mats = [_parse(path, _parse_graph) for path in args.graphs]
-        return GipInstance(mats[0], mats[1], name="files")  # main: ValueError -> 3
-    n = _random_size(args.random)
+        inst = GipInstance(mats[0], mats[1], name="files")  # main: ValueError -> 3
+        _power_of_two(inst.n, f"the size of {args.graphs[0]} and {args.graphs[1]}")
+        return inst
+    n = _power_of_two(args.random, "--random N")
     return random_gip(n, args.seed, span_restricted=args.span_restricted)
 
 

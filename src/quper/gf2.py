@@ -173,12 +173,6 @@ class Permutation:
             raise ValueError("size mismatch")
         return Permutation(tuple(self.map[other.map[i]] for i in range(self.n)))
 
-    def inverse(self) -> Permutation:
-        inv = [0] * self.n
-        for i, v in enumerate(self.map):
-            inv[v] = i
-        return Permutation(tuple(inv))
-
     def inversions(self) -> int:
         return sum(
             1
@@ -193,13 +187,6 @@ class Permutation:
         for j, i in enumerate(self.map):
             rows[i] |= 1 << j
         return Gf2Matrix(self.n, tuple(rows))
-
-    def to_text(self) -> str:
-        return " ".join(str(v) for v in self.map)
-
-    @staticmethod
-    def from_text(text: str) -> Permutation:
-        return Permutation(tuple(int(t) for t in text.split()))
 
 
 @dataclass(frozen=True)

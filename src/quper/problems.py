@@ -136,13 +136,6 @@ def parse_qaplib(text: str, name: str = "") -> QapInstance:
     return QapInstance(w, d, name=name)
 
 
-def serialize_qaplib(inst: QapInstance) -> str:
-    def block(m: np.ndarray) -> str:
-        return "\n".join(" ".join(str(int(v)) for v in row) for row in m)
-
-    return f"{inst.n}\n\n{block(inst.w)}\n\n{block(inst.d)}\n"
-
-
 def parse_sln(text: str) -> tuple[int, float, Permutation]:
     toks = text.split()
     try:

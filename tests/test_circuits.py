@@ -148,6 +148,28 @@ class TestEvalUnitary:
         c = Circuit(2, (Gate("PSWAP", (0, 1), 0),), 1)
         assert np.array_equal(eval_unitary(c, [PI]), np.eye(4)[[0, 2, 1, 3]])
 
+    @pytest.mark.parametrize("a, b", list(itertools.permutations(range(3), 2)))
+    def test_binary_two_qubit_gates_on_every_pair(self, a, b):
+        # Adjacent, reversed and long-range pairs on q = 3; qubit 0 is the
+        # most-significant bit.
+        ma, mb = 1 << (2 - a), 1 << (2 - b)
+
+        def basis_map(f):
+            return perm_column_matrix(Permutation(tuple(f(x) for x in range(8))))
+
+        def swap_bits(x):
+            return x ^ (ma | mb) if bool(x & ma) != bool(x & mb) else x
+
+        def flip_b_if_a(x):
+            return x ^ mb if x & ma else x
+
+        swap, cx = basis_map(swap_bits), basis_map(flip_b_if_a)
+        pswap = Circuit(3, (Gate("PSWAP", (a, b), 0),), 1)
+        pcx = Circuit(3, (Gate("PCX", (a, b), 0),), 1)
+        assert np.array_equal(eval_unitary(pswap, [PI]), swap)
+        assert np.array_equal(eval_unitary(pswap, [0.0]), np.eye(8))
+        assert np.array_equal(eval_unitary(pcx, [PI]), cx)
+
     def test_binary_theta_gives_signless_permutation(self):
         rng = np.random.default_rng(3)
         c = build_ansatz("LX", 3)
@@ -195,7 +217,7 @@ def any_circuit(name, q):
     return build_ansatz(name, q)
 
 
-class TestBatchedKernel:
+class TestKernel:
     @settings(max_examples=80, deadline=None)
     @given(
         name=st.sampled_from(ANSATZ_KINDS + SOLVER_ANSATZE),
@@ -228,7 +250,7 @@ class TestBatchedKernel:
             u = eval_unitary(c, theta)
             assert np.max(np.abs(u - serial_unitary(c, theta))) <= 1e-12
 
-    def test_rejects_bad_stack_shape(self):
+    def test_rejects_bad_theta_shape(self):
         c = build_ansatz("LX", 2)
         with pytest.raises(ValueError):
             eval_unitary(c, np.zeros((3, c.param_count)))
@@ -270,7 +292,7 @@ class TestReverseSweep:
         (theta,) = random_thetas(c, rng, 1)
         lam = rng.normal(size=(1 << q, 1 << q))
         _, swept = reverse_sweep(c, theta, eval_unitary(c, theta), lam)
-        assert np.max(np.abs(swept[0] - np.eye(1 << q))) <= 1e-12
+        assert np.max(np.abs(swept - np.eye(1 << q))) <= 1e-12
 
     @pytest.mark.parametrize("lowered", [False, True])
     def test_matches_fd_on_long_range_reversed_and_shared_slots(self, lowered):
@@ -328,6 +350,15 @@ class TestEvalPermutation:
                 p = eval_permutation(c, theta)
                 mags = np.round(np.abs(eval_unitary(c, theta)))
                 assert np.array_equal(mags, perm_column_matrix(p))
+
+    @settings(max_examples=16, deadline=None)
+    @given(bits=st.lists(st.booleans(), min_size=4, max_size=4))
+    def test_mixed_circuit_matches_unitary(self, bits):
+        theta = PI * np.array(bits, dtype=float)
+        mags = np.abs(eval_unitary(MIXED_CIRCUIT, theta))
+        read = Permutation(tuple(int(r) for r in np.argmax(mags, axis=0)))
+        assert np.max(np.abs(mags - perm_column_matrix(read))) <= 1e-12
+        assert eval_permutation(MIXED_CIRCUIT, theta) == read
 
     def test_census_q2(self):
         c = build_ansatz("LX", 2)

@@ -267,6 +267,24 @@ class TestSolveCommands:
             f"input error: --random N must be a power of two >= 2, got {n}\n"
         )
 
+    def test_graph_files_not_power_of_two_name_both_files(self, tmp_path, capsys):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        a.write_text("6 0 1 1 2 2 3 3 4 4 5\n")
+        b.write_text("6 0 1 1 2 2 3 3 4\n")
+        code = main(["solve-gip", "--graphs", str(a), str(b), "--iters", "1"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"input error: the size of {a} and {b} must be a power of two >= 2, got 6\n"
+        )
+
+    def test_qaplib_dat_not_power_of_two_names_file(self, tmp_path, capsys):
+        dat = tmp_path / "q6.dat"
+        dat.write_text("6\n" + " ".join(["1"] * 72) + "\n")
+        assert main(["solve-qap", "--instance", str(dat), "--iters", "1"]) == 3
+        assert capsys.readouterr().err == (
+            f"input error: the size of {dat} must be a power of two >= 2, got 6\n"
+        )
+
     @pytest.mark.parametrize("count", ["0", "-3"])
     def test_vertex_count_below_one_is_input_error(self, count, tmp_path, capsys):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

@@ -28,7 +28,6 @@ from quper.problems import (
     random_gip,
     random_qap,
     relative_optimality_gap,
-    serialize_qaplib,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -233,10 +232,6 @@ class TestParsing:
     def test_bad_n(self):
         with pytest.raises(ValueError):
             parse_qaplib("0")
-
-    def test_serialize_roundtrip_tokens(self):
-        inst = parse_qaplib((DATA / "toy2.dat").read_text())
-        assert serialize_qaplib(inst).split() == (DATA / "toy2.dat").read_text().split()
 
     def test_sln(self):
         n, value, perm = parse_sln("4 10\n2 1 4 3")
