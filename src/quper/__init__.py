@@ -8,7 +8,6 @@ from .gf2 import (
     Transvection,
     borel_subword,
     bruhat_decompose,
-    bruhat_order_leq,
     bruhat_span_size,
     recognize_affine,
     word_to_matrix,

@@ -270,13 +270,18 @@ def _apply_block(
     sub[...] = sub[..., ::-1, :] if block is None else block @ sub
 
 
+def check_qubit_guard(q: int) -> None:
+    """Raise QubitBudgetError if q qubits exceed max_dense_qubits()."""
+    limit = max_dense_qubits()
+    if q > limit:
+        raise QubitBudgetError(
+            f"dense evaluation of {q} qubits exceeds the guard ({limit})"
+        )
+
+
 def eval_unitary(c: Circuit, theta) -> np.ndarray:
     """Dense 2^q x 2^q unitary of the circuit at the given parameters."""
-    limit = max_dense_qubits()
-    if c.q > limit:
-        raise QubitBudgetError(
-            f"dense evaluation of {c.q} qubits exceeds the guard ({limit})"
-        )
+    check_qubit_guard(c.q)
     theta = _check_theta(c, theta)
     psi = np.eye(1 << c.q, dtype=complex)
     for g, block in zip(c.gates, _gate_blocks(c, theta)):
@@ -320,33 +325,41 @@ def reverse_sweep(
     return grad, psi[:, :dim]
 
 
-def _binary_theta(c: Circuit, theta) -> np.ndarray:
-    theta = _check_theta(c, theta)
-    snapped = np.where(np.abs(theta) < 1e-12, 0.0, theta)
-    snapped = np.where(np.abs(snapped - math.pi) < 1e-12, math.pi, snapped)
-    if not np.all((snapped == 0.0) | (snapped == math.pi)):
+def eval_permutations(c: Circuit, thetas) -> np.ndarray:
+    """Basis maps at binary parameters, without a dense unitary.
+
+    thetas is (S, L), each entry 0 or pi within 1e-12; row s of the (S, 2^q)
+    int result holds the image of every basis index under the circuit at
+    thetas[s].  Each gate is one XOR pass over all rows, masked by its slot.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 2 or thetas.shape[1] != c.param_count:
+        raise ValueError(
+            f"expected (S, {c.param_count}) parameters, got shape {thetas.shape}"
+        )
+    on = np.abs(thetas - math.pi) < 1e-12
+    if not np.all(on | (np.abs(thetas) < 1e-12)):
         raise ValueError("eval_permutation requires every parameter in {0, pi}")
-    return snapped
+    q = c.q
+    x = np.tile(np.arange(1 << q, dtype=np.int64), (len(on), 1))
+    for g in c.gates:
+        s = [q - 1 - t for t in g.qubits]  # bit positions
+        if g.kind == "RX":
+            flip = 1 << s[0]
+        elif g.kind == "PSWAP":
+            d = ((x >> s[0]) & 1) ^ ((x >> s[1]) & 1)
+            flip = (d << s[0]) | (d << s[1])
+        else:  # CX, PCX
+            flip = ((x >> s[0]) & 1) << s[1]
+        x ^= flip if g.slot is None else flip * on[:, g.slot, None]
+    return x
 
 
 def eval_permutation(c: Circuit, theta) -> Permutation:
-    """Basis-state permutation at binary parameters, without a dense unitary."""
-    theta = _binary_theta(c, theta)
-    q = c.q
-    x = np.arange(1 << q, dtype=np.int64)
-    for g in c.gates:
-        if g.slot is not None and theta[g.slot] != math.pi:
-            continue  # the gate is off
-        if g.kind == "RX":
-            x = x ^ (1 << (q - 1 - g.qubits[0]))
-        elif g.kind in ("CX", "PCX"):
-            sc, st = q - 1 - g.qubits[0], q - 1 - g.qubits[1]
-            x = x ^ (((x >> sc) & 1) << st)
-        else:  # PSWAP
-            sa, sb = q - 1 - g.qubits[0], q - 1 - g.qubits[1]
-            d = ((x >> sa) & 1) ^ ((x >> sb) & 1)
-            x = x ^ ((d << sa) | (d << sb))
-    return Permutation(tuple(int(v) for v in x))
+    """The basis-state permutation at binary parameters theta (L,): the
+    one-row case of eval_permutations."""
+    theta = _check_theta(c, theta)
+    return Permutation(tuple(eval_permutations(c, theta[None])[0].tolist()))
 
 
 def synthesize_params(m: AffineMap) -> tuple[Circuit, np.ndarray]:

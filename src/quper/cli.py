@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 bad usage, 3 input error, 4 budget guard,
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
@@ -24,11 +23,11 @@ from .circuits import (
     circuit_from_text,
     circuit_stats,
     circuit_to_text,
-    eval_permutation,
+    eval_permutations,
     lower_to_linear_topology,
     solver_ansatz,
 )
-from .dsm import extract_dsm
+from .dsm import binary_dsms
 from .gf2 import bruhat_span_size
 from .optimizer import QuperConfig, quper_solve, random_baseline
 from .problems import (
@@ -50,6 +49,10 @@ EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_BUDGET = 4
 EXIT_VERIFY = 5
+
+# Bound on the array entries of one span census chunk, at 2^(2q+m) per
+# setting: its basis map, its DSM and the one-hot array that counts it.
+SPAN_CHUNK_ENTRIES = 1 << 20
 
 
 class InputError(Exception):
@@ -194,27 +197,28 @@ def cmd_span(args) -> int:
                 file=sys.stderr,
             )
             return EXIT_BUDGET
-        settings = itertools.product((0.0, math.pi), repeat=ell)
+        total = 1 << ell
     else:
         _check_min(args, samples=1)
         rng = np.random.default_rng([args.seed])
-        settings = (
-            rng.choice([0.0, math.pi], ell) for _ in range(args.samples)
-        )
+        total = args.samples
+    rows = max(1, SPAN_CHUNK_ENTRIES >> (2 * q + m))
     seen_h: set = set()
     seen_r: set = set()
-    base = np.zeros(circuit.param_count)
-    for idx, bits in enumerate(settings):
-        theta = base.copy()
-        theta[:ell] = bits
+    for start in range(0, total, rows):
+        idx = np.arange(start, min(start + rows, total))
+        thetas = np.zeros((len(idx), circuit.param_count))
+        if args.mode == "exhaustive":  # itertools.product order
+            thetas[:, :ell] = math.pi * ((idx[:, None] >> np.arange(ell)[::-1]) & 1)
+        else:  # the stream of one rng.choice([0, pi], ell) per sample
+            thetas[:, :ell] = rng.choice([0.0, math.pi], (len(idx), ell))
         if m == 0:
-            p = eval_permutation(circuit, theta).map
-            seen_h.add(p)
-            seen_r.add(p)
-        else:
-            d = extract_dsm(circuit, m, theta)
+            seen_h.update(map(tuple, eval_permutations(circuit, thetas).tolist()))
+            seen_r = seen_h  # a basis map is its own projection
+            continue
+        for i, d in zip(idx.tolist(), binary_dsms(circuit, m, thetas)):
             seen_h.add(tuple(project_hungarian(d).tolist()))
-            rand = project_random_order(d, [args.seed, idx], 1)
+            rand = project_random_order(d, [args.seed, i], 1)
             seen_r.update(map(tuple, rand.tolist()))
     line = f"{ell},{len(seen_h)},{len(seen_r)},{cap}"
     out = "params,count_hungarian,count_random_order,theoretical_cap\n" + line

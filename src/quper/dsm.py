@@ -24,6 +24,8 @@ from .circuits import (
     Circuit,
     Gate,
     QubitBudgetError,
+    check_qubit_guard,
+    eval_permutations,
     eval_unitary,
     max_dense_qubits,
     reverse_sweep,
@@ -64,6 +66,18 @@ def unitary_and_dsm(circuit: Circuit, m: int, theta) -> tuple[np.ndarray, np.nda
 def extract_dsm(circuit: Circuit, m: int, theta) -> np.ndarray:
     """The DSM of unitary_and_dsm(circuit, m, theta)."""
     return unitary_and_dsm(circuit, m, theta)[1]
+
+
+def binary_dsms(circuit: Circuit, m: int, thetas) -> np.ndarray:
+    """extract_dsm at each binary parameter row of thetas (S, L), as an
+    (S, n, n) stack, from the basis maps p of eval_permutations: U is then a
+    permutation matrix up to phases, so d_ij = 2^(-m) #{a : the system part
+    of p((a, j)) is i}, exactly.  Guarded as eval_unitary is."""
+    _check_ancillas(circuit, m)
+    check_qubit_guard(circuit.q)
+    n, k = 1 << (circuit.q - m), 1 << m
+    hit = eval_permutations(circuit, thetas)[:, None, :] % n == np.arange(n)[:, None]
+    return hit.reshape(-1, n, k, n).sum(axis=2) / k
 
 
 def adjoint_gradient(

@@ -364,23 +364,3 @@ def weyl_subword_mask(w: Permutation) -> list[bool]:
             mask.append(False)
     assert rest == Permutation.identity(q)
     return mask
-
-
-def bruhat_order_leq(eta: Permutation, rho: Permutation) -> bool:
-    """eta <= rho iff eta[j,k] <= rho[j,k] with eta[j,k] = |{l<=j : eta(l)>=k}|."""
-    if eta.n != rho.n:
-        raise ValueError("size mismatch")
-    q = eta.n
-
-    def table(p: Permutation) -> list[list[int]]:
-        # 1-based j,k in the counting; store at [j-1][k-1].
-        t = [[0] * q for _ in range(q)]
-        for j in range(1, q + 1):
-            for k in range(1, q + 1):
-                t[j - 1][k - 1] = sum(
-                    1 for l in range(1, j + 1) if p(l - 1) + 1 >= k
-                )
-        return t
-
-    te, tr = table(eta), table(rho)
-    return all(te[j][k] <= tr[j][k] for j in range(q) for k in range(q))

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from quper.circuits import (
     circuit_stats,
     circuit_to_text,
     eval_permutation,
+    eval_permutations,
     eval_unitary,
     lower_to_linear_topology,
     max_dense_qubits,
@@ -212,6 +214,9 @@ def random_thetas(c, rng, count):
 
 
 def any_circuit(name, q):
+    """A named ansatz on q qubits; "linear" is LX lowered to linear topology."""
+    if name == "linear":
+        return lower_to_linear_topology(build_ansatz("LX", q))
     if name in SOLVER_ANSATZE:
         return solver_ansatz(name, q)
     return build_ansatz(name, q)
@@ -371,6 +376,63 @@ class TestEvalPermutation:
     def test_non_binary_rejected(self):
         with pytest.raises(ValueError):
             eval_permutation(build_ansatz("LX", 2), [0.5] * 5)
+
+
+def serial_permutation(c, theta):
+    """Reference for eval_permutations: one setting, gates that are off
+    skipped, one XOR per gate that is on."""
+    q = c.q
+    x = np.arange(1 << q, dtype=np.int64)
+    for g in c.gates:
+        if g.slot is not None and theta[g.slot] != PI:
+            continue
+        s = [q - 1 - t for t in g.qubits]
+        if g.kind == "RX":
+            x = x ^ (1 << s[0])
+        elif g.kind == "PSWAP":
+            d = ((x >> s[0]) & 1) ^ ((x >> s[1]) & 1)
+            x = x ^ ((d << s[0]) | (d << s[1]))
+        else:
+            x = x ^ (((x >> s[0]) & 1) << s[1])
+    return x
+
+
+class TestEvalPermutations:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        name=st.sampled_from(ANSATZ_KINDS + SOLVER_ANSATZE + ("linear",)),
+        q=st.integers(2, 5),
+        rows=st.integers(1, 9),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_match_one_setting_at_a_time(self, name, q, rows, seed):
+        c = any_circuit(name, q)
+        thetas = np.random.default_rng(seed).choice([0.0, PI], (rows, c.param_count))
+        maps = eval_permutations(c, thetas)
+        assert maps.shape == (rows, 1 << q)
+        for theta, row in zip(thetas, maps):
+            assert np.array_equal(row, serial_permutation(c, theta))
+            assert tuple(row.tolist()) == eval_permutation(c, theta).map
+
+    def test_snaps_within_tolerance(self):
+        c = build_ansatz("LX", 2)
+        thetas = np.array([[PI + 1e-13, -1e-13, 0.0, PI - 1e-13, 1e-13]])
+        exact = np.array([[PI, 0.0, 0.0, PI, 0.0]])
+        assert np.array_equal(eval_permutations(c, thetas), eval_permutations(c, exact))
+
+    @pytest.mark.parametrize(
+        "shape, fill, message",
+        [
+            ((3, 5), 0.5, "requires every parameter in {0, pi}"),
+            ((3, 5), np.nan, "requires every parameter in {0, pi}"),
+            ((5,), 0.0, "expected"),
+            ((3, 6), 0.0, "expected"),
+            ((2, 3, 5), 0.0, "expected"),
+        ],
+    )
+    def test_rejects_non_binary_or_bad_shape(self, shape, fill, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            eval_permutations(build_ansatz("LX", 2), np.full(shape, fill))
 
 
 class TestSynthesizeParams:

@@ -1,16 +1,42 @@
 """CLI commands, exit codes, and the self-check suites."""
 
+import itertools
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quper.circuits import ANSATZ_KINDS, SOLVER_ANSATZE
+from quper import cli
+from quper.circuits import ANSATZ_KINDS, SOLVER_ANSATZE, solver_ansatz
 from quper.cli import build_parser, main
+from quper.dsm import extract_dsm
+from quper.projection import project_hungarian, project_random_order
 from quper.verify import run_suites
 
 DATA = Path(__file__).parent / "data"
+CENSUS_REFERENCE = Path(__file__).parents[1] / "benchmarks" / "census_reference.json"
+
+
+def census_row(capsys) -> list[str]:
+    """The four fields of the row the last census printed."""
+    return capsys.readouterr().out.strip().splitlines()[-1].split(",")
+
+
+def serial_census(q, m, ell, settings, seed):
+    """The ancilla census one setting at a time through dense DSMs: the
+    reference for the chunked binary path of `quper span`."""
+    circuit = solver_ansatz("bruhat", q + m)
+    seen_h, seen_r = set(), set()
+    for idx, bits in enumerate(settings):
+        theta = np.zeros(circuit.param_count)
+        theta[:ell] = bits
+        d = extract_dsm(circuit, m, theta)
+        seen_h.add(tuple(project_hungarian(d).tolist()))
+        rand = project_random_order(d, [seed, idx], 1)
+        seen_r.update(map(tuple, rand.tolist()))
+    return [str(len(seen_h)), str(len(seen_r))]
 
 
 class TestVerifyCommand:
@@ -108,6 +134,57 @@ class TestSpanCommand:
         captured = capsys.readouterr()
         assert captured.err == f"input error: {message}\n"
         assert captured.out == ""
+
+    def test_ancilla_census_keeps_the_qubit_guard(self, monkeypatch, capsys):
+        monkeypatch.setenv("QUPER_MAX_QUBITS", "4")
+        sample = ["--mode", "sample", "--samples", "5"]
+        assert main(["span", "--q", "3", "--ancilla", "2", *sample]) == 4
+        captured = capsys.readouterr()
+        assert "budget guard" in captured.err
+        assert captured.out == ""
+        # The binary census builds no DSM, so the guard does not apply.
+        assert main(["span", "--q", "5", *sample]) == 0
+
+    @pytest.mark.parametrize(
+        "q, m, extra",
+        [
+            (3, 0, []),
+            (3, 0, ["--mode", "sample", "--samples", "300", "--seed", "2"]),
+            (2, 1, ["--params", "8"]),
+            (2, 1, ["--mode", "sample", "--samples", "60", "--seed", "3"]),
+        ],
+    )
+    def test_chunk_size_leaves_the_census_unchanged(
+        self, q, m, extra, monkeypatch, capsys
+    ):
+        argv = ["span", "--q", str(q), "--ancilla", str(m), *extra]
+        assert main(argv) == 0
+        whole = capsys.readouterr().out
+        # Chunks of 7 settings; no count above divides evenly.
+        monkeypatch.setattr(cli, "SPAN_CHUNK_ENTRIES", 7 << (2 * q + m))
+        assert main(argv) == 0
+        assert capsys.readouterr().out == whole
+
+    def test_exhaustive_ancilla_census_matches_serial_reference(self, capsys):
+        assert main(["span", "--q", "2", "--ancilla", "1", "--params", "8"]) == 0
+        settings = itertools.product((0.0, math.pi), repeat=8)
+        assert census_row(capsys)[1:3] == serial_census(2, 1, 8, settings, 0)
+
+    def test_sampled_ancilla_census_matches_serial_reference(self, capsys):
+        argv = ["--q", "2", "--ancilla", "1", "--mode", "sample", "--samples", "80"]
+        assert main(["span", *argv, "--seed", "6"]) == 0
+        rng = np.random.default_rng([6])
+        ell = solver_ansatz("bruhat", 3).param_count
+        settings = (rng.choice([0.0, math.pi], ell) for _ in range(80))
+        assert census_row(capsys)[1:3] == serial_census(2, 1, ell, settings, 6)
+
+    def test_recorded_binary_census_counts(self, capsys):
+        ref = json.loads(CENSUS_REFERENCE.read_text())
+        argv = ref["argv"]
+        assert argv[-2] == "--seed"
+        for seed, count in enumerate(ref["counts"]):
+            assert main([*argv[:-1], str(seed)]) == 0
+            assert census_row(capsys)[1:3] == [str(count)] * 2
 
     def test_params_prefix_restriction(self, capsys):
         assert main(["span", "--q", "2", "--params", "0"]) == 0

@@ -7,10 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quper.circuits import SOLVER_ANSATZE, build_ansatz, solver_ansatz
+from quper.circuits import (
+    ANSATZ_KINDS,
+    SOLVER_ANSATZE,
+    QubitBudgetError,
+    build_ansatz,
+    eval_permutations,
+    lower_to_linear_topology,
+    solver_ansatz,
+)
 from quper.dsm import (
     NotDoublyStochasticError,
     adjoint_gradient,
+    binary_dsms,
     birkhoff_decompose,
     extract_dsm,
     statevector_oracle,
@@ -106,6 +115,53 @@ class TestExtractDsm:
         assert d.shape == (1 << (c.q - m),) * 2
         assert np.max(np.abs(d.sum(axis=0) - 1)) <= 1e-12
         assert np.max(np.abs(d.sum(axis=1) - 1)) <= 1e-12
+
+
+class TestBinaryDsms:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        name=st.sampled_from(ANSATZ_KINDS + SOLVER_ANSATZE + ("linear",)),
+        width=st.integers(2, 5),
+        m=st.integers(0, 2),
+        rows=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_equals_extract_dsm(self, name, width, m, rows, seed):
+        if name == "linear":
+            c = lower_to_linear_topology(build_ansatz("LX", width))
+        elif name in SOLVER_ANSATZE:
+            c = solver_ansatz(name, width)
+        else:
+            c = build_ansatz(name, width)
+        m = min(m, width - 1)
+        thetas = np.random.default_rng(seed).choice([0.0, PI], (rows, c.param_count))
+        stack = binary_dsms(c, m, thetas)
+        n = 1 << (width - m)
+        assert stack.shape == (rows, n, n)
+        for theta, d in zip(thetas, stack):
+            assert np.array_equal(d, extract_dsm(c, m, theta))
+
+    def test_rejects_non_binary_bad_shape_or_ancillas(self):
+        c = build_ansatz("LX", 3)
+        with pytest.raises(ValueError, match="requires every parameter"):
+            binary_dsms(c, 1, np.full((2, 12), 0.5))
+        with pytest.raises(ValueError, match="expected"):
+            binary_dsms(c, 1, np.zeros(12))
+        with pytest.raises(ValueError, match="expected"):
+            binary_dsms(c, 1, np.zeros((2, 11)))
+        with pytest.raises(ValueError):
+            binary_dsms(c, 3, np.zeros((2, 12)))
+
+    def test_qubit_guard(self, monkeypatch):
+        # The DSM path keeps eval_unitary's guard; the basis maps have none.
+        c = build_ansatz("LX", 4)
+        thetas = np.zeros((2, c.param_count))
+        monkeypatch.setenv("QUPER_MAX_QUBITS", "3")
+        with pytest.raises(QubitBudgetError):
+            binary_dsms(c, 1, thetas)
+        assert eval_permutations(c, thetas).shape == (2, 16)
+        monkeypatch.setenv("QUPER_MAX_QUBITS", "4")
+        assert binary_dsms(c, 1, thetas).shape == (2, 8, 8)
 
 
 class TestBirkhoff:

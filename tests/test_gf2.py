@@ -1,4 +1,4 @@
-"""GF(2) machinery: words, Bruhat decomposition, affine recognition, order."""
+"""GF(2) machinery: words, Bruhat decomposition, affine recognition."""
 
 import itertools
 
@@ -14,7 +14,6 @@ from quper.gf2 import (
     Transvection,
     borel_subword,
     bruhat_decompose,
-    bruhat_order_leq,
     bruhat_span_size,
     longest_element_word,
     recognize_affine,
@@ -192,71 +191,6 @@ class TestReverseBits:
         x = data.draw(st.integers(0, (1 << q) - 1))
         assert 0 <= reverse_bits(x, q) < 1 << q
         assert reverse_bits(reverse_bits(x, q), q) == x
-
-
-def reduced_words(p: Permutation):
-    """All reduced words of p, as tuples of 1-based letters."""
-    if p == Permutation.identity(p.n):
-        yield ()
-        return
-    for i in range(1, p.n):
-        s = Permutation.transposition(p.n, i - 1, i)
-        shorter = s.compose(p)
-        if shorter.inversions() < p.inversions():
-            for w in reduced_words(shorter):
-                yield (i,) + w
-
-
-def is_subsequence(sub, word):
-    it = iter(word)
-    return all(any(x == y for y in it) for x in sub)
-
-
-class TestBruhatOrder:
-    def test_identity_is_minimum(self):
-        for p in itertools.permutations(range(3)):
-            assert bruhat_order_leq(Permutation.identity(3), Permutation(p))
-
-    def test_reversal_is_maximum(self):
-        w0 = Permutation((3, 2, 1, 0))
-        for p in itertools.permutations(range(4)):
-            assert bruhat_order_leq(Permutation(p), w0)
-
-    def test_matches_subword_oracle_s3(self):
-        perms = [Permutation(p) for p in itertools.permutations(range(3))]
-        for eta in perms:
-            for rho in perms:
-                words_rho = list(reduced_words(rho))
-                oracle = any(
-                    is_subsequence(we, words_rho[0])
-                    for we in reduced_words(eta)
-                )
-                assert bruhat_order_leq(eta, rho) == oracle
-
-    def test_partial_order_axioms_s4(self):
-        perms = [Permutation(p) for p in itertools.permutations(range(4))]
-        for a in perms:
-            assert bruhat_order_leq(a, a)
-        for a in perms:
-            for b in perms:
-                if a != b:
-                    assert not (
-                        bruhat_order_leq(a, b) and bruhat_order_leq(b, a)
-                    )
-        leq = {
-            (a.map, b.map)
-            for a in perms
-            for b in perms
-            if bruhat_order_leq(a, b)
-        }
-        for a, b in leq:
-            for c in perms:
-                if (b, c.map) in leq:
-                    assert (a, c.map) in leq
-
-    def test_size_mismatch(self):
-        with pytest.raises(ValueError):
-            bruhat_order_leq(Permutation.identity(2), Permutation.identity(3))
 
 
 class TestWeylWords:
