@@ -329,8 +329,9 @@ def eval_permutations(c: Circuit, thetas) -> np.ndarray:
     """Basis maps at binary parameters, without a dense unitary.
 
     thetas is (S, L), each entry 0 or pi within 1e-12; row s of the (S, 2^q)
-    int result holds the image of every basis index under the circuit at
-    thetas[s].  Each gate is one XOR pass over all rows, masked by its slot.
+    result holds the image of every basis index under the circuit at
+    thetas[s], in the narrowest unsigned dtype that holds 2^q - 1 (uint8 up
+    to q = 8).  Each gate is one XOR pass over all rows, masked by its slot.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != c.param_count:
@@ -341,7 +342,8 @@ def eval_permutations(c: Circuit, thetas) -> np.ndarray:
     if not np.all(on | (np.abs(thetas) < 1e-12)):
         raise ValueError("eval_permutation requires every parameter in {0, pi}")
     q = c.q
-    x = np.tile(np.arange(1 << q, dtype=np.int64), (len(on), 1))
+    x = np.tile(np.arange(1 << q, dtype=np.min_scalar_type((1 << q) - 1)), (len(on), 1))
+    on = on.astype(x.dtype)
     for g in c.gates:
         s = [q - 1 - t for t in g.qubits]  # bit positions
         if g.kind == "RX":

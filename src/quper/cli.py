@@ -20,6 +20,7 @@ from .circuits import (
     SOLVER_ANSATZE,
     QubitBudgetError,
     build_ansatz,
+    check_qubit_guard,
     circuit_from_text,
     circuit_stats,
     circuit_to_text,
@@ -41,7 +42,7 @@ from .problems import (
     random_qap,
     relative_optimality_gap,
 )
-from .projection import project_hungarian, project_random_order
+from .projection import order_maps, project_hungarian, random_orders
 from .verify import run_suites
 
 EXIT_OK = 0
@@ -186,9 +187,10 @@ def cmd_span(args) -> int:
     ell = args.params if args.params is not None else circuit.param_count
     if not 0 <= ell <= circuit.param_count:
         raise InputError(f"--params must be in 0..{circuit.param_count}")
-    cap = min(
-        1 << ell, bruhat_span_size(q + m), math.factorial(1 << q)
-    )
+    cap = min(1 << ell, bruhat_span_size(q + m))
+    if m > 0:  # at m = 0 the span is a subgroup of S_(2^q)
+        check_qubit_guard(q + m)  # before (2^q)!, which takes seconds at q = 20
+        cap = min(cap, math.factorial(1 << q))
     if args.mode == "exhaustive":
         if 1 << ell > args.budget:
             print(
@@ -216,10 +218,12 @@ def cmd_span(args) -> int:
             seen_h.update(map(tuple, eval_permutations(circuit, thetas).tolist()))
             seen_r = seen_h  # a basis map is its own projection
             continue
-        for i, d in zip(idx.tolist(), binary_dsms(circuit, m, thetas)):
-            seen_h.add(tuple(project_hungarian(d).tolist()))
-            rand = project_random_order(d, [args.seed, i], 1)
-            seen_r.update(map(tuple, rand.tolist()))
+        ds = binary_dsms(circuit, m, thetas)
+        seen_h.update(tuple(project_hungarian(d).tolist()) for d in ds)
+        # Each sample's order comes from its own generator, so the counts are
+        # those of one project_random_order(d, [seed, index], 1) per sample.
+        orders = [random_orders([args.seed, i], 1 << q, 1) for i in idx.tolist()]
+        seen_r.update(map(tuple, order_maps(ds, np.concatenate(orders)).tolist()))
     line = f"{ell},{len(seen_h)},{len(seen_r)},{cap}"
     out = "params,count_hungarian,count_random_order,theoretical_cap\n" + line
     if args.out:

@@ -76,7 +76,8 @@ def binary_dsms(circuit: Circuit, m: int, thetas) -> np.ndarray:
     _check_ancillas(circuit, m)
     check_qubit_guard(circuit.q)
     n, k = 1 << (circuit.q - m), 1 << m
-    hit = eval_permutations(circuit, thetas)[:, None, :] % n == np.arange(n)[:, None]
+    system = eval_permutations(circuit, thetas) & (n - 1)
+    hit = system[:, None, :] == np.arange(n)[:, None]
     return hit.reshape(-1, n, k, n).sum(axis=2) / k
 
 

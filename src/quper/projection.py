@@ -27,23 +27,25 @@ def _base_vector(n: int) -> np.ndarray:
     return np.arange(n, dtype=float)
 
 
-def project_random_order(
-    d: np.ndarray, seed, trials: int = RANDOM_ORDER_TRIALS
-) -> np.ndarray:
-    """Order-tracking projection: permute v, read how d.v reorders it.
-
-    Each candidate p satisfies: the j-th smallest component of d.v sits at
-    the row mapped to the position of the j-th smallest component of v.
-    One generator, seeded by seed, draws the orders of all trials in one
-    call, in trial order, so the first k orders do not depend on trials.
-    Returns the distinct candidates as a (k, n) array of maps in
-    lexicographic order, k <= trials.
-    """
-    n = len(d)
+def random_orders(seed, n: int, trials: int) -> np.ndarray:
+    """The (trials, n) orders of project_random_order: one generator, seeded
+    by seed, draws them all, row t for trial t, so the first k rows do not
+    depend on trials."""
     prefix = list(seed) if isinstance(seed, (list, tuple)) else [int(seed)]
     orders = np.tile(np.arange(n), (trials, 1))
-    v = _base_vector(n)[np.random.default_rng(prefix).permuted(orders, axis=1)]
-    # One matrix-vector product per trial, as d @ v would compute it: a
+    return np.random.default_rng(prefix).permuted(orders, axis=1)
+
+
+def order_maps(d: np.ndarray, orders: np.ndarray) -> np.ndarray:
+    """Order-tracking projection: permute v, read how d.v reorders it.
+
+    Row t of the (T, n) result is the candidate p of orders[t]: the j-th
+    smallest component of d.v sits at the row mapped to the position of the
+    j-th smallest component of v = base[orders[t]].  d is one (n, n) matrix
+    for every order, or a (T, n, n) stack, one matrix per order.
+    """
+    v = _base_vector(orders.shape[1])[orders]
+    # One matrix-vector product per row, as d @ v would compute it: a
     # matrix-matrix product sums in another order and can break near-ties in
     # d.v the other way.
     u = (d @ v[:, :, None])[:, :, 0]
@@ -52,5 +54,15 @@ def project_random_order(
     ou = np.argsort(u, axis=1, kind="stable")
     pmaps = np.empty_like(ov)
     np.put_along_axis(pmaps, ou, ov, axis=1)
+    return pmaps
+
+
+def project_random_order(
+    d: np.ndarray, seed, trials: int = RANDOM_ORDER_TRIALS
+) -> np.ndarray:
+    """order_maps of d at the random_orders of seed, deduplicated: the
+    distinct candidates as a (k, n) array of maps in lexicographic order,
+    k <= trials."""
+    pmaps = order_maps(d, random_orders(seed, len(d), trials))
     # A set of row tuples: np.unique(axis=0) costs several times more.
     return np.array(sorted(set(map(tuple, pmaps.tolist()))))

@@ -414,6 +414,22 @@ class TestEvalPermutations:
             assert np.array_equal(row, serial_permutation(c, theta))
             assert tuple(row.tolist()) == eval_permutation(c, theta).map
 
+    @pytest.mark.parametrize("q, dtype", [(8, np.uint8), (9, np.uint16)])
+    def test_narrowest_dtype_at_its_boundary(self, q, dtype):
+        c = build_ansatz("LX", q)
+        thetas = np.random.default_rng(q).choice([0.0, PI], (4, c.param_count))
+        maps = eval_permutations(c, thetas)
+        assert maps.dtype == dtype
+        for theta, row in zip(thetas, maps):
+            assert np.array_equal(row, serial_permutation(c, theta))
+
+    def test_uint32_maps_are_permutations(self):
+        c = build_ansatz("LX", 17)
+        theta = np.random.default_rng(17).choice([0.0, PI], (1, c.param_count))
+        (row,) = eval_permutations(c, theta)
+        assert row.dtype == np.uint32
+        assert np.array_equal(np.sort(row), np.arange(1 << 17))
+
     def test_snaps_within_tolerance(self):
         c = build_ansatz("LX", 2)
         thetas = np.array([[PI + 1e-13, -1e-13, 0.0, PI - 1e-13, 1e-13]])

@@ -83,6 +83,25 @@ class TestSpanCommand:
         assert (ell, count_h, count_r) == ("5", "24", "24")
         assert int(cap) == 24
 
+    def test_no_factorial_cap_without_ancillas(self, monkeypatch, capsys):
+        # At m = 0 the span is the affine group, a subgroup of S_(2^q), so
+        # (2^q)! never caps it; at q = 20 that factorial alone takes seconds.
+        def no_factorial(n):
+            raise AssertionError(f"factorial({n}) taken at m = 0")
+
+        monkeypatch.setattr(math, "factorial", no_factorial)
+        monkeypatch.delenv("QUPER_MAX_QUBITS", raising=False)
+        for q, cap in [("2", "24"), ("3", "1344")]:
+            assert main(["span", "--q", q]) == 0
+            assert census_row(capsys)[3] == cap
+        # With ancillas the qubit guard stops q = 20 before the factorial.
+        sample = ["--mode", "sample", "--samples", "1"]
+        assert main(["span", "--q", "20", "--ancilla", "1", *sample]) == 4
+        assert "budget guard" in capsys.readouterr().err
+        monkeypatch.undo()
+        assert main(["span", "--q", "2", "--ancilla", "1", "--params", "8"]) == 0
+        assert census_row(capsys)[3] == "24"
+
     def test_budget_guard(self, capsys):
         assert main(["span", "--q", "3", "--budget", "100"]) == 4
 
@@ -152,6 +171,7 @@ class TestSpanCommand:
             (3, 0, ["--mode", "sample", "--samples", "300", "--seed", "2"]),
             (2, 1, ["--params", "8"]),
             (2, 1, ["--mode", "sample", "--samples", "60", "--seed", "3"]),
+            (3, 1, ["--mode", "sample", "--samples", "40", "--seed", "5"]),
         ],
     )
     def test_chunk_size_leaves_the_census_unchanged(

@@ -141,6 +141,14 @@ class TestBinaryDsms:
         for theta, d in zip(thetas, stack):
             assert np.array_equal(d, extract_dsm(c, m, theta))
 
+    @pytest.mark.parametrize("width, m", [(8, 0), (9, 1)])
+    def test_equals_extract_dsm_at_the_dtype_boundary(self, width, m):
+        # n = 256 system states: the uint8 maps of q = 8 and the uint16 of 9.
+        c = build_ansatz("LX", width)
+        thetas = np.random.default_rng(width).choice([0.0, PI], (2, c.param_count))
+        for theta, d in zip(thetas, binary_dsms(c, m, thetas)):
+            assert np.array_equal(d, extract_dsm(c, m, theta))
+
     def test_rejects_non_binary_bad_shape_or_ancillas(self):
         c = build_ansatz("LX", 3)
         with pytest.raises(ValueError, match="requires every parameter"):

@@ -7,9 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quper.circuits import solver_ansatz
-from quper.dsm import extract_dsm
+from quper.dsm import binary_dsms, extract_dsm
 from quper.gf2 import Permutation
-from quper.projection import project_hungarian, project_random_order
+from quper.projection import (
+    order_maps,
+    project_hungarian,
+    project_random_order,
+    random_orders,
+)
 
 PI = np.pi
 
@@ -163,3 +168,34 @@ class TestRandomOrderMatchesLoop:
         assert set(map(tuple, few.tolist())) <= set(map(tuple, full.tolist()))
         assert (np.sort(full, axis=1) == np.arange(len(d))).all()
         assert np.array_equal(project_random_order(d, list(seed), 50), full)
+
+
+class TestOrderMapsOnAStack:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        width=st.integers(2, 5),
+        m=st.integers(0, 2),
+        rows=st.integers(1, 6),
+        binary=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_row_i_is_the_one_trial_projection_of_dsm_i(
+        self, width, m, rows, binary, seed
+    ):
+        """The census's batched step: one order per DSM, each from its own
+        generator [seed, i], on binary DSMs and on relaxed ones whose d.v
+        can differ in the last bit only."""
+        m = min(m, width - 1)
+        c = solver_ansatz("bruhat", width)
+        rng = np.random.default_rng(seed)
+        if binary:
+            ds = binary_dsms(c, m, rng.choice([0.0, PI], (rows, c.param_count)))
+        else:
+            grid = rng.choice([0.0, PI / 4, PI / 2, PI], (rows, c.param_count))
+            ds = np.stack([extract_dsm(c, m, theta) for theta in grid])
+        n = ds.shape[1]
+        orders = np.concatenate([random_orders([seed, i], n, 1) for i in range(rows)])
+        got = order_maps(ds, orders)
+        assert got.shape == (rows, n)
+        for i, d in enumerate(ds):
+            assert got[i].tolist() == project_random_order(d, [seed, i], 1)[0].tolist()
