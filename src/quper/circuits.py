@@ -213,13 +213,16 @@ def _check_theta(c: Circuit, theta) -> np.ndarray:
     return theta
 
 
-def _gate_blocks(c: Circuit, theta: np.ndarray) -> list[np.ndarray | None]:
-    """The 2x2 block of each gate of c at the parameters theta (L,).
+def _steps(c: Circuit, theta: np.ndarray) -> list[tuple]:
+    """c's gates at the parameters theta (L,) as (slot, qubits, block) steps
+    in gate order, each a 2x2 block on the last of qubits, inside the
+    control-1 slice of the first if there are two.
 
-    RX's block is RX(theta); PCX's and PSWAP's is PHASE(theta/2) . RX(theta),
-    PCX's action on its target inside the control-1 slice; CX has None (X).
-    cos and sin of theta/2 are exact at theta in {0, pi}, so PCX(pi) is CX
-    and PSWAP(pi) is SWAP exactly.
+    RX is its block RX(theta) on the target; PCX is PHASE(theta/2) . RX(theta)
+    on the target inside the control-1 slice, and CX is PCX with block None
+    (X).  PSWAP(a, b) is its definition, three steps: CX(b -> a), PCX(a -> b),
+    CX(b -> a).  Fixed steps have slot None.  cos and sin of theta/2 are
+    exact at theta in {0, pi}, so PCX(pi) is CX and PSWAP(pi) is SWAP exactly.
     """
     cos, sin = np.cos(theta / 2), np.sin(theta / 2)
     zero, pi = theta == 0.0, theta == math.pi
@@ -229,44 +232,35 @@ def _gate_blocks(c: Circuit, theta: np.ndarray) -> list[np.ndarray | None]:
     rx[..., 0, 0] = rx[..., 1, 1] = cos
     rx[..., 0, 1] = rx[..., 1, 0] = -1.0j * sin
     pcx = (cos + 1.0j * sin)[..., None, None] * rx
-    return [
-        None if g.slot is None else (rx if g.kind == "RX" else pcx)[g.slot]
-        for g in c.gates
-    ]
+    steps = []
+    for g in c.gates:
+        if g.slot is None:
+            steps.append((None, g.qubits, None))
+        elif g.kind == "PSWAP":
+            a, b = g.qubits
+            cx = (None, (b, a), None)
+            steps += [cx, (g.slot, (a, b), pcx[g.slot]), cx]
+        else:
+            steps.append((g.slot, g.qubits, (rx if g.kind == "RX" else pcx)[g.slot]))
+    return steps
 
 
-def _apply_gate(g: Gate, psi: np.ndarray, block: np.ndarray | None) -> np.ndarray:
-    """Apply g with the 2x2 block (None = X) to the rows of the state psi
-    (2^q, k), in place; returns psi.
-
-    RX is the block on its target; PCX is the block on its target inside the
-    control-1 slice, and CX is PCX with block X.  PSWAP(a, b) is applied by
-    its definition: CX(b -> a), PCX(a -> b), CX(b -> a).
-    """
-    if g.kind == "PSWAP":
-        a, b = g.qubits
-        _apply_block(psi, (b, a), None)
-        _apply_block(psi, (a, b), block)
-        _apply_block(psi, (b, a), None)
-    else:
-        _apply_block(psi, g.qubits, block)
-    return psi
-
-
-def _apply_block(
-    psi: np.ndarray, qubits: tuple[int, ...], block: np.ndarray | None
-) -> None:
-    """The block (None = X) on the last of qubits, inside the control-1
-    slice of the first if there are two: one matmul on a reshaped view."""
+def _target_view(psi: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    """The rows of the state psi (2^q, k) that a step on qubits acts on, as a
+    view with the target axis second to last: all rows for one qubit, the
+    control-1 slice of the first of two."""
     if len(qubits) == 1:
-        sub = psi.reshape(1 << qubits[0], 2, -1)
-    else:
-        c, t = qubits
-        lo, hi = sorted(qubits)
-        # Axes: qubits above lo, lo, qubits between, hi, the rest.
-        view = psi.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
-        # Control-1 slice with the target axis second to last.
-        sub = view[:, 1] if c == lo else view[:, :, :, 1].swapaxes(1, 2)
+        return psi.reshape(1 << qubits[0], 2, -1)
+    c, t = qubits
+    lo, hi = sorted(qubits)
+    # Axes: qubits above lo, lo, qubits between, hi, the rest.
+    view = psi.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
+    return view[:, 1] if c == lo else view[:, :, :, 1].swapaxes(1, 2)
+
+
+def _update(sub: np.ndarray, block: np.ndarray | None) -> None:
+    """The 2x2 block (None = X) on the target axis of the view sub, in place:
+    one matmul."""
     sub[...] = sub[..., ::-1, :] if block is None else block @ sub
 
 
@@ -284,8 +278,8 @@ def eval_unitary(c: Circuit, theta) -> np.ndarray:
     check_qubit_guard(c.q)
     theta = _check_theta(c, theta)
     psi = np.eye(1 << c.q, dtype=complex)
-    for g, block in zip(c.gates, _gate_blocks(c, theta)):
-        _apply_gate(g, psi, block)
+    for _, qubits, block in _steps(c, theta):
+        _update(_target_view(psi, qubits), block)
     return psi
 
 
@@ -296,16 +290,21 @@ def reverse_sweep(
     theta) whose derivative in |U_rc|^2 is the real lam_rc (the adjoint
     method, Jones & Gacon, arXiv:2009.02823).
 
-    Walks the 2^q x 2^(q+1) matrix [U | lam * U] back through the gates.
-    Before undoing gate g it holds [U_g | B_g]: U_g is the unitary after the
-    first g gates and B_g the later gates' inverse applied to lam * U, so
-    the loss moves by 2 Re<B_g, H_g U_g> per unit of g's angle, H_g being
-    g's generator: -(i/2) X on the target for RX, (i/2)(I - X) on the target
-    inside the control-1 slice for PCX, and that conjugated by CX(b -> a)
-    for PSWAP(a, b).  With F the gate at block X (X, CX, SWAP), H_g U_g is
-    -(i/2) F U_g or (i/2)(U_g - F U_g), and <B_g, U_g> = sum(lam |U|^2) is
-    real, so both give Im<B_g, F U_g>.  The inverse of each block is its
-    conjugate transpose, exact at theta in {0, pi}; CX is its own inverse.
+    Walks the 2^q x 2^(q+1) matrix [U | lam * U] back through the steps of
+    the gates (_steps).  Before undoing a step it holds [U_s | B_s]: U_s is the
+    unitary after that step and B_s the later steps' inverse applied to
+    lam * U, so the loss moves by 2 Re<B_s, H_s U_s> per unit of the angle,
+    H_s being the step's generator: -(i/2) X on the target for RX, (i/2)(I - X)
+    on the target inside the control-1 slice for PCX.  PSWAP(a, b) is read at
+    its middle step, PCX(a -> b) in the frame of the CX(b -> a) that
+    conjugates its generator.  With F the step at block X, H_s U_s is
+    -(i/2) F U_s or (i/2)(U_s - F U_s), and <B_s, U_s> = sum(lam |U|^2) is
+    real, so both give Im<B_s, F U_s> = Im<B_s, (F - I) U_s>.  (F - I) U_s is
+    non-zero only on the rows r0 and r1 that the block mixes (the target at
+    0 and at 1), where it is +-(U_r1 - U_r0), so the slot gets
+    -Im<B_r0 - B_r1, U_r0 - U_r1>: one subtraction on the view the step is
+    about to update.  The inverse of each block is its conjugate transpose,
+    exact at theta in {0, pi}; CX is its own inverse.
 
     Returns the gradient and the swept U, the identity up to rounding.
     """
@@ -313,15 +312,16 @@ def reverse_sweep(
     dim = 1 << c.q
     if u.shape != (dim, dim) or lam.shape != (dim, dim):
         raise ValueError(f"U and lam must be {dim} x {dim}")
-    blocks = _gate_blocks(c, theta)
     psi = np.hstack((u, lam * u))
     grad = np.zeros(c.param_count)
-    for g, block in zip(reversed(c.gates), reversed(blocks)):
+    for slot, qubits, block in reversed(_steps(c, theta)):
+        sub = _target_view(psi, qubits)
         if block is not None:
-            flipped = _apply_gate(g, psi[:, :dim].copy(), None)
-            grad[g.slot] += np.vdot(psi[:, dim:], flipped).imag
+            # Each row of [U | B] splits into its U half and its B half.
+            diff = (sub[..., 0, :] - sub[..., 1, :]).reshape(-1, 2, dim)
+            grad[slot] -= np.vdot(diff[:, 1], diff[:, 0]).imag
             block = block.conj().T
-        _apply_gate(g, psi, block)
+        _update(sub, block)
     return grad, psi[:, :dim]
 
 

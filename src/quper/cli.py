@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 bad usage, 3 input error, 4 budget guard,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -308,8 +309,12 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# One parser per process: building it costs about 16 times a parse.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except InputError as exc:

@@ -28,7 +28,12 @@ from .problems import (
     qap_cost,
     qap_cost_grad,
 )
-from .projection import project_hungarian, project_random_order
+from .projection import (
+    RANDOM_ORDER_TRIALS,
+    order_maps,
+    project_hungarian,
+    random_orders,
+)
 
 DEFAULT_LR = 0.005
 GIP_LR = 0.4
@@ -173,14 +178,17 @@ def _problem_costs(problem):
 def best_projection(d: np.ndarray, cost, seed):
     """Project d onto permutations and cost all candidates in one call.
 
-    The candidates, the Hungarian map then the random-order maps, are costed
-    as one (K, n, n) stack.  Returns (argmin map, its value, Hungarian cost,
-    best random-order cost); ties go to the first candidate in map order.
+    The candidates, the Hungarian map then the order_maps of all
+    RANDOM_ORDER_TRIALS random_orders of seed in trial order, duplicates
+    kept, are costed as one (K, n, n) stack.  Returns (argmin map, its value,
+    Hungarian cost, best random-order cost); ties go to the first candidate
+    in map order, so the pick is project_random_order's deduplicated one.
     """
-    maps = np.vstack([project_hungarian(d), project_random_order(d, seed)])
+    orders = random_orders(seed, len(d), RANDOM_ORDER_TRIALS)
+    maps = np.vstack([project_hungarian(d), order_maps(d, orders)])
     values = cost(np.eye(len(d))[maps])
     tied = np.flatnonzero(values == values.min())
-    best = min(tied, key=lambda k: maps[k].tolist())
+    best = min(zip(maps[tied].tolist(), tied))[1]
     return maps[best], float(values[best]), float(values[0]), float(values[1:].min())
 
 

@@ -6,8 +6,9 @@ Writes reference_runs.json (or OUT): for each run, the instance, the solver
 config and what quper_solve returned (best permutation and value, every trace
 record and every level), solved with the quper under ../../src.
 
-The checked-in file was recorded with the adjoint gradient and the
-one-generator random-order draw; recording today reproduces it byte for byte.
+The checked-in file was recorded with the adjoint gradient read off each
+step's target view and the one-generator random-order draw; recording today
+reproduces it byte for byte.
 The replay's contract is: permutations, best values, levels and iteration
 counters exact; every other float to a relative 1e-9.  Re-record only when a
 change is meant to alter the solver's trajectory.

@@ -211,6 +211,19 @@ class TestSpanCommand:
         line = capsys.readouterr().out.strip().splitlines()[-1]
         assert line.startswith("0,1,1,")
 
+    def test_calls_in_one_process_share_no_flags(self, tmp_path, capsys):
+        # main reuses one parser: a flag of one call must not reach the next.
+        out = tmp_path / "census.csv"
+        assert main(["span", "--q", "2", "--out", str(out)]) == 0
+        first = capsys.readouterr().out
+        assert out.read_text() == first
+        assert main(["span", "--q", "2", "--params", "0"]) == 0
+        assert census_row(capsys)[:3] == ["0", "1", "1"]
+        assert main(["compile", "--ansatz", "Borel", "--q", "3"]) == 0
+        assert main(["span", "--q", "2"]) == 0
+        assert census_row(capsys)[:3] == ["5", "24", "24"]
+        assert out.read_text() == first
+
 
 class TestSolveCommands:
     def test_solve_qap_random(self, capsys, tmp_path):
