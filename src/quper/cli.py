@@ -206,6 +206,7 @@ def cmd_span(args) -> int:
         rng = np.random.default_rng([args.seed])
         total = args.samples
     rows = max(1, SPAN_CHUNK_ENTRIES >> (2 * q + m))
+    order_rng = np.random.default_rng([args.seed, 1])  # apart from the θ stream
     seen_h: set = set()
     seen_r: set = set()
     for start in range(0, total, rows):
@@ -220,11 +221,12 @@ def cmd_span(args) -> int:
             seen_r = seen_h  # a basis map is its own projection
             continue
         ds = binary_dsms(circuit, m, thetas)
-        seen_h.update(tuple(project_hungarian(d).tolist()) for d in ds)
-        # Each sample's order comes from its own generator, so the counts are
-        # those of one project_random_order(d, [seed, index], 1) per sample.
-        orders = [random_orders([args.seed, i], 1 << q, 1) for i in idx.tolist()]
-        seen_r.update(map(tuple, order_maps(ds, np.concatenate(orders)).tolist()))
+        # Entries are multiples of 2^-m: equal bytes are equal DSMs.
+        distinct = {d.tobytes(): d for d in ds}.values()
+        seen_h.update(tuple(project_hungarian(d).tolist()) for d in distinct)
+        # Setting idx's one-trial order is row idx of one census-wide stream.
+        orders = random_orders(order_rng, 1 << q, len(idx))
+        seen_r.update(map(tuple, order_maps(ds, orders).tolist()))
     line = f"{ell},{len(seen_h)},{len(seen_r)},{cap}"
     out = "params,count_hungarian,count_random_order,theoretical_cap\n" + line
     if args.out:

@@ -30,10 +30,12 @@ def _base_vector(n: int) -> np.ndarray:
 def random_orders(seed, n: int, trials: int) -> np.ndarray:
     """The (trials, n) orders of project_random_order: one generator, seeded
     by seed, draws them all, row t for trial t, so the first k rows do not
-    depend on trials."""
-    prefix = list(seed) if isinstance(seed, (list, tuple)) else [int(seed)]
+    depend on trials.  seed may be a Generator, which the draw advances: two
+    draws of k and l rows give the rows of one draw of k + l."""
+    if not isinstance(seed, np.random.Generator):
+        seed = list(seed) if isinstance(seed, (list, tuple)) else [int(seed)]
     orders = np.tile(np.arange(n), (trials, 1))
-    return np.random.default_rng(prefix).permuted(orders, axis=1)
+    return np.random.default_rng(seed).permuted(orders, axis=1)
 
 
 def order_maps(d: np.ndarray, orders: np.ndarray) -> np.ndarray:
@@ -53,7 +55,7 @@ def order_maps(d: np.ndarray, orders: np.ndarray) -> np.ndarray:
     ov = np.argsort(v, axis=1, kind="stable")
     ou = np.argsort(u, axis=1, kind="stable")
     pmaps = np.empty_like(ov)
-    np.put_along_axis(pmaps, ou, ov, axis=1)
+    pmaps[np.arange(len(ov))[:, None], ou] = ov
     return pmaps
 
 

@@ -11,8 +11,8 @@ import pytest
 from quper import cli
 from quper.circuits import ANSATZ_KINDS, SOLVER_ANSATZE, solver_ansatz
 from quper.cli import build_parser, main
-from quper.dsm import extract_dsm
-from quper.projection import project_hungarian, project_random_order
+from quper.dsm import binary_dsms, extract_dsm
+from quper.projection import order_maps, project_hungarian, random_orders
 from quper.verify import run_suites
 
 DATA = Path(__file__).parent / "data"
@@ -26,16 +26,19 @@ def census_row(capsys) -> list[str]:
 
 def serial_census(q, m, ell, settings, seed):
     """The ancilla census one setting at a time through dense DSMs: the
-    reference for the chunked binary path of `quper span`."""
+    reference for the chunked binary path of `quper span`.  Setting idx's
+    one-trial order is row idx of the census stream, one generator seeded
+    [seed, 1]."""
     circuit = solver_ansatz("bruhat", q + m)
+    settings = list(settings)
+    orders = random_orders([seed, 1], 1 << q, len(settings))
     seen_h, seen_r = set(), set()
     for idx, bits in enumerate(settings):
         theta = np.zeros(circuit.param_count)
         theta[:ell] = bits
         d = extract_dsm(circuit, m, theta)
         seen_h.add(tuple(project_hungarian(d).tolist()))
-        rand = project_random_order(d, [seed, idx], 1)
-        seen_r.update(map(tuple, rand.tolist()))
+        seen_r.add(tuple(order_maps(d, orders[idx : idx + 1])[0].tolist()))
     return [str(len(seen_h)), str(len(seen_r))]
 
 
@@ -189,6 +192,21 @@ class TestSpanCommand:
         assert main(["span", "--q", "2", "--ancilla", "1", "--params", "8"]) == 0
         settings = itertools.product((0.0, math.pi), repeat=8)
         assert census_row(capsys)[1:3] == serial_census(2, 1, 8, settings, 0)
+
+    def test_one_hungarian_projection_per_distinct_dsm(self, monkeypatch, capsys):
+        calls = []
+
+        def counted(d):
+            calls.append(d)
+            return project_hungarian(d)
+
+        monkeypatch.setattr(cli, "project_hungarian", counted)
+        assert main(["span", "--q", "2", "--ancilla", "1", "--params", "8"]) == 0
+        circuit = solver_ansatz("bruhat", 3)
+        thetas = np.zeros((256, circuit.param_count))
+        thetas[:, :8] = list(itertools.product((0.0, math.pi), repeat=8))
+        ds = binary_dsms(circuit, 1, thetas)
+        assert len(calls) == len(np.unique(ds.reshape(len(ds), -1), axis=0))
 
     def test_sampled_ancilla_census_matches_serial_reference(self, capsys):
         argv = ["--q", "2", "--ancilla", "1", "--mode", "sample", "--samples", "80"]

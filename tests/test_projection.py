@@ -182,9 +182,9 @@ class TestOrderMapsOnAStack:
     def test_row_i_is_the_one_trial_projection_of_dsm_i(
         self, width, m, rows, binary, seed
     ):
-        """The census's batched step: one order per DSM, each from its own
-        generator [seed, i], on binary DSMs and on relaxed ones whose d.v
-        can differ in the last bit only."""
+        """One order per DSM, each from its own generator [seed, i], on
+        binary DSMs and on relaxed ones whose d.v can differ in the last bit
+        only."""
         m = min(m, width - 1)
         c = solver_ansatz("bruhat", width)
         rng = np.random.default_rng(seed)
