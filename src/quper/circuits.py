@@ -18,6 +18,7 @@ permutation set is the same as with the layer last.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -213,16 +214,18 @@ def _check_theta(c: Circuit, theta) -> np.ndarray:
     return theta
 
 
-def _steps(c: Circuit, theta: np.ndarray) -> list[tuple]:
-    """c's gates at the parameters theta (L,) as (slot, qubits, block) steps
-    in gate order, each a 2x2 block on the last of qubits, inside the
-    control-1 slice of the first if there are two.
+def _steps(c: Circuit, theta: np.ndarray, sweep: bool = False) -> list[tuple]:
+    """c's gates at the parameters theta (L,) as (slot, geometry, block) steps
+    in gate order, each 2x2 block on the target axis of its _geometry view.
 
     RX is its block RX(theta) on the target; PCX is PHASE(theta/2) . RX(theta)
     on the target inside the control-1 slice, and CX is PCX with block None
-    (X).  PSWAP(a, b) is its definition, three steps: CX(b -> a), PCX(a -> b),
-    CX(b -> a).  Fixed steps have slot None.  cos and sin of theta/2 are
-    exact at theta in {0, pi}, so PCX(pi) is CX and PSWAP(pi) is SWAP exactly.
+    (X).  PSWAP(a, b) = CX(b -> a) . PCX(a -> b) . CX(b -> a) is PCX's block
+    on the pair of rows where (a, b) is (1, 0) and (0, 1).  Fixed steps have
+    slot None.  cos and sin of theta/2 are exact at theta in {0, pi}, so
+    PCX(pi) is CX and PSWAP(pi) is SWAP exactly.  sweep gives the inverse
+    blocks (conjugate transposes) and views on the (2, 2^q, 2^q) stack that
+    reverse_sweep walks.
     """
     cos, sin = np.cos(theta / 2), np.sin(theta / 2)
     zero, pi = theta == 0.0, theta == math.pi
@@ -232,36 +235,32 @@ def _steps(c: Circuit, theta: np.ndarray) -> list[tuple]:
     rx[..., 0, 0] = rx[..., 1, 1] = cos
     rx[..., 0, 1] = rx[..., 1, 0] = -1.0j * sin
     pcx = (cos + 1.0j * sin)[..., None, None] * rx
-    steps = []
-    for g in c.gates:
-        if g.slot is None:
-            steps.append((None, g.qubits, None))
-        elif g.kind == "PSWAP":
-            a, b = g.qubits
-            cx = (None, (b, a), None)
-            steps += [cx, (g.slot, (a, b), pcx[g.slot]), cx]
-        else:
-            steps.append((g.slot, g.qubits, (rx if g.kind == "RX" else pcx)[g.slot]))
-    return steps
+    if sweep:
+        rx, pcx = rx.conj().swapaxes(-1, -2), pcx.conj().swapaxes(-1, -2)
+    blocks = {"RX": rx, "PCX": pcx, "PSWAP": pcx}
+    return [
+        (g.slot, _geometry(c.q, 2 if sweep else 1, g.qubits, g.kind == "PSWAP"),
+         None if g.slot is None else blocks[g.kind][g.slot])
+        for g in c.gates
+    ]
 
 
-def _target_view(psi: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
-    """The rows of the state psi (2^q, k) that a step on qubits acts on, as a
-    view with the target axis second to last: all rows for one qubit, the
-    control-1 slice of the first of two."""
-    if len(qubits) == 1:
-        return psi.reshape(1 << qubits[0], 2, -1)
-    c, t = qubits
-    lo, hi = sorted(qubits)
-    # Axes: qubits above lo, lo, qubits between, hi, the rest.
-    view = psi.reshape(1 << lo, 2, 1 << (hi - lo - 1), 2, -1)
-    return view[:, 1] if c == lo else view[:, :, :, 1].swapaxes(1, 2)
-
-
-def _update(sub: np.ndarray, block: np.ndarray | None) -> None:
-    """The 2x2 block (None = X) on the target axis of the view sub, in place:
-    one matmul."""
-    sub[...] = sub[..., ::-1, :] if block is None else block @ sub
+@functools.cache
+def _geometry(q: int, planes: int, qubits: tuple[int, ...], pair: bool) -> tuple:
+    """(shape, byte offset, byte strides) of the rows a step on qubits acts
+    on, in planes stacked C-contiguous complex 2^q x 2^q planes, with the
+    target axis second to last: all rows for one qubit (t,), the control-1
+    slice of c for (c, t), and for pair the rows where (c, t) is (1, 0), then
+    those where it is (0, 1)."""
+    row = 16 << q
+    bit = [row << (q - 1 - i) for i in range(q)]  # byte stride of qubit i
+    *c, t = qubits
+    lo, hi = min(qubits), max(qubits)
+    offset = bit[c[0]] if c else 0
+    step = bit[t] - offset if pair else bit[t]
+    # Axes: plane, qubits above lo, qubits between lo and hi, target, rest.
+    shape = (planes, 1 << lo, 1 << max(hi - lo - 1, 0), 2, bit[hi] // 16)
+    return shape, offset, (row << q, 2 * bit[lo], 2 * bit[hi], step, 16)
 
 
 def check_qubit_guard(q: int) -> None:
@@ -278,8 +277,9 @@ def eval_unitary(c: Circuit, theta) -> np.ndarray:
     check_qubit_guard(c.q)
     theta = _check_theta(c, theta)
     psi = np.eye(1 << c.q, dtype=complex)
-    for _, qubits, block in _steps(c, theta):
-        _update(_target_view(psi, qubits), block)
+    for _, (shape, offset, strides), block in _steps(c, theta):
+        sub = np.ndarray(shape, complex, psi, offset, strides)
+        sub[...] = sub[..., ::-1, :] if block is None else block @ sub
     return psi
 
 
@@ -290,21 +290,20 @@ def reverse_sweep(
     theta) whose derivative in |U_rc|^2 is the real lam_rc (the adjoint
     method, Jones & Gacon, arXiv:2009.02823).
 
-    Walks the 2^q x 2^(q+1) matrix [U | lam * U] back through the steps of
-    the gates (_steps).  Before undoing a step it holds [U_s | B_s]: U_s is the
+    Walks the stack [U, lam * U] (2, 2^q, 2^q) back through the gates'
+    steps (_steps).  Before undoing a step it holds [U_s, B_s]: U_s is the
     unitary after that step and B_s the later steps' inverse applied to
     lam * U, so the loss moves by 2 Re<B_s, H_s U_s> per unit of the angle,
-    H_s being the step's generator: -(i/2) X on the target for RX, (i/2)(I - X)
-    on the target inside the control-1 slice for PCX.  PSWAP(a, b) is read at
-    its middle step, PCX(a -> b) in the frame of the CX(b -> a) that
-    conjugates its generator.  With F the step at block X, H_s U_s is
-    -(i/2) F U_s or (i/2)(U_s - F U_s), and <B_s, U_s> = sum(lam |U|^2) is
-    real, so both give Im<B_s, F U_s> = Im<B_s, (F - I) U_s>.  (F - I) U_s is
-    non-zero only on the rows r0 and r1 that the block mixes (the target at
-    0 and at 1), where it is +-(U_r1 - U_r0), so the slot gets
-    -Im<B_r0 - B_r1, U_r0 - U_r1>: one subtraction on the view the step is
-    about to update.  The inverse of each block is its conjugate transpose,
-    exact at theta in {0, pi}; CX is its own inverse.
+    H_s being the step's generator on the target axis of its view: -(i/2) X
+    for RX, (i/2)(I - X) for PCX and PSWAP.  With F the step at block X,
+    H_s U_s is -(i/2) F U_s or (i/2)(U_s - F U_s), and <B_s, U_s> =
+    sum(lam |U|^2) is real, so both give Im<B_s, F U_s> = Im<B_s, (F - I) U_s>.
+    (F - I) U_s is non-zero only on the rows r0 and r1 that the block mixes
+    (the target axis at 0 and at 1), where it is +-(U_r1 - U_r0), so the slot
+    gets -Im<B_r0 - B_r1, U_r0 - U_r1>: one subtraction on the view the step
+    is about to update, whose U and B halves are contiguous.  The inverse of
+    each block is its conjugate transpose, exact at theta in {0, pi}; CX is
+    its own inverse.
 
     Returns the gradient and the swept U, the identity up to rounding.
     """
@@ -312,17 +311,15 @@ def reverse_sweep(
     dim = 1 << c.q
     if u.shape != (dim, dim) or lam.shape != (dim, dim):
         raise ValueError(f"U and lam must be {dim} x {dim}")
-    psi = np.hstack((u, lam * u))
+    psi = np.stack((u, lam * u), dtype=complex)
     grad = np.zeros(c.param_count)
-    for slot, qubits, block in reversed(_steps(c, theta)):
-        sub = _target_view(psi, qubits)
+    for slot, (shape, offset, strides), block in reversed(_steps(c, theta, True)):
+        sub = np.ndarray(shape, complex, psi, offset, strides)
         if block is not None:
-            # Each row of [U | B] splits into its U half and its B half.
-            diff = (sub[..., 0, :] - sub[..., 1, :]).reshape(-1, 2, dim)
-            grad[slot] -= np.vdot(diff[:, 1], diff[:, 0]).imag
-            block = block.conj().T
-        _update(sub, block)
-    return grad, psi[:, :dim]
+            diff = sub[..., 0, :] - sub[..., 1, :]
+            grad[slot] -= np.vdot(diff[1], diff[0]).imag
+        sub[...] = sub[..., ::-1, :] if block is None else block @ sub
+    return grad, psi[0]
 
 
 def eval_permutations(c: Circuit, thetas) -> np.ndarray:

@@ -67,17 +67,20 @@ def suite_noncommutation():
 def suite_gate_constructions():
     pcx = Circuit(2, (Gate("PCX", (0, 1), 0),), 1)
     psw = Circuit(2, (Gate("PSWAP", (0, 1), 0),), 1)
+    cx10 = Gate("CX", (1, 0), None)
+    psw3 = Circuit(2, (cx10, Gate("PCX", (0, 1), 0), cx10), 1)
     swap = np.eye(4)[[0, 2, 1, 3]]
     checks = [
         ("PCX(pi) = CX", eval_unitary(pcx, [math.pi]), _CX),
         ("PSWAP(pi) = SWAP", eval_unitary(psw, [math.pi]), swap),
         ("PSWAP(0) = I", eval_unitary(psw, [0.0]), np.eye(4)),
+        ("PSWAP(1.1) = CX.PCX.CX", eval_unitary(psw, [1.1]), eval_unitary(psw3, [1.1])),
     ]
     for name, lhs, rhs in checks:
         err = float(np.max(np.abs(lhs - rhs)))
         if err > ATOL:
             return "gate_constructions", False, f"{name} violated ({err:.3e})"
-    return "gate_constructions", True, "3 identities hold"
+    return "gate_constructions", True, "4 identities hold"
 
 
 def _all_borel(q: int):

@@ -29,7 +29,7 @@ from quper.circuits import (
     solver_ansatz,
     synthesize_params,
 )
-from quper.dsm import _apply_gate
+from quper.dsm import _apply_gate, adjoint_gradient
 from quper.optimizer import fd_gradient
 from quper.gf2 import AffineMap, Gf2Matrix, Permutation, recognize_affine
 
@@ -255,6 +255,28 @@ class TestKernel:
             u = eval_unitary(c, theta)
             assert np.max(np.abs(u - serial_unitary(c, theta))) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "q, a, b",
+        [(q, a, b) for q in (3, 4) for a, b in itertools.permutations(range(q), 2)],
+    )
+    def test_pswap_step_is_its_three_gate_definition(self, q, a, b):
+        # PSWAP(a, b) is one step on the rows where (a, b) is (1, 0) and
+        # (0, 1); its definition is CX(b -> a), PCX(a -> b), CX(b -> a).  An
+        # RX layer on slots 1..q makes the state the pair step reads generic.
+        layer = tuple(Gate("RX", (t,), 1 + t) for t in range(q))
+        cx = Gate("CX", (b, a), None)
+        one = Circuit(q, layer + (Gate("PSWAP", (a, b), 0),), q + 1)
+        three = Circuit(q, layer + (cx, Gate("PCX", (a, b), 0), cx), q + 1)
+        rng = np.random.default_rng([q, a, b])
+        g = rng.normal(size=(1 << q, 1 << q))
+        for phi in (rng.uniform(0, 2 * PI), 0.0, PI):
+            theta = np.concatenate(([phi], rng.uniform(0, 2 * PI, q)))
+            u = eval_unitary(one, theta)
+            assert np.array_equal(u, eval_unitary(three, theta))
+            got = adjoint_gradient(one, 0, theta, u, g)
+            want = adjoint_gradient(three, 0, theta, u, g)
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
     def test_rejects_bad_theta_shape(self):
         c = build_ansatz("LX", 2)
         with pytest.raises(ValueError):
@@ -314,6 +336,21 @@ class TestReverseSweep:
             grad, _ = reverse_sweep(c, theta, eval_unitary(c, theta), lam)
             want = fd_gradient(linear_loss(c, lam), theta)
             assert np.max(np.abs(grad - want)) <= 1e-8 * np.max(np.abs(want))
+
+    def test_leaves_its_inputs_unchanged(self):
+        # The solver carries U across iterations; the sweep must not write
+        # into U, lam or g.
+        rng = np.random.default_rng(5)
+        for m, c in ((0, MIXED_CIRCUIT), (1, solver_ansatz("bruhat", 4))):
+            (theta,) = random_thetas(c, rng, 1)
+            u = eval_unitary(c, theta)
+            lam = rng.normal(size=u.shape)
+            g = rng.normal(size=(len(u) >> m, len(u) >> m))
+            kept = u.copy(), lam.copy(), g.copy()
+            reverse_sweep(c, theta, u, lam)
+            adjoint_gradient(c, m, theta, u, g)
+            for arg, copy in zip((u, lam, g), kept):
+                assert np.array_equal(arg, copy)
 
     def test_rejects_bad_shapes(self):
         c = build_ansatz("LX", 2)

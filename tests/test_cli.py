@@ -208,13 +208,18 @@ class TestSpanCommand:
         ds = binary_dsms(circuit, 1, thetas)
         assert len(calls) == len(np.unique(ds.reshape(len(ds), -1), axis=0))
 
-    def test_sampled_ancilla_census_matches_serial_reference(self, capsys):
-        argv = ["--q", "2", "--ancilla", "1", "--mode", "sample", "--samples", "80"]
-        assert main(["span", *argv, "--seed", "6"]) == 0
-        rng = np.random.default_rng([6])
-        ell = solver_ansatz("bruhat", 3).param_count
-        settings = (rng.choice([0.0, math.pi], ell) for _ in range(80))
-        assert census_row(capsys)[1:3] == serial_census(2, 1, ell, settings, 6)
+    # At q = 2 count_random_order saturates at 4! = 24; only the q = 3 case
+    # (cap 8! = 40,320) tells one random-order stream from another.
+    @pytest.mark.parametrize("q, samples, seed", [(2, 80, 6), (3, 150, 5)])
+    def test_sampled_ancilla_census_matches_serial_reference(
+        self, q, samples, seed, capsys
+    ):
+        argv = ["span", "--q", str(q), "--ancilla", "1", "--mode", "sample"]
+        assert main([*argv, "--samples", str(samples), "--seed", str(seed)]) == 0
+        rng = np.random.default_rng([seed])
+        ell = solver_ansatz("bruhat", q + 1).param_count
+        settings = (rng.choice([0.0, math.pi], ell) for _ in range(samples))
+        assert census_row(capsys)[1:3] == serial_census(q, 1, ell, settings, seed)
 
     def test_recorded_binary_census_counts(self, capsys):
         ref = json.loads(CENSUS_REFERENCE.read_text())
