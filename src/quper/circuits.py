@@ -322,13 +322,15 @@ def reverse_sweep(
     return grad, psi[0]
 
 
-def eval_permutations(c: Circuit, thetas) -> np.ndarray:
-    """Basis maps at binary parameters, without a dense unitary.
+def affine_images(c: Circuit, thetas) -> np.ndarray:
+    """The images that fix each binary setting's basis map.
 
-    thetas is (S, L), each entry 0 or pi within 1e-12; row s of the (S, 2^q)
-    result holds the image of every basis index under the circuit at
-    thetas[s], in the narrowest unsigned dtype that holds 2^q - 1 (uint8 up
-    to q = 8).  Each gate is one XOR pass over all rows, masked by its slot.
+    thetas is (S, L), each entry 0 or pi within 1e-12.  There every gate is
+    affine over GF(2), so the circuit maps x to A x XOR b, and row s of the
+    (S, q + 1) result fixes that map at thetas[s]: the image of 0, then of
+    2^(q-1-t) for t = 0..q-1 (gf2.recognize_affine's e_t), in the narrowest
+    unsigned dtype that holds 2^q - 1 (uint8 up to q = 8).  Each gate is one
+    XOR pass over the (q + 1, S) images, masked by its slot's (S,) row.
     """
     thetas = np.asarray(thetas, dtype=float)
     if thetas.ndim != 2 or thetas.shape[1] != c.param_count:
@@ -339,19 +341,38 @@ def eval_permutations(c: Circuit, thetas) -> np.ndarray:
     if not np.all(on | (np.abs(thetas) < 1e-12)):
         raise ValueError("eval_permutation requires every parameter in {0, pi}")
     q = c.q
-    x = np.tile(np.arange(1 << q, dtype=np.min_scalar_type((1 << q) - 1)), (len(on), 1))
-    on = on.astype(x.dtype)
+    units = [0] + [1 << (q - 1 - t) for t in range(q)]
+    x = np.repeat(np.array(units, np.min_scalar_type((1 << q) - 1))[:, None], len(on), 1)
+    on = np.ascontiguousarray(on.T, x.dtype)  # (L, S)
     for g in c.gates:
         s = [q - 1 - t for t in g.qubits]  # bit positions
+        mask = 1 if g.slot is None else on[g.slot]
         if g.kind == "RX":
-            flip = 1 << s[0]
+            x ^= mask << s[0]
         elif g.kind == "PSWAP":
-            d = ((x >> s[0]) & 1) ^ ((x >> s[1]) & 1)
-            flip = (d << s[0]) | (d << s[1])
+            d = ((x >> s[0]) ^ (x >> s[1])) & mask
+            x ^= (d << s[0]) | (d << s[1])
         else:  # CX, PCX
-            flip = ((x >> s[0]) & 1) << s[1]
-        x ^= flip if g.slot is None else flip * on[:, g.slot, None]
-    return x
+            x ^= ((x >> s[0]) & mask) << s[1]
+    return x.T
+
+
+def eval_permutations(c: Circuit, thetas) -> np.ndarray:
+    """Basis maps at binary parameters, without a dense unitary.
+
+    Row s of the (S, 2^q) result holds the image of every basis index under
+    the circuit at thetas[s], expanded from its affine_images (same input,
+    checks and dtype): index x maps to the image of 0 XOR, for each bit
+    2^k set in x, the image of 2^k XOR the image of 0.
+    """
+    img = affine_images(c, thetas)
+    cols = img[:, :0:-1] ^ img[:, :1]  # column k: the image of 2^k, less b
+    maps = np.empty((len(img), 1 << c.q), img.dtype)
+    maps[:, :1] = img[:, :1]
+    for k in range(c.q):  # the images of 2^k..2^(k+1)-1 from those below 2^k
+        w = 1 << k
+        np.bitwise_xor(maps[:, :w], cols[:, k, None], out=maps[:, w : 2 * w])
+    return maps
 
 
 def eval_permutation(c: Circuit, theta) -> Permutation:

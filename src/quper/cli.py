@@ -20,12 +20,12 @@ from .circuits import (
     ANSATZ_KINDS,
     SOLVER_ANSATZE,
     QubitBudgetError,
+    affine_images,
     build_ansatz,
     check_qubit_guard,
     circuit_from_text,
     circuit_stats,
     circuit_to_text,
-    eval_permutations,
     lower_to_linear_topology,
     solver_ansatz,
 )
@@ -52,8 +52,9 @@ EXIT_INPUT = 3
 EXIT_BUDGET = 4
 EXIT_VERIFY = 5
 
-# Bound on the array entries of one span census chunk, at 2^(2q+m) per
-# setting: its basis map, its DSM and the one-hot array that counts it.
+# Bound on the array entries of one span census chunk.  With ancillas a
+# setting holds 2^(2q+m): its basis map, its DSM and the one-hot array that
+# counts it; without, its L parameters and its q + 1 affine images.
 SPAN_CHUNK_ENTRIES = 1 << 20
 
 
@@ -181,6 +182,12 @@ def cmd_solve_gip(args) -> int:
     return _run_solver(_load_gip(args), args)
 
 
+def _row_keys(a: np.ndarray) -> list[bytes]:
+    """The bytes of each row of the 2-D array a, as census set keys."""
+    a = np.ascontiguousarray(a)
+    return a.view(np.dtype((np.void, a.itemsize * a.shape[1]))).ravel().tolist()
+
+
 def cmd_span(args) -> int:
     _check_min(args, q=1, ancilla=0, seed=0, budget=0)
     q, m = args.q, args.ancilla
@@ -205,7 +212,8 @@ def cmd_span(args) -> int:
         _check_min(args, samples=1)
         rng = np.random.default_rng([args.seed])
         total = args.samples
-    rows = max(1, SPAN_CHUNK_ENTRIES >> (2 * q + m))
+    per_setting = circuit.param_count + q + 1 if m == 0 else 1 << (2 * q + m)
+    rows = max(1, SPAN_CHUNK_ENTRIES // per_setting)
     order_rng = np.random.default_rng([args.seed, 1])  # apart from the θ stream
     seen_h: set = set()
     seen_r: set = set()
@@ -216,17 +224,17 @@ def cmd_span(args) -> int:
             thetas[:, :ell] = math.pi * ((idx[:, None] >> np.arange(ell)[::-1]) & 1)
         else:  # the stream of one rng.choice([0, pi], ell) per sample
             thetas[:, :ell] = rng.choice([0.0, math.pi], (len(idx), ell))
-        if m == 0:
-            seen_h.update(map(tuple, eval_permutations(circuit, thetas).tolist()))
+        if m == 0:  # an affine map and its basis map fix each other
+            seen_h.update(_row_keys(affine_images(circuit, thetas)))
             seen_r = seen_h  # a basis map is its own projection
             continue
         ds = binary_dsms(circuit, m, thetas)
         # Entries are multiples of 2^-m: equal bytes are equal DSMs.
         distinct = {d.tobytes(): d for d in ds}.values()
-        seen_h.update(tuple(project_hungarian(d).tolist()) for d in distinct)
+        seen_h.update(project_hungarian(d).tobytes() for d in distinct)
         # Setting idx's one-trial order is row idx of one census-wide stream.
         orders = random_orders(order_rng, 1 << q, len(idx))
-        seen_r.update(map(tuple, order_maps(ds, orders).tolist()))
+        seen_r.update(_row_keys(order_maps(ds, orders)))
     line = f"{ell},{len(seen_h)},{len(seen_r)},{cap}"
     out = "params,count_hungarian,count_random_order,theoretical_cap\n" + line
     if args.out:

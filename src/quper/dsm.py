@@ -70,7 +70,8 @@ def extract_dsm(circuit: Circuit, m: int, theta) -> np.ndarray:
 
 def binary_dsms(circuit: Circuit, m: int, thetas) -> np.ndarray:
     """extract_dsm at each binary parameter row of thetas (S, L), as an
-    (S, n, n) stack, from the basis maps p of eval_permutations: U is then a
+    (S, n, n) stack, from the basis maps p of eval_permutations (each
+    expanded from the setting's q + m + 1 affine images): U is then a
     permutation matrix up to phases, so d_ij = 2^(-m) #{a : the system part
     of p((a, j)) is i}, exactly.  Guarded as eval_unitary is."""
     _check_ancillas(circuit, m)

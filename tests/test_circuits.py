@@ -16,6 +16,7 @@ from quper.circuits import (
     Circuit,
     Gate,
     QubitBudgetError,
+    affine_images,
     build_ansatz,
     circuit_from_text,
     circuit_stats,
@@ -31,7 +32,13 @@ from quper.circuits import (
 )
 from quper.dsm import _apply_gate, adjoint_gradient
 from quper.optimizer import fd_gradient
-from quper.gf2 import AffineMap, Gf2Matrix, Permutation, recognize_affine
+from quper.gf2 import (
+    AffineMap,
+    Gf2Matrix,
+    Permutation,
+    recognize_affine,
+    reverse_bits,
+)
 
 PI = math.pi
 
@@ -415,6 +422,11 @@ class TestEvalPermutation:
             eval_permutation(build_ansatz("LX", 2), [0.5] * 5)
 
 
+def units(q):
+    """Index 0, then the unit indices 2^(q-1-t) for t = 0..q-1."""
+    return [0] + [1 << (q - 1 - t) for t in range(q)]
+
+
 def serial_permutation(c, theta):
     """Reference for eval_permutations: one setting, gates that are off
     skipped, one XOR per gate that is on."""
@@ -446,19 +458,40 @@ class TestEvalPermutations:
         c = any_circuit(name, q)
         thetas = np.random.default_rng(seed).choice([0.0, PI], (rows, c.param_count))
         maps = eval_permutations(c, thetas)
+        images = affine_images(c, thetas)
         assert maps.shape == (rows, 1 << q)
-        for theta, row in zip(thetas, maps):
+        assert images.shape == (rows, q + 1)
+        for theta, row, image in zip(thetas, maps, images):
             assert np.array_equal(row, serial_permutation(c, theta))
+            assert np.array_equal(image, serial_permutation(c, theta)[units(q)])
             assert tuple(row.tolist()) == eval_permutation(c, theta).map
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(ANSATZ_KINDS + SOLVER_ANSATZE + ("linear",)),
+        q=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_images_give_the_recognized_affine_map(self, name, q, seed):
+        c = any_circuit(name, q)
+        theta = np.random.default_rng(seed).choice([0.0, PI], c.param_count)
+        image = affine_images(c, theta[None])[0].tolist()
+        # e_t is index 2^(q-1-t): b is the image of 0, column t that of e_t.
+        b = reverse_bits(image[0], q)
+        cols = [reverse_bits(v, q) ^ b for v in image[1:]]
+        rows = [sum(((cols[t] >> j) & 1) << t for t in range(q)) for j in range(q)]
+        amap = AffineMap(Gf2Matrix(q, tuple(rows)), b)
+        assert amap == recognize_affine(eval_permutation(c, theta))
 
     @pytest.mark.parametrize("q, dtype", [(8, np.uint8), (9, np.uint16)])
     def test_narrowest_dtype_at_its_boundary(self, q, dtype):
         c = build_ansatz("LX", q)
         thetas = np.random.default_rng(q).choice([0.0, PI], (4, c.param_count))
-        maps = eval_permutations(c, thetas)
-        assert maps.dtype == dtype
-        for theta, row in zip(thetas, maps):
+        maps, images = eval_permutations(c, thetas), affine_images(c, thetas)
+        assert maps.dtype == images.dtype == dtype
+        for theta, row, image in zip(thetas, maps, images):
             assert np.array_equal(row, serial_permutation(c, theta))
+            assert np.array_equal(image, row[units(q)])
 
     def test_uint32_maps_are_permutations(self):
         c = build_ansatz("LX", 17)
@@ -471,7 +504,8 @@ class TestEvalPermutations:
         c = build_ansatz("LX", 2)
         thetas = np.array([[PI + 1e-13, -1e-13, 0.0, PI - 1e-13, 1e-13]])
         exact = np.array([[PI, 0.0, 0.0, PI, 0.0]])
-        assert np.array_equal(eval_permutations(c, thetas), eval_permutations(c, exact))
+        for evaluate in (eval_permutations, affine_images):
+            assert np.array_equal(evaluate(c, thetas), evaluate(c, exact))
 
     @pytest.mark.parametrize(
         "shape, fill, message",
@@ -484,8 +518,9 @@ class TestEvalPermutations:
         ],
     )
     def test_rejects_non_binary_or_bad_shape(self, shape, fill, message):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            eval_permutations(build_ansatz("LX", 2), np.full(shape, fill))
+        for evaluate in (eval_permutations, affine_images):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                evaluate(build_ansatz("LX", 2), np.full(shape, fill))
 
 
 class TestSynthesizeParams:

@@ -183,8 +183,11 @@ class TestSpanCommand:
         argv = ["span", "--q", str(q), "--ancilla", str(m), *extra]
         assert main(argv) == 0
         whole = capsys.readouterr().out
-        # Chunks of 7 settings; no count above divides evenly.
-        monkeypatch.setattr(cli, "SPAN_CHUNK_ENTRIES", 7 << (2 * q + m))
+        # Chunks of 7 settings; no count above divides evenly.  A setting
+        # holds its parameters and q + 1 images at m = 0, else 2^(2q+m).
+        ell = solver_ansatz("bruhat", q + m).param_count
+        per_setting = ell + q + 1 if m == 0 else 1 << (2 * q + m)
+        monkeypatch.setattr(cli, "SPAN_CHUNK_ENTRIES", 7 * per_setting)
         assert main(argv) == 0
         assert capsys.readouterr().out == whole
 
