@@ -214,35 +214,66 @@ def _check_theta(c: Circuit, theta) -> np.ndarray:
     return theta
 
 
+_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+# The last circuit and theta bytes asked of _steps, its _layout and _blocks.
+# _steps reads it once and replaces it whole, so a caller that races another
+# only misses: the steps it returns are always those of its own c and theta.
+_last_plan: tuple = (None, b"", None, None)
+
+
 def _steps(c: Circuit, theta: np.ndarray, sweep: bool = False) -> list[tuple]:
     """c's gates at the parameters theta (L,) as (slot, geometry, block) steps
     in gate order, each 2x2 block on the target axis of its _geometry view.
 
     RX is its block RX(theta) on the target; PCX is PHASE(theta/2) . RX(theta)
-    on the target inside the control-1 slice, and CX is PCX with block None
-    (X).  PSWAP(a, b) = CX(b -> a) . PCX(a -> b) . CX(b -> a) is PCX's block
-    on the pair of rows where (a, b) is (1, 0) and (0, 1).  Fixed steps have
-    slot None.  cos and sin of theta/2 are exact at theta in {0, pi}, so
-    PCX(pi) is CX and PSWAP(pi) is SWAP exactly.  sweep gives the inverse
-    blocks (conjugate transposes) and views on the (2, 2^q, 2^q) stack that
-    reverse_sweep walks.
+    on the target inside the control-1 slice, and CX, of slot None, is PCX at
+    block X, a flip.  PSWAP(a, b) = CX(b -> a) . PCX(a -> b) . CX(b -> a) is
+    PCX's block on the pair of rows where (a, b) is (1, 0) and (0, 1).  cos
+    and sin of theta/2 are exact at theta in {0, pi}, so PCX(pi) is CX and
+    PSWAP(pi) is SWAP exactly.  sweep gives the inverse blocks (conjugate
+    transposes) and views on the (2, 2^q, 2^q) stack that reverse_sweep
+    walks.  The blocks of the last c and theta are kept, read-only: the
+    forward pass at an iterate and the sweep that follows share one build.
     """
-    cos, sin = np.cos(theta / 2), np.sin(theta / 2)
+    global _last_plan
+    last, key = _last_plan, theta.tobytes()
+    if last[0] is not c or last[1] != key:
+        layout = last[2] if last[0] is c else _layout(c)
+        last = _last_plan = c, key, layout, _blocks(layout[3], theta)
+    slots, one, two, _ = last[2]
+    return list(zip(slots, two if sweep else one,
+                    last[3][1].swapaxes(-1, -2) if sweep else last[3][0]))
+
+
+def _layout(c: Circuit) -> tuple:
+    """Per gate: its slot, its geometries on one and on two planes, and its
+    block's row in _blocks's [RX blocks; PCX blocks; X]."""
+    ell, gates = c.param_count, c.gates
+    rows = [g.slot + ell * (g.kind != "RX") if g.slot is not None else 2 * ell
+            for g in gates]
+    geometries = [[_geometry(c.q, k, g.qubits, g.kind == "PSWAP") for g in gates]
+                  for k in (1, 2)]
+    return [g.slot for g in gates], *geometries, np.array(rows, dtype=np.intp)
+
+
+def _blocks(rows: np.ndarray, theta: np.ndarray) -> tuple:
+    """The rows of [RX blocks; PCX blocks; X] at theta, as a (len(rows), 2, 2)
+    stack, and their complex conjugates, both read-only."""
+    ell, half = len(theta), theta / 2
+    cos, sin = np.cos(half), np.sin(half)
     zero, pi = theta == 0.0, theta == math.pi
     cos[zero], sin[zero] = 1.0, 0.0
     cos[pi], sin[pi] = 0.0, 1.0
-    rx = np.empty(theta.shape + (2, 2), dtype=complex)
+    stack = np.empty((2 * ell + 1, 2, 2), dtype=complex)
+    rx = stack[:ell]
     rx[..., 0, 0] = rx[..., 1, 1] = cos
     rx[..., 0, 1] = rx[..., 1, 0] = -1.0j * sin
-    pcx = (cos + 1.0j * sin)[..., None, None] * rx
-    if sweep:
-        rx, pcx = rx.conj().swapaxes(-1, -2), pcx.conj().swapaxes(-1, -2)
-    blocks = {"RX": rx, "PCX": pcx, "PSWAP": pcx}
-    return [
-        (g.slot, _geometry(c.q, 2 if sweep else 1, g.qubits, g.kind == "PSWAP"),
-         None if g.slot is None else blocks[g.kind][g.slot])
-        for g in c.gates
-    ]
+    np.multiply((cos + 1.0j * sin)[..., None, None], rx, out=stack[ell:-1])
+    stack[-1] = _X
+    blocks = stack[rows]
+    inv = blocks.conj()
+    blocks.flags.writeable = inv.flags.writeable = False
+    return blocks, inv
 
 
 @functools.cache
@@ -277,9 +308,9 @@ def eval_unitary(c: Circuit, theta) -> np.ndarray:
     check_qubit_guard(c.q)
     theta = _check_theta(c, theta)
     psi = np.eye(1 << c.q, dtype=complex)
-    for _, (shape, offset, strides), block in _steps(c, theta):
+    for slot, (shape, offset, strides), block in _steps(c, theta):
         sub = np.ndarray(shape, complex, psi, offset, strides)
-        sub[...] = sub[..., ::-1, :] if block is None else block @ sub
+        sub[...] = sub[..., ::-1, :] if slot is None else block @ sub
     return psi
 
 
@@ -311,14 +342,14 @@ def reverse_sweep(
     dim = 1 << c.q
     if u.shape != (dim, dim) or lam.shape != (dim, dim):
         raise ValueError(f"U and lam must be {dim} x {dim}")
-    psi = np.stack((u, lam * u), dtype=complex)
+    psi = np.array((u, lam * u), dtype=complex)
     grad = np.zeros(c.param_count)
     for slot, (shape, offset, strides), block in reversed(_steps(c, theta, True)):
         sub = np.ndarray(shape, complex, psi, offset, strides)
-        if block is not None:
+        if slot is not None:
             diff = sub[..., 0, :] - sub[..., 1, :]
             grad[slot] -= np.vdot(diff[1], diff[0]).imag
-        sub[...] = sub[..., ::-1, :] if block is None else block @ sub
+        sub[...] = sub[..., ::-1, :] if slot is None else block @ sub
     return grad, psi[0]
 
 

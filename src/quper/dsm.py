@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .circuits import (
     Circuit,
@@ -95,7 +94,7 @@ def adjoint_gradient(
     """
     _check_ancillas(circuit, m)
     k = 1 << m
-    grad, _ = reverse_sweep(circuit, theta, u, np.tile(g, (k, k)) / k)
+    grad, _ = reverse_sweep(circuit, theta, u, np.tile(g / k, (k, k)))
     return grad
 
 
@@ -217,6 +216,7 @@ def birkhoff_decompose(
     support; choosing the assignment maximizing the total weight is the
     deterministic tie-break.
     """
+    from scipy.optimize import linear_sum_assignment  # slow to import
     d = _check_doubly_stochastic(d)
     n = len(d)
     rem = d.clip(min=0.0)

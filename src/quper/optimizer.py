@@ -12,7 +12,8 @@ it against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+import operator
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -72,6 +73,12 @@ class QuperConfig:
     lr: float | None = None  # None: 0.005 for QAP, 0.4 for GIP
 
     def __post_init__(self):
+        for name in ("m_max", "iterations", "seed"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                value = getattr(self, name)
+                raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.m_max < 0 or self.iterations < 1:
             raise ValueError("need m_max >= 0 and iterations >= 1")
         if self.lr is not None and not (math.isfinite(self.lr) and self.lr > 0):
@@ -84,27 +91,40 @@ class QuperTrace:
     levels: list[dict] = field(default_factory=list)
 
 
+def _regularized(d: np.ndarray, entropy_eps: float) -> tuple[tuple, np.ndarray]:
+    """(st, S_eps, ort) of the DSM d and d/dd of their weighted sum, sharing
+    d.sum(0) - 1, log(d + eps) and d^T d - I."""
+    dev = d.sum(axis=0) - 1.0  # d st/dd is 2 dev down each column
+    shifted = d + entropy_eps
+    log = np.log(shifted)
+    gram = d.T @ d - np.eye(len(d))
+    terms = float((dev**2).sum()), float(-(d * log).sum()), float((gram**2).sum())
+    grad = W_ST * (2.0 * dev) + W_ENTROPY * -(log + d / shifted)
+    return terms, grad + W_ORT * (4.0 * d @ gram)
+
+
+def loss_pass(d: np.ndarray, cost, cost_grad) -> tuple:
+    """One pass over the DSM d: the loss (cost(d) plus the weighted
+    regularizers), cost(d), the regularizers (st, S_eps, ort) and dloss/dd."""
+    (st, s_eps, ort), reg_grad = _regularized(d, ENTROPY_EPS)
+    raw_cost = cost(d)
+    loss = float(raw_cost) + W_ST * st + W_ENTROPY * s_eps + W_ORT * ort
+    return loss, raw_cost, (st, s_eps, ort), cost_grad(d) + reg_grad
+
+
 def regularizers(d: np.ndarray, entropy_eps: float) -> tuple[float, float, float]:
     """(st, S_eps, ort) of the DSM d, as defined by the loss."""
-    st = float(np.sum((d.sum(axis=0) - 1.0) ** 2))
-    s_eps = float(-np.sum(d * np.log(d + entropy_eps)))
-    gram = d.T @ d - np.eye(len(d))
-    ort = float(np.sum(gram**2))
-    return st, s_eps, ort
+    return _regularized(d, entropy_eps)[0]
 
 
 def loss_from_dsm(d: np.ndarray, cost) -> float:
     """cost(d) plus the weighted regularizers of the DSM d."""
-    st, s_eps, ort = regularizers(d, ENTROPY_EPS)
-    return float(cost(d)) + W_ST * st + W_ENTROPY * s_eps + W_ORT * ort
+    return loss_pass(d, cost, lambda d: 0.0)[0]
 
 
 def regularizer_grad(d: np.ndarray) -> np.ndarray:
     """d/dd of the weighted regularizers that loss_from_dsm adds to the cost."""
-    st = 2.0 * (d.sum(axis=0) - 1.0)  # the same down each column
-    s_eps = -(np.log(d + ENTROPY_EPS) + d / (d + ENTROPY_EPS))
-    ort = 4.0 * d @ (d.T @ d - np.eye(len(d)))
-    return W_ST * st + W_ENTROPY * s_eps + W_ORT * ort
+    return _regularized(d, ENTROPY_EPS)[1]
 
 
 def fd_gradient(f, theta, h: float = 1e-5) -> np.ndarray:
@@ -133,7 +153,7 @@ def adam_nesterov_step(s: AdamState, g) -> AdamState:
     ) / (1 - s.beta1**s.k) * g
     nu_hat = nu / (1 - s.beta2**s.k)
     theta = s.theta - s.eta * mu_hat / (np.sqrt(nu_hat) + s.eps)
-    return replace(s, theta=theta, mu=mu, nu=nu, k=s.k + 1)
+    return AdamState(theta, mu, nu, s.k + 1, s.eta, s.beta1, s.beta2, s.eps)
 
 
 def _slot_keys(c: Circuit) -> dict[tuple, int]:
@@ -185,7 +205,7 @@ def best_projection(d: np.ndarray, cost, seed):
     in map order, so the pick is project_random_order's deduplicated one.
     """
     orders = random_orders(seed, len(d), RANDOM_ORDER_TRIALS)
-    maps = np.vstack([project_hungarian(d), order_maps(d, orders)])
+    maps = np.concatenate((project_hungarian(d)[None], order_maps(d, orders)))
     values = cost(np.eye(len(d))[maps])
     tied = np.flatnonzero(values == values.min())
     best = min(zip(maps[tied].tolist(), tied))[1]
@@ -226,15 +246,16 @@ def quper_solve(problem, cfg: QuperConfig):
         else:
             theta = embed_theta(prev_circuit, circuit, theta)
         state = AdamState.fresh(theta, eta=lr)
-        # One forward pass per iterate: its U feeds the next gradient, its d
-        # the projection and the trace.
+        # One forward pass and one loss pass per iterate: U and dloss/dd feed
+        # the next gradient, d the projection and the trace.
         u, d = unitary_and_dsm(circuit, m, state.theta)
+        g = loss_pass(d, cost, cost_grad)[-1]
         for _ in range(cfg.iterations):
-            g = adjoint_gradient(
-                circuit, m, state.theta, u, cost_grad(d) + regularizer_grad(d)
+            state = adam_nesterov_step(
+                state, adjoint_gradient(circuit, m, state.theta, u, g)
             )
-            state = adam_nesterov_step(state, g)
             u, d = unitary_and_dsm(circuit, m, state.theta)
+            loss, raw_cost, _, g = loss_pass(d, cost, cost_grad)
             p, v, ph_cost, pr_cost = best_projection(d, cost, [cfg.seed, m, it_global])
             if v < best_v:
                 best_p, best_v = p, v
@@ -242,8 +263,8 @@ def quper_solve(problem, cfg: QuperConfig):
                 {
                     "iter": it_global,
                     "m": m,
-                    "loss": loss_from_dsm(d, cost),
-                    "raw_cost": cost(d),
+                    "loss": loss,
+                    "raw_cost": raw_cost,
                     "proj_hungarian_cost": ph_cost,
                     "proj_random_cost": pr_cost,
                     "best": best_v,

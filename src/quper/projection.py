@@ -8,15 +8,14 @@ sum_i d[i, p[i]].
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 RANDOM_ORDER_TRIALS = 50
 
 
 def project_hungarian(d: np.ndarray) -> np.ndarray:
     """The map p maximizing sum_i d[i, p[i]], i.e. the closest permutation."""
-    rows, cols = linear_sum_assignment(d, maximize=True)
-    return cols[np.argsort(rows)]
+    from scipy.optimize import linear_sum_assignment  # slow to import
+    return linear_sum_assignment(d, maximize=True)[1]  # rows come back sorted
 
 
 def _base_vector(n: int) -> np.ndarray:
@@ -34,8 +33,9 @@ def random_orders(seed, n: int, trials: int) -> np.ndarray:
     draws of k and l rows give the rows of one draw of k + l."""
     if not isinstance(seed, np.random.Generator):
         seed = list(seed) if isinstance(seed, (list, tuple)) else [int(seed)]
-    orders = np.tile(np.arange(n), (trials, 1))
-    return np.random.default_rng(seed).permuted(orders, axis=1)
+    orders = np.empty((trials, n), dtype=int)
+    orders[:] = np.arange(n)
+    return np.random.default_rng(seed).permuted(orders, axis=1, out=orders)
 
 
 def order_maps(d: np.ndarray, orders: np.ndarray) -> np.ndarray:

@@ -368,6 +368,38 @@ class TestReverseSweep:
             reverse_sweep(c, np.zeros(c.param_count + 1), u, np.zeros((4, 4)))
 
 
+class TestStepCache:
+    def test_cached_blocks_are_read_only(self):
+        # The forward pass and the sweep at one theta share their blocks, so
+        # neither may write into them; the sweep leaves U and lam as given.
+        c = solver_ansatz("bruhat", 3)
+        (theta,) = random_thetas(c, np.random.default_rng(8), 1)
+        u = eval_unitary(c, theta)
+        lam = np.random.default_rng(9).normal(size=u.shape)
+        kept = u.copy(), lam.copy()
+        reverse_sweep(c, theta, u, lam)
+        assert np.array_equal(u, kept[0]) and np.array_equal(lam, kept[1])
+        for sweep in (False, True):
+            for _, _, block in circuits._steps(c, theta, sweep):
+                assert not block.flags.writeable
+                with pytest.raises(ValueError):
+                    block[0, 0] = 0.0
+        assert np.array_equal(eval_unitary(c, theta), u)
+
+    def test_keyed_on_circuit_and_theta_values(self):
+        # Same parameter count and theta on two circuits, and a theta array
+        # changed in place between calls: each call sees its own steps.
+        lx = build_ansatz("LX", 3)
+        rev = Circuit(3, tuple(reversed(lx.gates)), lx.param_count)
+        theta = np.random.default_rng(4).uniform(0, 2 * PI, lx.param_count)
+        err = lambda c: np.max(np.abs(eval_unitary(c, theta) - serial_unitary(c, theta)))
+        assert max(err(lx), err(rev), err(lx)) <= 1e-12
+        u = eval_unitary(lx, theta)
+        theta[3] += 0.5
+        assert err(lx) <= 1e-12
+        assert not np.allclose(eval_unitary(lx, theta), u)
+
+
 class TestMaxQubitsEnv:
     @pytest.mark.parametrize("value", ["abc", "0", "-2", "2.5"])
     def test_rejects_non_positive_or_non_integer(self, value, monkeypatch):

@@ -3,11 +3,15 @@
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quper
 from quper import cli
 from quper.circuits import ANSATZ_KINDS, SOLVER_ANSATZE, solver_ansatz
 from quper.cli import build_parser, main
@@ -40,6 +44,18 @@ def serial_census(q, m, ell, settings, seed):
         seen_h.add(tuple(project_hungarian(d).tolist()))
         seen_r.add(tuple(order_maps(d, orders[idx : idx + 1])[0].tolist()))
     return [str(len(seen_h)), str(len(seen_r))]
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # Only the Hungarian projection and the Birkhoff peeling need SciPy, and
+    # importing scipy.optimize takes most of a cold `quper` start.
+    env = {**os.environ, "PYTHONPATH": str(Path(quper.__file__).parents[1])}
+    code = "import sys, quper.cli; print('scipy.optimize' in sys.modules)"
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "False"
 
 
 class TestVerifyCommand:

@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quper.circuits import solver_ansatz
-from quper import optimizer
+from quper import circuits, optimizer
 from quper import dsm
 from quper.dsm import adjoint_gradient, extract_dsm, unitary_and_dsm
 from quper.gf2 import Permutation
@@ -21,6 +21,7 @@ from quper.optimizer import (
     embed_theta,
     fd_gradient,
     loss_from_dsm,
+    loss_pass,
     quper_solve,
     random_baseline,
     regularizer_grad,
@@ -115,6 +116,70 @@ class TestRegularizerGrad:
         eps = optimizer.ENTROPY_EPS
         ent = -(np.log(d + eps) + d / (d + eps))
         assert np.allclose(regularizer_grad(d), optimizer.W_ENTROPY * ent, atol=1e-15)
+
+
+def reference_regularizers(d, eps):
+    """(st, S_eps, ort) and their weighted gradient, each computed on its own
+    as the loss defines them."""
+    st_ = float(np.sum((d.sum(axis=0) - 1.0) ** 2))
+    s_eps = float(-np.sum(d * np.log(d + eps)))
+    ort = float(np.sum((d.T @ d - np.eye(len(d))) ** 2))
+    grad = (
+        optimizer.W_ST * (2.0 * (d.sum(axis=0) - 1.0))
+        + optimizer.W_ENTROPY * -(np.log(d + eps) + d / (d + eps))
+        + optimizer.W_ORT * (4.0 * d @ (d.T @ d - np.eye(len(d))))
+    )
+    return (st_, s_eps, ort), grad
+
+
+class TestLossPass:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["qap", "gip"]),
+        n=st.sampled_from([2, 4, 8]),
+        source=st.sampled_from(["mixture", "circuit", "permutation"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_the_separate_terms(self, kind, n, source, seed):
+        # One pass gives bit for bit what the views and the separate
+        # formulas give, so the solver's trajectory does not move.
+        rng = np.random.default_rng(seed)
+        problem = (random_qap if kind == "qap" else random_gip)(n, seed % 1000)
+        cost, cost_grad = optimizer._problem_costs(problem)
+        if source == "mixture":
+            d = random_dsm(n, rng)
+        elif source == "circuit":
+            c = solver_ansatz("bruhat", n.bit_length() - 1)
+            d = extract_dsm(c, 0, rng.uniform(0, 2 * PI, c.param_count))
+        else:
+            d = np.eye(n)[rng.permutation(n)]
+        loss, raw_cost, terms, grad = loss_pass(d, cost, cost_grad)
+        assert loss == loss_from_dsm(d, cost)
+        assert raw_cost == cost(d)
+        assert terms == regularizers(d, optimizer.ENTROPY_EPS)
+        assert np.array_equal(grad, cost_grad(d) + regularizer_grad(d))
+        want_terms, want_reg_grad = reference_regularizers(d, optimizer.ENTROPY_EPS)
+        assert terms == want_terms
+        assert np.array_equal(regularizer_grad(d), want_reg_grad)
+
+    def test_solver_costs_each_iterate_once(self, monkeypatch):
+        # levels x (I + 1) iterates: one relaxed cost and one block build
+        # each; the gradient and the sweep reuse them.
+        relaxed, plans = [], []
+        real_cost, real_plan = optimizer.qap_cost, circuits._blocks
+
+        def cost(inst, p):
+            if np.ndim(p) == 2:
+                relaxed.append(1)
+            return real_cost(inst, p)
+
+        monkeypatch.setattr(optimizer, "qap_cost", cost)
+        monkeypatch.setattr(
+            circuits, "_blocks", lambda *args: plans.append(1) or real_plan(*args)
+        )
+        monkeypatch.setattr(circuits, "_last_plan", (None, b"", None, None))
+        quper_solve(random_qap(4, 2), QuperConfig("bruhat", 1, iterations=3))
+        assert len(relaxed) == len(plans) == 2 * (3 + 1)
 
 
 def solver_loss_grads(problem):
@@ -446,6 +511,17 @@ class TestBestProjection:
 
 
 class TestQuperConfig:
+    @pytest.mark.parametrize("field", ["m_max", "iterations", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 1.0, "1", None, np.float64(3.0)])
+    def test_rejects_non_integer_counts(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            QuperConfig(**{field: value})
+
+    def test_accepts_numpy_integers_as_ints(self):
+        cfg = QuperConfig(m_max=np.int64(1), iterations=np.int32(3), seed=np.uint8(7))
+        assert (cfg.m_max, cfg.iterations, cfg.seed) == (1, 3, 7)
+        assert all(type(v) is int for v in (cfg.m_max, cfg.iterations, cfg.seed))
+
     @pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf, 0.0, -0.1])
     def test_rejects_bad_lr(self, lr):
         with pytest.raises(ValueError, match="lr"):

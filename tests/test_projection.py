@@ -153,6 +153,19 @@ class TestRandomOrderMatchesLoop:
         assert got.dtype.kind == "i"
         assert got.tolist() == sorted(list(p.map) for p in want)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+        n=st.integers(1, 20),
+        trials=st.integers(0, 60),
+    )
+    def test_orders_are_one_permuted_tiled_draw(self, seed, n, trials):
+        base = np.tile(np.arange(n), (trials, 1))
+        want = np.random.default_rng(seed).permuted(base, axis=1)
+        assert np.array_equal(random_orders(seed, n, trials), want)
+        rng = np.random.default_rng(seed)
+        assert np.array_equal(random_orders(rng, n, trials), want)
+
     @settings(max_examples=100, deadline=None)
     @given(
         d=dsms(),
