@@ -353,50 +353,52 @@ def reverse_sweep(
     return grad, psi[0]
 
 
-def affine_images(c: Circuit, thetas) -> np.ndarray:
+def affine_images(c: Circuit, on) -> np.ndarray:
     """The images that fix each binary setting's basis map.
 
-    thetas is (S, L), each entry 0 or pi within 1e-12.  There every gate is
-    affine over GF(2), so the circuit maps x to A x XOR b, and row s of the
-    (S, q + 1) result fixes that map at thetas[s]: the image of 0, then of
+    on is (S, L) bool, True where a slot is at pi, else at 0.  There every
+    gate is affine over GF(2), so the circuit maps x to A x XOR b, and row s
+    of the (S, q + 1) result fixes that map at on[s]: the image of 0, then of
     2^(q-1-t) for t = 0..q-1 (gf2.recognize_affine's e_t), in the narrowest
-    unsigned dtype that holds 2^q - 1 (uint8 up to q = 8).  Each gate is one
-    XOR pass over the (q + 1, S) images, masked by its slot's (S,) row.
+    unsigned dtype that holds 2^q - 1 (uint8 up to q = 8).  They are walked
+    as (q, q + 1, S) bool planes, plane k holding qubit k's bit, each gate
+    masked by its slot's row: RX flips its plane, CX and PCX XOR the
+    control's plane into the target's, PSWAP swaps two; then packed.
     """
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 2 or thetas.shape[1] != c.param_count:
+    on = np.asarray(on)
+    if on.dtype != bool or on.ndim != 2 or on.shape[1] != c.param_count:
         raise ValueError(
-            f"expected (S, {c.param_count}) parameters, got shape {thetas.shape}"
-        )
-    on = np.abs(thetas - math.pi) < 1e-12
-    if not np.all(on | (np.abs(thetas) < 1e-12)):
-        raise ValueError("eval_permutation requires every parameter in {0, pi}")
-    q = c.q
-    units = [0] + [1 << (q - 1 - t) for t in range(q)]
-    x = np.repeat(np.array(units, np.min_scalar_type((1 << q) - 1))[:, None], len(on), 1)
-    on = np.ascontiguousarray(on.T, x.dtype)  # (L, S)
+            f"expected (S, {c.param_count}) bool bits, got {on.dtype} {on.shape}:"
+            " the stacked evaluation requires every parameter in {0, pi},"
+            " given as a bit that is True at pi")
+    on, q = np.ascontiguousarray(on.T), c.q  # (L, S)
+    planes = np.repeat(np.eye(q, q + 1, 1, bool)[..., None], on.shape[1], 2)  # 0, e_t
     for g in c.gates:
-        s = [q - 1 - t for t in g.qubits]  # bit positions
-        mask = 1 if g.slot is None else on[g.slot]
+        mask = True if g.slot is None else on[g.slot]
         if g.kind == "RX":
-            x ^= mask << s[0]
+            planes[g.qubits[0]] ^= mask
         elif g.kind == "PSWAP":
-            d = ((x >> s[0]) ^ (x >> s[1])) & mask
-            x ^= (d << s[0]) | (d << s[1])
+            a, b = (planes[t] for t in g.qubits)
+            d = (a ^ b) & mask
+            a ^= d
+            b ^= d
         else:  # CX, PCX
-            x ^= ((x >> s[0]) & mask) << s[1]
+            planes[g.qubits[1]] ^= planes[g.qubits[0]] & mask
+    x = np.zeros(planes.shape[1:], np.min_scalar_type((1 << q) - 1))
+    for plane in planes:  # qubit 0 is the most significant bit
+        x = (x << 1) | plane
     return x.T
 
 
-def eval_permutations(c: Circuit, thetas) -> np.ndarray:
-    """Basis maps at binary parameters, without a dense unitary.
+def eval_permutations(c: Circuit, on) -> np.ndarray:
+    """Basis maps at binary settings, without a dense unitary.
 
     Row s of the (S, 2^q) result holds the image of every basis index under
-    the circuit at thetas[s], expanded from its affine_images (same input,
+    the circuit at on[s], expanded from its affine_images (same input,
     checks and dtype): index x maps to the image of 0 XOR, for each bit
     2^k set in x, the image of 2^k XOR the image of 0.
     """
-    img = affine_images(c, thetas)
+    img = affine_images(c, on)
     cols = img[:, :0:-1] ^ img[:, :1]  # column k: the image of 2^k, less b
     maps = np.empty((len(img), 1 << c.q), img.dtype)
     maps[:, :1] = img[:, :1]
@@ -407,10 +409,12 @@ def eval_permutations(c: Circuit, thetas) -> np.ndarray:
 
 
 def eval_permutation(c: Circuit, theta) -> Permutation:
-    """The basis-state permutation at binary parameters theta (L,): the
-    one-row case of eval_permutations."""
+    """The one-row case of eval_permutations at parameters theta (L,) in {0, pi}."""
     theta = _check_theta(c, theta)
-    return Permutation(tuple(eval_permutations(c, theta[None])[0].tolist()))
+    on = np.abs(theta - math.pi) < 1e-12
+    if not np.all(on | (np.abs(theta) < 1e-12)):
+        raise ValueError("eval_permutation requires every parameter in {0, pi}")
+    return Permutation(tuple(eval_permutations(c, on[None])[0].tolist()))
 
 
 def synthesize_params(m: AffineMap) -> tuple[Circuit, np.ndarray]:

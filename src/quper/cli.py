@@ -53,8 +53,8 @@ EXIT_BUDGET = 4
 EXIT_VERIFY = 5
 
 # Bound on the array entries of one span census chunk.  With ancillas a
-# setting holds 2^(2q+m): its basis map, its DSM and the one-hot array that
-# counts it; without, its L parameters and its q + 1 affine images.
+# setting is given 2^(2q+m), more than its basis map, the bincount cells of
+# its DSM and the DSM take; without, its L bits and its q + 1 affine images.
 SPAN_CHUNK_ENTRIES = 1 << 20
 
 
@@ -219,16 +219,16 @@ def cmd_span(args) -> int:
     seen_r: set = set()
     for start in range(0, total, rows):
         idx = np.arange(start, min(start + rows, total))
-        thetas = np.zeros((len(idx), circuit.param_count))
+        on = np.zeros((len(idx), circuit.param_count), bool)  # True: at pi
         if args.mode == "exhaustive":  # itertools.product order
-            thetas[:, :ell] = math.pi * ((idx[:, None] >> np.arange(ell)[::-1]) & 1)
+            on[:, :ell] = (idx[:, None] >> np.arange(ell)[::-1]) & 1
         else:  # the stream of one rng.choice([0, pi], ell) per sample
-            thetas[:, :ell] = rng.choice([0.0, math.pi], (len(idx), ell))
+            on[:, :ell] = rng.integers(0, 2, (len(idx), ell))
         if m == 0:  # an affine map and its basis map fix each other
-            seen_h.update(_row_keys(affine_images(circuit, thetas)))
+            seen_h.update(_row_keys(affine_images(circuit, on)))
             seen_r = seen_h  # a basis map is its own projection
             continue
-        ds = binary_dsms(circuit, m, thetas)
+        ds = binary_dsms(circuit, m, on)
         # Entries are multiples of 2^-m: equal bytes are equal DSMs.
         distinct = {d.tobytes(): d for d in ds}.values()
         seen_h.update(project_hungarian(d).tobytes() for d in distinct)

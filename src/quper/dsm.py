@@ -67,18 +67,19 @@ def extract_dsm(circuit: Circuit, m: int, theta) -> np.ndarray:
     return unitary_and_dsm(circuit, m, theta)[1]
 
 
-def binary_dsms(circuit: Circuit, m: int, thetas) -> np.ndarray:
-    """extract_dsm at each binary parameter row of thetas (S, L), as an
-    (S, n, n) stack, from the basis maps p of eval_permutations (each
-    expanded from the setting's q + m + 1 affine images): U is then a
-    permutation matrix up to phases, so d_ij = 2^(-m) #{a : the system part
-    of p((a, j)) is i}, exactly.  Guarded as eval_unitary is."""
+def binary_dsms(circuit: Circuit, m: int, on) -> np.ndarray:
+    """extract_dsm at each binary setting of on (S, L), bool and True where
+    a slot is at pi, as an (S, n, n) stack, from the basis maps p of
+    eval_permutations: U is then a permutation matrix up to phases, so
+    d_ij = 2^(-m) #{a : the system part of p((a, j)) is i}, exactly, counted
+    by one bincount over (setting, i, j).  Guarded as eval_unitary is."""
     _check_ancillas(circuit, m)
     check_qubit_guard(circuit.q)
     n, k = 1 << (circuit.q - m), 1 << m
-    system = eval_permutations(circuit, thetas) & (n - 1)
-    hit = system[:, None, :] == np.arange(n)[:, None]
-    return hit.reshape(-1, n, k, n).sum(axis=2) / k
+    system = (eval_permutations(circuit, on) & (n - 1)).astype(np.intp)
+    s = len(system)
+    cell = (np.arange(s)[:, None] * n + system) * n + np.tile(np.arange(n), k)
+    return np.bincount(cell.ravel(), minlength=s * n * n).reshape(s, n, n) / k
 
 
 def adjoint_gradient(

@@ -7,15 +7,22 @@ sum_i d[i, p[i]].
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 RANDOM_ORDER_TRIALS = 50
 
 
+@functools.cache
+def _linear_sum_assignment():
+    from scipy.optimize import linear_sum_assignment  # slow to import
+    return linear_sum_assignment
+
+
 def project_hungarian(d: np.ndarray) -> np.ndarray:
     """The map p maximizing sum_i d[i, p[i]], i.e. the closest permutation."""
-    from scipy.optimize import linear_sum_assignment  # slow to import
-    return linear_sum_assignment(d, maximize=True)[1]  # rows come back sorted
+    return _linear_sum_assignment()(d, maximize=True)[1]  # rows come back sorted
 
 
 def _base_vector(n: int) -> np.ndarray:

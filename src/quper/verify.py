@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .circuits import Circuit, Gate, build_ansatz, eval_unitary
-from .dsm import extract_dsm, statevector_oracle
+from .dsm import binary_dsms, extract_dsm, statevector_oracle
 from .gf2 import (
     Gf2Matrix,
     Transvection,
@@ -162,6 +162,19 @@ def suite_dsm_agreement(seed: int = 0, jobs: int = 20):
     return "dsm_agreement", True, f"max deviation {worst:.3e} over {jobs} jobs"
 
 
+def suite_binary_agreement(seed: int = 0, jobs: int = 20):
+    """binary_dsms (the span census's path) against extract_dsm, exactly."""
+    rng = np.random.default_rng(seed)
+    for q, m in ((2, 0), (2, 1), (3, 1)):
+        c = build_ansatz("LX", q + m)
+        on = rng.integers(0, 2, (jobs, c.param_count)).astype(bool)
+        for bits, d in zip(on, binary_dsms(c, m, on)):
+            if not np.array_equal(d, extract_dsm(c, m, math.pi * bits)):
+                at = f"q={q}, m={m}, bits {bits.astype(int).tolist()}"
+                return "binary_agreement", False, f"DSMs differ at {at}"
+    return "binary_agreement", True, f"{3 * jobs} settings agree exactly"
+
+
 def run_suites(q: int = 3, deep: bool = False, x_matrix: np.ndarray | None = None):
     results = [
         suite_x_cx_relations(x_matrix),
@@ -170,5 +183,6 @@ def run_suites(q: int = 3, deep: bool = False, x_matrix: np.ndarray | None = Non
         suite_borel_enumeration(4 if deep else min(q, 3)),
         suite_bruhat_reassembly(q if deep else min(q, 3), deep=deep),
         suite_dsm_agreement(),
+        suite_binary_agreement(),
     ]
     return results

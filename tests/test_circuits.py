@@ -450,8 +450,19 @@ class TestEvalPermutation:
         assert len(perms) == 24
 
     def test_non_binary_rejected(self):
-        with pytest.raises(ValueError):
-            eval_permutation(build_ansatz("LX", 2), [0.5] * 5)
+        # eval_permutation is where angles become bits; the stacked
+        # evaluations take bits only.
+        message = re.escape("requires every parameter in {0, pi}")
+        for q, fill in [(2, 0.5), (2, np.nan), (3, 0.5)]:
+            c = build_ansatz("LX", q)
+            with pytest.raises(ValueError, match=message):
+                eval_permutation(c, np.full(c.param_count, fill))
+
+    def test_snaps_within_tolerance(self):
+        c = build_ansatz("LX", 2)
+        theta = np.array([PI + 1e-13, -1e-13, 0.0, PI - 1e-13, 1e-13])
+        exact = np.array([PI, 0.0, 0.0, PI, 0.0])
+        assert eval_permutation(c, theta) == eval_permutation(c, exact)
 
 
 def units(q):
@@ -489,8 +500,8 @@ class TestEvalPermutations:
     def test_rows_match_one_setting_at_a_time(self, name, q, rows, seed):
         c = any_circuit(name, q)
         thetas = np.random.default_rng(seed).choice([0.0, PI], (rows, c.param_count))
-        maps = eval_permutations(c, thetas)
-        images = affine_images(c, thetas)
+        maps = eval_permutations(c, thetas == PI)
+        images = affine_images(c, thetas == PI)
         assert maps.shape == (rows, 1 << q)
         assert images.shape == (rows, q + 1)
         for theta, row, image in zip(thetas, maps, images):
@@ -507,7 +518,7 @@ class TestEvalPermutations:
     def test_images_give_the_recognized_affine_map(self, name, q, seed):
         c = any_circuit(name, q)
         theta = np.random.default_rng(seed).choice([0.0, PI], c.param_count)
-        image = affine_images(c, theta[None])[0].tolist()
+        image = affine_images(c, theta[None] == PI)[0].tolist()
         # e_t is index 2^(q-1-t): b is the image of 0, column t that of e_t.
         b = reverse_bits(image[0], q)
         cols = [reverse_bits(v, q) ^ b for v in image[1:]]
@@ -519,7 +530,8 @@ class TestEvalPermutations:
     def test_narrowest_dtype_at_its_boundary(self, q, dtype):
         c = build_ansatz("LX", q)
         thetas = np.random.default_rng(q).choice([0.0, PI], (4, c.param_count))
-        maps, images = eval_permutations(c, thetas), affine_images(c, thetas)
+        on = thetas == PI
+        maps, images = eval_permutations(c, on), affine_images(c, on)
         assert maps.dtype == images.dtype == dtype
         for theta, row, image in zip(thetas, maps, images):
             assert np.array_equal(row, serial_permutation(c, theta))
@@ -528,16 +540,9 @@ class TestEvalPermutations:
     def test_uint32_maps_are_permutations(self):
         c = build_ansatz("LX", 17)
         theta = np.random.default_rng(17).choice([0.0, PI], (1, c.param_count))
-        (row,) = eval_permutations(c, theta)
+        (row,) = eval_permutations(c, theta == PI)
         assert row.dtype == np.uint32
         assert np.array_equal(np.sort(row), np.arange(1 << 17))
-
-    def test_snaps_within_tolerance(self):
-        c = build_ansatz("LX", 2)
-        thetas = np.array([[PI + 1e-13, -1e-13, 0.0, PI - 1e-13, 1e-13]])
-        exact = np.array([[PI, 0.0, 0.0, PI, 0.0]])
-        for evaluate in (eval_permutations, affine_images):
-            assert np.array_equal(evaluate(c, thetas), evaluate(c, exact))
 
     @pytest.mark.parametrize(
         "shape, fill, message",
@@ -547,6 +552,9 @@ class TestEvalPermutations:
             ((5,), 0.0, "expected"),
             ((3, 6), 0.0, "expected"),
             ((2, 3, 5), 0.0, "expected"),
+            # Angles are not bits, even binary ones; nor are ints.
+            ((3, 5), PI, "bool bits, got float64 (3, 5)"),
+            ((3, 5), 1, "bool bits, got int64 (3, 5)"),
         ],
     )
     def test_rejects_non_binary_or_bad_shape(self, shape, fill, message):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import quper
-from quper import cli
+from quper import cli, verify
 from quper.circuits import ANSATZ_KINDS, SOLVER_ANSATZE, solver_ansatz
 from quper.cli import build_parser, main
 from quper.dsm import binary_dsms, extract_dsm
@@ -63,7 +63,8 @@ class TestVerifyCommand:
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") == 6
+        assert out.count("PASS") == 7
+        assert "PASS binary_agreement: 60 settings agree exactly" in out
 
     def test_deep_borel_count(self, capsys):
         assert main(["verify", "--q", "4", "--deep"]) == 0
@@ -75,6 +76,14 @@ class TestVerifyCommand:
         by_name = {name: ok for name, ok, _ in results}
         assert by_name["x_cx_relations"] is False
         assert by_name["noncommutation"] is True
+
+    def test_binary_agreement_fails_on_a_faulty_fast_path(self, monkeypatch):
+        # Transposed DSMs differ from extract_dsm's wherever U is not symmetric.
+        real = verify.binary_dsms
+        monkeypatch.setattr(verify, "binary_dsms", lambda *a: real(*a).swapaxes(1, 2))
+        name, ok, detail = verify.suite_binary_agreement()
+        assert (name, ok) == ("binary_agreement", False)
+        assert detail.startswith("DSMs differ at q=2, m=0, bits [")
 
     def test_exit_code_5_on_failure(self, monkeypatch, capsys):
         import quper.cli as cli_mod
@@ -222,9 +231,9 @@ class TestSpanCommand:
         monkeypatch.setattr(cli, "project_hungarian", counted)
         assert main(["span", "--q", "2", "--ancilla", "1", "--params", "8"]) == 0
         circuit = solver_ansatz("bruhat", 3)
-        thetas = np.zeros((256, circuit.param_count))
-        thetas[:, :8] = list(itertools.product((0.0, math.pi), repeat=8))
-        ds = binary_dsms(circuit, 1, thetas)
+        on = np.zeros((256, circuit.param_count), bool)
+        on[:, :8] = list(itertools.product((False, True), repeat=8))
+        ds = binary_dsms(circuit, 1, on)
         assert len(calls) == len(np.unique(ds.reshape(len(ds), -1), axis=0))
 
     # At q = 2 count_random_order saturates at 4! = 24; only the q = 3 case
@@ -239,6 +248,23 @@ class TestSpanCommand:
         ell = solver_ansatz("bruhat", q + 1).param_count
         settings = (rng.choice([0.0, math.pi], ell) for _ in range(samples))
         assert census_row(capsys)[1:3] == serial_census(q, 1, ell, settings, seed)
+
+    @pytest.mark.parametrize("seed", [0, 5, 6, 101])
+    @pytest.mark.parametrize("ell", [0, 1, 22])
+    def test_bit_draws_are_the_angle_choice_stream(self, seed, ell):
+        """The census draws bits where it once drew rng.choice([0, pi]):
+        equally seeded, the streams agree whole, chunked and per sample."""
+        def rng():
+            return np.random.default_rng([seed])
+
+        angles = rng().choice([0.0, math.pi], (11, ell))
+        assert np.array_equal(angles, math.pi * rng().integers(0, 2, (11, ell)))
+        bits = rng()
+        chunks = [bits.integers(0, 2, (rows, ell)) for rows in (4, 1, 6)]
+        assert np.array_equal(angles, math.pi * np.concatenate(chunks))
+        each = rng()
+        per_sample = [each.choice([0.0, math.pi], ell) for _ in range(11)]
+        assert np.array_equal(angles, per_sample)
 
     def test_recorded_binary_census_counts(self, capsys):
         ref = json.loads(CENSUS_REFERENCE.read_text())

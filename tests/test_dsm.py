@@ -135,7 +135,7 @@ class TestBinaryDsms:
             c = build_ansatz(name, width)
         m = min(m, width - 1)
         thetas = np.random.default_rng(seed).choice([0.0, PI], (rows, c.param_count))
-        stack = binary_dsms(c, m, thetas)
+        stack = binary_dsms(c, m, thetas == PI)
         n = 1 << (width - m)
         assert stack.shape == (rows, n, n)
         for theta, d in zip(thetas, stack):
@@ -146,30 +146,32 @@ class TestBinaryDsms:
         # n = 256 system states: the uint8 maps of q = 8 and the uint16 of 9.
         c = build_ansatz("LX", width)
         thetas = np.random.default_rng(width).choice([0.0, PI], (2, c.param_count))
-        for theta, d in zip(thetas, binary_dsms(c, m, thetas)):
+        for theta, d in zip(thetas, binary_dsms(c, m, thetas == PI)):
             assert np.array_equal(d, extract_dsm(c, m, theta))
 
     def test_rejects_non_binary_bad_shape_or_ancillas(self):
         c = build_ansatz("LX", 3)
-        with pytest.raises(ValueError, match="requires every parameter"):
-            binary_dsms(c, 1, np.full((2, 12), 0.5))
+        # Bits only: angles, even binary ones, and ints are rejected.
+        for fill in (0.5, PI, 1):
+            with pytest.raises(ValueError, match="bool bits, got"):
+                binary_dsms(c, 1, np.full((2, 12), fill))
         with pytest.raises(ValueError, match="expected"):
-            binary_dsms(c, 1, np.zeros(12))
+            binary_dsms(c, 1, np.zeros(12, bool))
         with pytest.raises(ValueError, match="expected"):
-            binary_dsms(c, 1, np.zeros((2, 11)))
+            binary_dsms(c, 1, np.zeros((2, 11), bool))
         with pytest.raises(ValueError):
-            binary_dsms(c, 3, np.zeros((2, 12)))
+            binary_dsms(c, 3, np.zeros((2, 12), bool))
 
     def test_qubit_guard(self, monkeypatch):
         # The DSM path keeps eval_unitary's guard; the basis maps have none.
         c = build_ansatz("LX", 4)
-        thetas = np.zeros((2, c.param_count))
+        on = np.zeros((2, c.param_count), bool)
         monkeypatch.setenv("QUPER_MAX_QUBITS", "3")
         with pytest.raises(QubitBudgetError):
-            binary_dsms(c, 1, thetas)
-        assert eval_permutations(c, thetas).shape == (2, 16)
+            binary_dsms(c, 1, on)
+        assert eval_permutations(c, on).shape == (2, 16)
         monkeypatch.setenv("QUPER_MAX_QUBITS", "4")
-        assert binary_dsms(c, 1, thetas).shape == (2, 8, 8)
+        assert binary_dsms(c, 1, on).shape == (2, 8, 8)
 
 
 class TestBirkhoff:

@@ -202,7 +202,7 @@ class TestOrderMapsOnAStack:
         c = solver_ansatz("bruhat", width)
         rng = np.random.default_rng(seed)
         if binary:
-            ds = binary_dsms(c, m, rng.choice([0.0, PI], (rows, c.param_count)))
+            ds = binary_dsms(c, m, rng.integers(0, 2, (rows, c.param_count)) == 1)
         else:
             grid = rng.choice([0.0, PI / 4, PI / 2, PI], (rows, c.param_count))
             ds = np.stack([extract_dsm(c, m, theta) for theta in grid])
