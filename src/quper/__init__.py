@@ -45,20 +45,19 @@ from .optimizer import (
     loss_from_dsm,
     quper_solve,
     random_baseline,
-    regularizer_grad,
     regularizers,
 )
 from .problems import (
     GipInstance,
     QapInstance,
     gip_cost,
-    gip_cost_grad,
+    gip_cost_and_grad,
     gip_to_qap,
     load_qaplib,
     parse_qaplib,
     parse_sln,
     qap_cost,
-    qap_cost_grad,
+    qap_cost_and_grad,
     random_gip,
     random_qap,
 )

@@ -22,11 +22,9 @@ import numpy as np
 from .circuits import (
     Circuit,
     Gate,
-    QubitBudgetError,
     check_qubit_guard,
     eval_permutations,
     eval_unitary,
-    max_dense_qubits,
     reverse_sweep,
 )
 from .gf2 import Permutation
@@ -170,10 +168,7 @@ def statevector_oracle(circuit: Circuit, m: int, theta) -> np.ndarray:
     """
     _check_ancillas(circuit, m)
     w = circuit.q
-    if 2 * w > max_dense_qubits():
-        raise QubitBudgetError(
-            f"oracle needs {2 * w} qubits, over the guard ({max_dense_qubits()})"
-        )
+    check_qubit_guard(2 * w)
     theta = np.asarray(theta, dtype=float)
     if len(theta) != circuit.param_count:
         raise ValueError("parameter length mismatch")

@@ -212,6 +212,21 @@ class AffineMap:
     def apply(self, x: int) -> int:
         return self.a.matvec(x) ^ self.b
 
+    def basis_map(self) -> tuple[int, ...]:
+        """Entry i: the index of the image of the bit-vector of index i."""
+        q = self.q
+        return tuple(
+            reverse_bits(self.apply(reverse_bits(i, q)), q) for i in range(1 << q)
+        )
+
+
+def random_invertible(q: int, rng) -> Gf2Matrix:
+    """A uniform invertible q x q matrix: rng draws q rows until they are."""
+    while True:
+        a = Gf2Matrix(q, tuple(int(v) for v in rng.integers(0, 1 << q, q)))
+        if a.is_invertible():
+            return a
+
 
 def word_to_matrix(word: Iterable[Transvection], q: int) -> Gf2Matrix:
     """Left-to-right product of transvection matrices (leftmost applied last)."""
@@ -304,21 +319,12 @@ def recognize_affine(p: Permutation) -> AffineMap | None:
         raise ValueError("permutation size must be a power of two")
 
     b = reverse_bits(p(0), q)
-    cols = [0] * q
-    for t in range(q):
-        cols[t] = reverse_bits(p(1 << (q - 1 - t)), q) ^ b
-    rows = [0] * q
-    for t in range(q):
-        for j in range(q):
-            rows[j] |= ((cols[t] >> j) & 1) << t
-    a = Gf2Matrix(q, tuple(rows))
+    cols = [reverse_bits(p(1 << (q - 1 - t)), q) ^ b for t in range(q)]
+    a = Gf2Matrix.from_entries([[(c >> j) & 1 for c in cols] for j in range(q)])
     if not a.is_invertible():
         return None
     amap = AffineMap(a, b)
-    for idx in range(n):
-        if p(idx) != reverse_bits(amap.apply(reverse_bits(idx, q)), q):
-            return None
-    return amap
+    return amap if amap.basis_map() == p.map else None
 
 
 def bruhat_span_size(q: int) -> int:

@@ -18,16 +18,16 @@ from functools import partial
 
 import numpy as np
 
-from .circuits import Circuit, QubitBudgetError, max_dense_qubits, solver_ansatz
+from .circuits import Circuit, check_qubit_guard, solver_ansatz
 from .dsm import adjoint_gradient, unitary_and_dsm
 from .gf2 import Permutation
 from .problems import (
     GipInstance,
     QapInstance,
     gip_cost,
-    gip_cost_grad,
+    gip_cost_and_grad,
     qap_cost,
-    qap_cost_grad,
+    qap_cost_and_grad,
 )
 from .projection import (
     RANDOM_ORDER_TRIALS,
@@ -46,6 +46,11 @@ W_ENTROPY = 15 / 100
 W_ORT = 1 / 100
 ENTROPY_EPS = 1e-8
 
+# Adam's moment decay rates and the offset of its step's denominator.
+BETA1 = 0.9
+BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class AdamState:
@@ -54,9 +59,6 @@ class AdamState:
     nu: np.ndarray
     k: int = 1
     eta: float = DEFAULT_LR
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @staticmethod
     def fresh(theta: np.ndarray, eta: float = DEFAULT_LR) -> AdamState:
@@ -91,8 +93,8 @@ class QuperTrace:
     levels: list[dict] = field(default_factory=list)
 
 
-def _regularized(d: np.ndarray, entropy_eps: float) -> tuple[tuple, np.ndarray]:
-    """(st, S_eps, ort) of the DSM d and d/dd of their weighted sum, sharing
+def regularizers(d: np.ndarray, entropy_eps: float = ENTROPY_EPS) -> tuple:
+    """((st, S_eps, ort), d/dd of their weighted sum) of the DSM d, sharing
     d.sum(0) - 1, log(d + eps) and d^T d - I."""
     dev = d.sum(axis=0) - 1.0  # d st/dd is 2 dev down each column
     shifted = d + entropy_eps
@@ -103,28 +105,19 @@ def _regularized(d: np.ndarray, entropy_eps: float) -> tuple[tuple, np.ndarray]:
     return terms, grad + W_ORT * (4.0 * d @ gram)
 
 
-def loss_pass(d: np.ndarray, cost, cost_grad) -> tuple:
-    """One pass over the DSM d: the loss (cost(d) plus the weighted
-    regularizers), cost(d), the regularizers (st, S_eps, ort) and dloss/dd."""
-    (st, s_eps, ort), reg_grad = _regularized(d, ENTROPY_EPS)
-    raw_cost = cost(d)
+def loss_pass(d: np.ndarray, cost_and_grad) -> tuple:
+    """One pass over the DSM d: the loss (cost plus the weighted
+    regularizers), the cost, the regularizers (st, S_eps, ort) and dloss/dd;
+    cost_and_grad(d) gives the cost and its gradient."""
+    (st, s_eps, ort), reg_grad = regularizers(d)
+    raw_cost, cost_grad = cost_and_grad(d)
     loss = float(raw_cost) + W_ST * st + W_ENTROPY * s_eps + W_ORT * ort
-    return loss, raw_cost, (st, s_eps, ort), cost_grad(d) + reg_grad
-
-
-def regularizers(d: np.ndarray, entropy_eps: float) -> tuple[float, float, float]:
-    """(st, S_eps, ort) of the DSM d, as defined by the loss."""
-    return _regularized(d, entropy_eps)[0]
+    return loss, raw_cost, (st, s_eps, ort), cost_grad + reg_grad
 
 
 def loss_from_dsm(d: np.ndarray, cost) -> float:
     """cost(d) plus the weighted regularizers of the DSM d."""
-    return loss_pass(d, cost, lambda d: 0.0)[0]
-
-
-def regularizer_grad(d: np.ndarray) -> np.ndarray:
-    """d/dd of the weighted regularizers that loss_from_dsm adds to the cost."""
-    return _regularized(d, ENTROPY_EPS)[1]
+    return loss_pass(d, lambda d: (cost(d), 0.0))[0]
 
 
 def fd_gradient(f, theta, h: float = 1e-5) -> np.ndarray:
@@ -146,14 +139,14 @@ def adam_nesterov_step(s: AdamState, g) -> AdamState:
     g = np.asarray(g, dtype=float)
     if g.shape != s.theta.shape:
         raise ValueError("gradient length mismatch")
-    mu = s.beta1 * s.mu + (1 - s.beta1) * g
-    nu = s.beta2 * s.nu + (1 - s.beta2) * g**2
-    mu_hat = s.beta1 / (1 - s.beta1 ** (s.k + 1)) * mu + (
-        1 - s.beta1
-    ) / (1 - s.beta1**s.k) * g
-    nu_hat = nu / (1 - s.beta2**s.k)
-    theta = s.theta - s.eta * mu_hat / (np.sqrt(nu_hat) + s.eps)
-    return AdamState(theta, mu, nu, s.k + 1, s.eta, s.beta1, s.beta2, s.eps)
+    mu = BETA1 * s.mu + (1 - BETA1) * g
+    nu = BETA2 * s.nu + (1 - BETA2) * g**2
+    mu_hat = BETA1 / (1 - BETA1 ** (s.k + 1)) * mu + (1 - BETA1) / (
+        1 - BETA1**s.k
+    ) * g
+    nu_hat = nu / (1 - BETA2**s.k)
+    theta = s.theta - s.eta * mu_hat / (np.sqrt(nu_hat) + ADAM_EPS)
+    return AdamState(theta, mu, nu, s.k + 1, s.eta)
 
 
 def _slot_keys(c: Circuit) -> dict[tuple, int]:
@@ -187,11 +180,11 @@ def embed_theta(
 
 
 def _problem_costs(problem):
-    """The problem's cost and its gradient in the relaxed matrix."""
+    """The problem's cost, and its cost and gradient at a relaxed matrix."""
     if isinstance(problem, QapInstance):
-        return partial(qap_cost, problem), partial(qap_cost_grad, problem)
+        return partial(qap_cost, problem), partial(qap_cost_and_grad, problem)
     if isinstance(problem, GipInstance):
-        return partial(gip_cost, problem), partial(gip_cost_grad, problem)
+        return partial(gip_cost, problem), partial(gip_cost_and_grad, problem)
     raise TypeError("problem must be a QapInstance or GipInstance")
 
 
@@ -212,23 +205,15 @@ def best_projection(d: np.ndarray, cost, seed):
     return maps[best], float(values[best]), float(values[0]), float(values[1:].min())
 
 
-def _default_lr(problem) -> float:
-    return GIP_LR if isinstance(problem, GipInstance) else DEFAULT_LR
-
-
 def quper_solve(problem, cfg: QuperConfig):
     """Run the full heuristic; returns (best permutation, value, trace)."""
     n = problem.n
     q = n.bit_length() - 1
     if n < 2 or 1 << q != n:
         raise ValueError(f"problem size must be a power of two >= 2, got n={n}")
-    if q + cfg.m_max > max_dense_qubits():
-        raise QubitBudgetError(
-            f"{q} qubits plus {cfg.m_max} ancillas exceed the guard "
-            f"({max_dense_qubits()})"
-        )
-    cost, cost_grad = _problem_costs(problem)
-    lr = cfg.lr if cfg.lr is not None else _default_lr(problem)
+    check_qubit_guard(q + cfg.m_max)
+    cost, cost_and_grad = _problem_costs(problem)
+    lr = cfg.lr or (GIP_LR if isinstance(problem, GipInstance) else DEFAULT_LR)
     rng = np.random.default_rng([cfg.seed])
     trace = QuperTrace()
     best_p: np.ndarray | None = None
@@ -249,13 +234,13 @@ def quper_solve(problem, cfg: QuperConfig):
         # One forward pass and one loss pass per iterate: U and dloss/dd feed
         # the next gradient, d the projection and the trace.
         u, d = unitary_and_dsm(circuit, m, state.theta)
-        g = loss_pass(d, cost, cost_grad)[-1]
+        g = loss_pass(d, cost_and_grad)[-1]
         for _ in range(cfg.iterations):
             state = adam_nesterov_step(
                 state, adjoint_gradient(circuit, m, state.theta, u, g)
             )
             u, d = unitary_and_dsm(circuit, m, state.theta)
-            loss, raw_cost, _, g = loss_pass(d, cost, cost_grad)
+            loss, raw_cost, _, g = loss_pass(d, cost_and_grad)
             p, v, ph_cost, pr_cost = best_projection(d, cost, [cfg.seed, m, it_global])
             if v < best_v:
                 best_p, best_v = p, v
@@ -285,7 +270,7 @@ def random_baseline(problem, iterations: int, seed: int):
     rng = np.random.default_rng([seed])
     best_p, best_v = None, math.inf
     for _ in range(math.ceil(iterations / 10)):
-        maps = np.array([rng.permutation(problem.n) for _ in range(50)])
+        maps = random_orders(rng, problem.n, 50)
         values = cost(np.eye(problem.n)[maps])
         k = int(np.argmin(values))
         if values[k] < best_v:

@@ -2,7 +2,8 @@
 
 Costs take a Permutation (row convention: matrix has a 1 at (i, p(i))), a
 relaxed doubly-stochastic matrix, or a (K, n, n) stack of matrices costed in
-one call; their gradients in the matrix entries are closed-form.
+one call; *_cost_and_grad give a relaxed matrix's cost and its closed-form
+gradient in the matrix entries from one shared product.
 
 QAP: minimize f(P) = tr(W P D^T P^T).
 GIP: minimize f(P) = ||A - P B P^T||_F^2, zero iff P is an isomorphism,
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import AffineMap, Gf2Matrix, Permutation, reverse_bits
+from .gf2 import AffineMap, Permutation, random_invertible
 
 
 @dataclass(frozen=True)
@@ -97,18 +98,21 @@ def gip_cost(inst: GipInstance, p):
     return float(v) if pm.ndim == 2 else v
 
 
-def qap_cost_grad(inst: QapInstance, d) -> np.ndarray:
-    """d qap_cost / d d at the relaxed matrix d: W^T d D + W d D^T."""
+def qap_cost_and_grad(inst: QapInstance, d) -> tuple[float, np.ndarray]:
+    """qap_cost at the relaxed matrix d and its gradient W^T d D + W d D^T,
+    sharing the product W d D^T."""
     pm = _as_matrix(d, inst.w.shape)
-    return inst.w.T @ pm @ inst.d + inst.w @ pm @ inst.d.T
+    wdd = inst.w @ pm @ inst.d.T
+    return float(np.trace(wdd @ pm.swapaxes(-1, -2))), inst.w.T @ pm @ inst.d + wdd
 
 
-def gip_cost_grad(inst: GipInstance, d) -> np.ndarray:
-    """d gip_cost / d d at the relaxed matrix d: -2 (R d B^T + R^T d B), with
-    R = A - d B d^T."""
+def gip_cost_and_grad(inst: GipInstance, d) -> tuple[float, np.ndarray]:
+    """gip_cost at the relaxed matrix d and its gradient
+    -2 (R d B^T + R^T d B), sharing the residual R = A - d B d^T."""
     pm = _as_matrix(d, inst.a.shape)
     r = inst.a - pm @ inst.b @ pm.swapaxes(-1, -2)
-    return -2.0 * (r @ pm @ inst.b.T + r.swapaxes(-1, -2) @ pm @ inst.b)
+    grad = -2.0 * (r @ pm @ inst.b.T + r.swapaxes(-1, -2) @ pm @ inst.b)
+    return float(np.sum(r**2, axis=(-2, -1))), grad
 
 
 def gip_to_qap(inst: GipInstance) -> QapInstance:
@@ -186,16 +190,8 @@ def random_qap(n: int, seed: int) -> QapInstance:
 
 
 def _affine_permutation(q: int, rng: np.random.Generator) -> Permutation:
-    while True:
-        rows = tuple(int(v) for v in rng.integers(0, 1 << q, q))
-        a = Gf2Matrix(q, rows)
-        if a.is_invertible():
-            break
-    b = int(rng.integers(0, 1 << q))
-    amap = AffineMap(a, b)
-    return Permutation(
-        tuple(reverse_bits(amap.apply(reverse_bits(i, q)), q) for i in range(1 << q))
-    )
+    a = random_invertible(q, rng)
+    return Permutation(AffineMap(a, int(rng.integers(0, 1 << q))).basis_map())
 
 
 def random_gip(

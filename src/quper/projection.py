@@ -34,12 +34,10 @@ def _base_vector(n: int) -> np.ndarray:
 
 
 def random_orders(seed, n: int, trials: int) -> np.ndarray:
-    """The (trials, n) orders of project_random_order: one generator, seeded
-    by seed, draws them all, row t for trial t, so the first k rows do not
-    depend on trials.  seed may be a Generator, which the draw advances: two
-    draws of k and l rows give the rows of one draw of k + l."""
-    if not isinstance(seed, np.random.Generator):
-        seed = list(seed) if isinstance(seed, (list, tuple)) else [int(seed)]
+    """The (trials, n) orders of project_random_order: default_rng(seed)
+    draws them all, row t for trial t, so the first k rows do not depend on
+    trials.  seed may be a Generator, which the draw advances: two draws of
+    k and l rows give the rows of one draw of k + l."""
     orders = np.empty((trials, n), dtype=int)
     orders[:] = np.arange(n)
     return np.random.default_rng(seed).permuted(orders, axis=1, out=orders)

@@ -19,6 +19,7 @@ from .gf2 import (
     Transvection,
     borel_subword,
     bruhat_decompose,
+    random_invertible,
     word_to_matrix,
 )
 
@@ -124,15 +125,7 @@ def suite_bruhat_reassembly(q: int = 3, deep: bool = False, samples: int = 500):
         mats = _all_gl(q)
     else:
         rng = np.random.default_rng(0)
-        def sample():
-            for _ in range(samples):
-                while True:
-                    rows = tuple(int(v) for v in rng.integers(0, 1 << q, q))
-                    m = Gf2Matrix(q, rows)
-                    if m.is_invertible():
-                        yield m
-                        break
-        mats = sample()
+        mats = (random_invertible(q, rng) for _ in range(samples))
     for m in mats:
         f = bruhat_decompose(m)
         ok = (

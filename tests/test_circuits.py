@@ -30,8 +30,9 @@ from quper.circuits import (
     solver_ansatz,
     synthesize_params,
 )
-from quper.dsm import _apply_gate, adjoint_gradient
-from quper.optimizer import fd_gradient
+from quper.dsm import _apply_gate, adjoint_gradient, statevector_oracle
+from quper.optimizer import QuperConfig, fd_gradient, quper_solve
+from quper.problems import random_qap
 from quper.gf2 import (
     AffineMap,
     Gf2Matrix,
@@ -197,6 +198,13 @@ class TestEvalUnitary:
             eval_unitary(small, np.zeros(4))
         monkeypatch.setenv("QUPER_MAX_QUBITS", "4")
         assert eval_unitary(small, np.zeros(4)).shape == (16, 16)
+        # The solver (q + m_max qubits) and the oracle (two registers) raise
+        # the one guard's error before they build anything.
+        over = r"dense evaluation of {} qubits exceeds the guard \(4\)"
+        with pytest.raises(QubitBudgetError, match=over.format(5)):
+            quper_solve(random_qap(8, 0), QuperConfig("bruhat", m_max=2, iterations=1))
+        with pytest.raises(QubitBudgetError, match=over.format(6)):
+            statevector_oracle(build_ansatz("XLayer", 3), 0, np.zeros(3))
 
     def test_param_length_mismatch(self):
         with pytest.raises(ValueError):

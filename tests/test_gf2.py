@@ -16,6 +16,7 @@ from quper.gf2 import (
     bruhat_decompose,
     bruhat_span_size,
     longest_element_word,
+    random_invertible,
     recognize_affine,
     reverse_bits,
     weyl_subword_mask,
@@ -129,6 +130,23 @@ class TestBruhatDecompose:
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
             bruhat_decompose(Gf2Matrix.from_text("11\n11"))
+
+
+class TestRandomInvertible:
+    @settings(max_examples=40, deadline=None)
+    @given(q=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+    def test_is_the_redraw_loop(self, q, seed):
+        # The same draws as drawing q rows until they are invertible, and
+        # the generator left in the same state.
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = [random_invertible(q, rng) for _ in range(3)]
+        want = []
+        while len(want) < 3:
+            m = Gf2Matrix(q, tuple(int(v) for v in ref.integers(0, 1 << q, q)))
+            if m.is_invertible():
+                want.append(m)
+        assert got == want
+        assert rng.integers(1 << 30) == ref.integers(1 << 30)
 
 
 class TestSpanSize:

@@ -24,15 +24,14 @@ from quper.optimizer import (
     loss_pass,
     quper_solve,
     random_baseline,
-    regularizer_grad,
     regularizers,
 )
 from quper.problems import (
     QapInstance,
     gip_cost,
-    gip_cost_grad,
+    gip_cost_and_grad,
     qap_cost,
-    qap_cost_grad,
+    qap_cost_and_grad,
     random_gip,
     random_qap,
 )
@@ -60,14 +59,14 @@ def random_dsm(n, rng, terms=6):
 class TestRegularizers:
     def test_permutation_matrix(self):
         d = np.eye(4)[[1, 0, 3, 2]]
-        st, s_eps, ort = regularizers(d, entropy_eps=1e-300)
+        (st, s_eps, ort), _ = regularizers(d, entropy_eps=1e-300)
         assert st == 0.0
         assert abs(s_eps) <= 1e-12
         assert ort == 0.0
 
     def test_uniform_2x2(self):
         d = np.full((2, 2), 0.5)
-        st, s_eps, ort = regularizers(d, entropy_eps=0.0)
+        (st, s_eps, ort), _ = regularizers(d, entropy_eps=0.0)
         assert st == pytest.approx(0.0)
         assert s_eps == pytest.approx(2 * math.log(2))
         # d^T d = [[.5,.5],[.5,.5]]; (d^T d - I) has entries +-0.5.
@@ -76,7 +75,7 @@ class TestRegularizers:
     def test_column_sum_deviation(self):
         e = np.eye(3).astype(float)
         e[0, 0] = 1.1
-        st, _, _ = regularizers(e, 1e-8)
+        (st, _, _), _ = regularizers(e, 1e-8)
         assert st == pytest.approx(0.01)
 
 
@@ -99,7 +98,7 @@ class TestRegularizerGrad:
         d = 0.9 * random_dsm(n, rng) + 0.1 / n + rng.uniform(-0.01, 0.01, (n, n))
 
         def weighted(x):
-            st_, s_eps, ort = regularizers(x, optimizer.ENTROPY_EPS)
+            (st_, s_eps, ort), _ = regularizers(x)
             return (
                 optimizer.W_ST * st_
                 + optimizer.W_ENTROPY * s_eps
@@ -107,7 +106,7 @@ class TestRegularizerGrad:
             )
 
         want = central_differences(weighted, d, 1e-6)
-        got = regularizer_grad(d)
+        got = regularizers(d)[1]
         assert np.max(np.abs(got - want)) <= 1e-6 * np.max(np.abs(want))
 
     def test_only_entropy_at_a_permutation(self):
@@ -115,7 +114,7 @@ class TestRegularizerGrad:
         d = np.eye(4)[[2, 0, 3, 1]]
         eps = optimizer.ENTROPY_EPS
         ent = -(np.log(d + eps) + d / (d + eps))
-        assert np.allclose(regularizer_grad(d), optimizer.W_ENTROPY * ent, atol=1e-15)
+        assert np.allclose(regularizers(d)[1], optimizer.W_ENTROPY * ent, atol=1e-15)
 
 
 def reference_regularizers(d, eps):
@@ -141,11 +140,11 @@ class TestLossPass:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_equals_the_separate_terms(self, kind, n, source, seed):
-        # One pass gives bit for bit what the views and the separate
-        # formulas give, so the solver's trajectory does not move.
+        # One pass gives bit for bit what the separate calls and formulas
+        # give, so the solver's trajectory does not move.
         rng = np.random.default_rng(seed)
         problem = (random_qap if kind == "qap" else random_gip)(n, seed % 1000)
-        cost, cost_grad = optimizer._problem_costs(problem)
+        cost, cost_and_grad = optimizer._problem_costs(problem)
         if source == "mixture":
             d = random_dsm(n, rng)
         elif source == "circuit":
@@ -153,27 +152,26 @@ class TestLossPass:
             d = extract_dsm(c, 0, rng.uniform(0, 2 * PI, c.param_count))
         else:
             d = np.eye(n)[rng.permutation(n)]
-        loss, raw_cost, terms, grad = loss_pass(d, cost, cost_grad)
+        loss, raw_cost, terms, grad = loss_pass(d, cost_and_grad)
         assert loss == loss_from_dsm(d, cost)
         assert raw_cost == cost(d)
-        assert terms == regularizers(d, optimizer.ENTROPY_EPS)
-        assert np.array_equal(grad, cost_grad(d) + regularizer_grad(d))
+        reg_terms, reg_grad = regularizers(d)
+        assert terms == reg_terms
+        assert np.array_equal(grad, cost_and_grad(d)[1] + reg_grad)
         want_terms, want_reg_grad = reference_regularizers(d, optimizer.ENTROPY_EPS)
         assert terms == want_terms
-        assert np.array_equal(regularizer_grad(d), want_reg_grad)
+        assert np.array_equal(reg_grad, want_reg_grad)
 
     def test_solver_costs_each_iterate_once(self, monkeypatch):
-        # levels x (I + 1) iterates: one relaxed cost and one block build
-        # each; the gradient and the sweep reuse them.
+        # levels x (I + 1) iterates: one relaxed cost-and-gradient call and
+        # one block build each; the gradient and the sweep reuse them.
         relaxed, plans = [], []
-        real_cost, real_plan = optimizer.qap_cost, circuits._blocks
-
-        def cost(inst, p):
-            if np.ndim(p) == 2:
-                relaxed.append(1)
-            return real_cost(inst, p)
-
-        monkeypatch.setattr(optimizer, "qap_cost", cost)
+        real_cost, real_plan = optimizer.qap_cost_and_grad, circuits._blocks
+        monkeypatch.setattr(
+            optimizer,
+            "qap_cost_and_grad",
+            lambda *args: relaxed.append(1) or real_cost(*args),
+        )
         monkeypatch.setattr(
             circuits, "_blocks", lambda *args: plans.append(1) or real_plan(*args)
         )
@@ -186,13 +184,13 @@ def solver_loss_grads(problem):
     """The solver's loss and its gradient in the DSM, for a QAP or GIP."""
     if isinstance(problem, QapInstance):
         cost = lambda d: qap_cost(problem, d)
-        cost_grad = lambda d: qap_cost_grad(problem, d)
+        cost_grad = lambda d: qap_cost_and_grad(problem, d)[1]
     else:
         cost = lambda d: gip_cost(problem, d)
-        cost_grad = lambda d: gip_cost_grad(problem, d)
+        cost_grad = lambda d: gip_cost_and_grad(problem, d)[1]
     return (
         lambda d: loss_from_dsm(d, cost),
-        lambda d: cost_grad(d) + regularizer_grad(d),
+        lambda d: cost_grad(d) + regularizers(d)[1],
     )
 
 
@@ -364,16 +362,10 @@ class TestAdamNesterov:
         assert s2.theta[0] == pytest.approx(expected, abs=1e-15)
         assert expected == pytest.approx(-0.007368421, abs=1e-9)
 
-    def test_degenerate_betas_sign_scaled_descent(self):
-        s = AdamState(
-            np.array([1.0, -1.0]),
-            np.zeros(2),
-            np.zeros(2),
-            k=1,
-            eta=0.1,
-            beta1=0.0,
-            beta2=0.0,
-        )
+    def test_degenerate_betas_sign_scaled_descent(self, monkeypatch):
+        monkeypatch.setattr(optimizer, "BETA1", 0.0)
+        monkeypatch.setattr(optimizer, "BETA2", 0.0)
+        s = AdamState(np.array([1.0, -1.0]), np.zeros(2), np.zeros(2), k=1, eta=0.1)
         g = np.array([2.0, -3.0])
         s2 = adam_nesterov_step(s, g)
         expected = s.theta - 0.1 * g / (np.abs(g) + 1e-8)

@@ -15,7 +15,7 @@ from quper.problems import (
     _affine_permutation,
     QapInstance,
     gip_cost,
-    gip_cost_grad,
+    gip_cost_and_grad,
     gip_to_qap,
     load_qaplib,
     normalized_heuristic_gap,
@@ -24,7 +24,7 @@ from quper.problems import (
     parse_qaplib,
     parse_sln,
     qap_cost,
-    qap_cost_grad,
+    qap_cost_and_grad,
     random_gip,
     random_qap,
     relative_optimality_gap,
@@ -129,8 +129,11 @@ class TestCostGradients:
         inst = random_qap(n, seed % 1000)
         d = random_dsm(n, np.random.default_rng(seed))
         want = central_differences(lambda x: qap_cost(inst, x), d)
-        got = qap_cost_grad(inst, d)
+        cost, got = qap_cost_and_grad(inst, d)
         assert np.max(np.abs(got - want)) <= grad_tolerance(want, qap_cost(inst, d))
+        # One shared product gives bit for bit the cost and the closed form.
+        assert cost == qap_cost(inst, d)
+        assert np.array_equal(got, inst.w.T @ d @ inst.d + inst.w @ d @ inst.d.T)
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.sampled_from([2, 4, 8]), seed=st.integers(0, 2**32 - 1))
@@ -138,19 +141,23 @@ class TestCostGradients:
         inst = random_gip(n, seed % 1000)
         d = random_dsm(n, np.random.default_rng(seed))
         want = central_differences(lambda x: gip_cost(inst, x), d)
-        got = gip_cost_grad(inst, d)
+        cost, got = gip_cost_and_grad(inst, d)
         assert np.max(np.abs(got - want)) <= grad_tolerance(want, gip_cost(inst, d))
+        assert cost == gip_cost(inst, d)
+        r = inst.a - d @ inst.b @ d.T
+        assert np.array_equal(got, -2.0 * (r @ d @ inst.b.T + r.T @ d @ inst.b))
 
     def test_gip_grad_vanishes_at_the_planted_isomorphism(self):
         inst = random_gip(8, 5)
         pm = np.eye(8)[list(inst.planted.map)]
-        assert np.array_equal(gip_cost_grad(inst, pm), np.zeros((8, 8)))
+        assert gip_cost_and_grad(inst, pm)[0] == 0.0
+        assert np.array_equal(gip_cost_and_grad(inst, pm)[1], np.zeros((8, 8)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            qap_cost_grad(random_qap(4, 0), np.eye(5))
+            qap_cost_and_grad(random_qap(4, 0), np.eye(5))
         with pytest.raises(ValueError):
-            gip_cost_grad(random_gip(4, 0), np.eye(5))
+            gip_cost_and_grad(random_gip(4, 0), np.eye(5))
 
 
 class TestStackedCost:
@@ -177,14 +184,6 @@ class TestStackedCost:
         d = random_dsm(n, rng)
         assert isinstance(cost(inst, d), float)
         assert cost(inst, d[None]).tolist() == [cost(inst, d)]
-
-    def test_gradients_take_stacks(self):
-        rng = np.random.default_rng(3)
-        ds = np.stack([random_dsm(4, rng) for _ in range(3)])
-        cases = ((random_qap(4, 1), qap_cost_grad), (random_gip(4, 1), gip_cost_grad))
-        for inst, grad in cases:
-            got = grad(inst, ds)
-            assert all(np.array_equal(g, grad(inst, d)) for g, d in zip(got, ds))
 
     def test_stack_dimension_mismatch(self):
         inst = random_qap(4, 0)

@@ -155,13 +155,20 @@ class TestRandomOrderMatchesLoop:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        seed=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+        seed=st.one_of(
+            st.integers(0, 2**64),
+            st.integers(0, 2**63 - 1).map(np.int64),
+            st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3),
+            st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3).map(tuple),
+        ),
         n=st.integers(1, 20),
         trials=st.integers(0, 60),
     )
     def test_orders_are_one_permuted_tiled_draw(self, seed, n, trials):
+        # A scalar seed s draws the stream of the one-element list [s].
+        entropy = list(seed) if isinstance(seed, (list, tuple)) else [int(seed)]
         base = np.tile(np.arange(n), (trials, 1))
-        want = np.random.default_rng(seed).permuted(base, axis=1)
+        want = np.random.default_rng(entropy).permuted(base, axis=1)
         assert np.array_equal(random_orders(seed, n, trials), want)
         rng = np.random.default_rng(seed)
         assert np.array_equal(random_orders(rng, n, trials), want)
