@@ -52,12 +52,14 @@ from .problems import (
     QapInstance,
     gip_cost,
     gip_cost_and_grad,
+    gip_map_costs,
     gip_to_qap,
     load_qaplib,
     parse_qaplib,
     parse_sln,
     qap_cost,
     qap_cost_and_grad,
+    qap_map_costs,
     random_gip,
     random_qap,
 )

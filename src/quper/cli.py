@@ -215,6 +215,8 @@ def cmd_span(args) -> int:
     per_setting = circuit.param_count + q + 1 if m == 0 else 1 << (2 * q + m)
     rows = max(1, SPAN_CHUNK_ENTRIES // per_setting)
     order_rng = np.random.default_rng([args.seed, 1])  # apart from the θ stream
+    key_dtype = np.min_scalar_type(1 << m)
+    projected: set = set()  # keys of the DSMs whose Hungarian map is in seen_h
     seen_h: set = set()
     seen_r: set = set()
     for start in range(0, total, rows):
@@ -229,9 +231,12 @@ def cmd_span(args) -> int:
             seen_r = seen_h  # a basis map is its own projection
             continue
         ds = binary_dsms(circuit, m, on)
-        # Entries are multiples of 2^-m: equal bytes are equal DSMs.
-        distinct = {d.tobytes(): d for d in ds}.values()
-        seen_h.update(project_hungarian(d).tobytes() for d in distinct)
+        # Entries are multiples of 2^-m: their 2^m multiples key equal DSMs.
+        scaled = (ds.reshape(len(ds), -1) * (1 << m)).astype(key_dtype)
+        fresh = dict(zip(_row_keys(scaled), range(len(ds))))
+        for key in fresh.keys() - projected:
+            seen_h.add(project_hungarian(ds[fresh[key]]).tobytes())
+        projected.update(fresh)
         # Setting idx's one-trial order is row idx of one census-wide stream.
         orders = random_orders(order_rng, 1 << q, len(idx))
         seen_r.update(_row_keys(order_maps(ds, orders)))

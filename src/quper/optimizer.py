@@ -24,10 +24,10 @@ from .gf2 import Permutation
 from .problems import (
     GipInstance,
     QapInstance,
-    gip_cost,
     gip_cost_and_grad,
-    qap_cost,
+    gip_map_costs,
     qap_cost_and_grad,
+    qap_map_costs,
 )
 from .projection import (
     RANDOM_ORDER_TRIALS,
@@ -180,26 +180,29 @@ def embed_theta(
 
 
 def _problem_costs(problem):
-    """The problem's cost, and its cost and gradient at a relaxed matrix."""
+    """The problem's costs of a (K, n) array of maps, and its cost and
+    gradient at a relaxed matrix."""
     if isinstance(problem, QapInstance):
-        return partial(qap_cost, problem), partial(qap_cost_and_grad, problem)
+        return partial(qap_map_costs, problem), partial(qap_cost_and_grad, problem)
     if isinstance(problem, GipInstance):
-        return partial(gip_cost, problem), partial(gip_cost_and_grad, problem)
+        return partial(gip_map_costs, problem), partial(gip_cost_and_grad, problem)
     raise TypeError("problem must be a QapInstance or GipInstance")
 
 
-def best_projection(d: np.ndarray, cost, seed):
+def best_projection(d: np.ndarray, map_costs, seed):
     """Project d onto permutations and cost all candidates in one call.
 
-    The candidates, the Hungarian map then the order_maps of all
+    The candidates, the Hungarian map then the order_maps of the next
     RANDOM_ORDER_TRIALS random_orders of seed in trial order, duplicates
-    kept, are costed as one (K, n, n) stack.  Returns (argmin map, its value,
-    Hungarian cost, best random-order cost); ties go to the first candidate
-    in map order, so the pick is project_random_order's deduplicated one.
+    kept, are costed as one (K, n) int array of maps by map_costs.  seed may
+    be a Generator, which the draw advances: quper_solve passes one per
+    solve.  Returns (argmin map, its value, Hungarian cost, best random-order
+    cost); ties go to the first candidate in map order, so the pick is
+    project_random_order's deduplicated one.
     """
     orders = random_orders(seed, len(d), RANDOM_ORDER_TRIALS)
     maps = np.concatenate((project_hungarian(d)[None], order_maps(d, orders)))
-    values = cost(np.eye(len(d))[maps])
+    values = map_costs(maps)
     tied = np.flatnonzero(values == values.min())
     best = min(zip(maps[tied].tolist(), tied))[1]
     return maps[best], float(values[best]), float(values[0]), float(values[1:].min())
@@ -212,9 +215,10 @@ def quper_solve(problem, cfg: QuperConfig):
     if n < 2 or 1 << q != n:
         raise ValueError(f"problem size must be a power of two >= 2, got n={n}")
     check_qubit_guard(q + cfg.m_max)
-    cost, cost_and_grad = _problem_costs(problem)
+    map_costs, cost_and_grad = _problem_costs(problem)
     lr = cfg.lr or (GIP_LR if isinstance(problem, GipInstance) else DEFAULT_LR)
     rng = np.random.default_rng([cfg.seed])
+    order_rng = np.random.default_rng([cfg.seed, 1])  # apart from the θ stream
     trace = QuperTrace()
     best_p: np.ndarray | None = None
     best_v = math.inf
@@ -241,7 +245,7 @@ def quper_solve(problem, cfg: QuperConfig):
             )
             u, d = unitary_and_dsm(circuit, m, state.theta)
             loss, raw_cost, _, g = loss_pass(d, cost_and_grad)
-            p, v, ph_cost, pr_cost = best_projection(d, cost, [cfg.seed, m, it_global])
+            p, v, ph_cost, pr_cost = best_projection(d, map_costs, order_rng)
             if v < best_v:
                 best_p, best_v = p, v
             trace.records.append(
@@ -266,12 +270,12 @@ def random_baseline(problem, iterations: int, seed: int):
     time; ties go to the first drawn."""
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    cost, _ = _problem_costs(problem)
+    map_costs, _ = _problem_costs(problem)
     rng = np.random.default_rng([seed])
     best_p, best_v = None, math.inf
     for _ in range(math.ceil(iterations / 10)):
         maps = random_orders(rng, problem.n, 50)
-        values = cost(np.eye(problem.n)[maps])
+        values = map_costs(maps)
         k = int(np.argmin(values))
         if values[k] < best_v:
             best_p, best_v = maps[k], float(values[k])

@@ -2,8 +2,10 @@
 
 Costs take a Permutation (row convention: matrix has a 1 at (i, p(i))), a
 relaxed doubly-stochastic matrix, or a (K, n, n) stack of matrices costed in
-one call; *_cost_and_grad give a relaxed matrix's cost and its closed-form
-gradient in the matrix entries from one shared product.
+one call.  *_map_costs cost a (K, n) array of int maps (p[i] is the image of
+i) by one gather each, with no permutation matrix; a Permutation is costed
+through them.  *_cost_and_grad give a relaxed matrix's cost and its
+closed-form gradient in the matrix entries from one shared product.
 
 QAP: minimize f(P) = tr(W P D^T P^T).
 GIP: minimize f(P) = ||A - P B P^T||_F^2, zero iff P is an isomorphism,
@@ -76,23 +78,45 @@ class GipInstance:
 
 
 def _as_matrix(p, shape: tuple[int, int]) -> np.ndarray:
-    """p as an (n, n) matrix or a (K, n, n) stack of them."""
-    if isinstance(p, Permutation):
-        pm = np.eye(p.n)[list(p.map)]  # row i has a 1 at column p(i)
-    else:
-        pm = np.asarray(p, dtype=float)
+    """The relaxed matrix p as an (n, n) matrix or a (K, n, n) stack of them."""
+    pm = np.asarray(p, dtype=float)
     if pm.ndim not in (2, 3) or pm.shape[-2:] != shape:
         raise ValueError("dimension mismatch")
     return pm
 
 
+def _gathered(m: np.ndarray, maps) -> np.ndarray:
+    """m[p][:, p] flattened, for each row p of the (K, n) int maps: a
+    (K, n * n) array read by one flat take."""
+    maps = np.asarray(maps)
+    n = len(m)
+    if maps.ndim != 2 or maps.shape[1] != n:
+        raise ValueError("dimension mismatch")
+    return m.take(maps[:, :, None] * n + maps[:, None, :]).reshape(len(maps), n * n)
+
+
+def qap_map_costs(inst: QapInstance, maps) -> np.ndarray:
+    """sum_ij W_ij D[p_i, p_j] for each row p of the (K, n) int maps."""
+    return (inst.w.ravel() * _gathered(inst.d, maps)).sum(axis=1)
+
+
+def gip_map_costs(inst: GipInstance, maps) -> np.ndarray:
+    """sum_ij (A_ij - B[p_i, p_j])^2 for each row p of the (K, n) int maps."""
+    r = inst.a.ravel() - _gathered(inst.b, maps)
+    return (r * r).sum(axis=1)
+
+
 def qap_cost(inst: QapInstance, p):
+    if isinstance(p, Permutation):
+        return float(qap_map_costs(inst, [p.map])[0])
     pm = _as_matrix(p, inst.w.shape)
     v = np.trace(inst.w @ pm @ inst.d.T @ pm.swapaxes(-1, -2), axis1=-2, axis2=-1)
     return float(v) if pm.ndim == 2 else v
 
 
 def gip_cost(inst: GipInstance, p):
+    if isinstance(p, Permutation):
+        return float(gip_map_costs(inst, [p.map])[0])
     pm = _as_matrix(p, inst.a.shape)
     v = np.sum((inst.a - pm @ inst.b @ pm.swapaxes(-1, -2)) ** 2, axis=(-2, -1))
     return float(v) if pm.ndim == 2 else v

@@ -1,21 +1,27 @@
 """Record the fixed-seed solves that tests/test_reference_runs.py replays.
 
     python3 tests/data/record_reference_runs.py [OUT]
+    python3 tests/data/record_reference_runs.py --diff OLD NEW
 
 Writes reference_runs.json (or OUT): for each run, the instance, the solver
 config and what quper_solve returned (best permutation and value, every trace
 record and every level), solved with the quper under ../../src.
 
 The checked-in file was recorded with the adjoint gradient read off each
-step's target view and the one-generator random-order draw; recording today
-reproduces it byte for byte.
+step's target view, one random-order stream per solve (default_rng([seed,
+1]), apart from the θ stream [seed]) and permutations costed from their maps;
+recording today reproduces it byte for byte.
 The replay's contract is: permutations, best values, levels and iteration
 counters exact; every other float to a relative 1e-9.  Re-record only when a
 change is meant to alter the solver's trajectory.
 
 A change that must not move the trajectory shows it by recording to OUT in a
 checkout of its parent commit and in one of the change, then comparing the
-two outputs with `cmp`: they must be byte-identical.
+two outputs with `cmp`: they must be byte-identical.  A change that is meant
+to move it shows what moved with --diff: per run and per record field, how
+many records differ and the largest relative change |new - old| / max(|old|,
+|new|), then the best value and whether the best permutation or the
+levels moved.
 """
 
 from __future__ import annotations
@@ -61,7 +67,43 @@ def run(spec: dict) -> dict:
     }
 
 
+def _rel(old, new) -> float:
+    """|new - old| relative to the larger magnitude; 0 when equal."""
+    return 0.0 if old == new else abs(new - old) / max(abs(old), abs(new))
+
+
+def diff(old_runs: list[dict], new_runs: list[dict]) -> list[str]:
+    """One line per run and record field, then one per run for its result."""
+    if [r["problem"] for r in old_runs] != [r["problem"] for r in new_runs]:
+        raise ValueError("the two files hold different runs")
+    lines = []
+    for old, new in zip(old_runs, new_runs):
+        name = f"{old['problem']['kind']}{old['problem']['n']}"
+        pairs = list(zip(old["records"], new["records"]))
+        for key in old["records"][0]:
+            changes = [_rel(a[key], b[key]) for a, b in pairs if a[key] != b[key]]
+            lines.append(
+                f"{name} {key}: {len(changes)}/{len(pairs)} records moved, "
+                f"max rel change {max(changes, default=0.0):.3g}"
+            )
+        moved = [
+            key for key in ("best_permutation", "levels") if old[key] != new[key]
+        ]
+        lines.append(
+            f"{name} best_value {old['best_value']!r} -> {new['best_value']!r}; "
+            f"moved: {', '.join(moved) or 'nothing else'}"
+        )
+    return lines
+
+
 def main(argv: list[str]) -> int:
+    if argv[:1] == ["--diff"]:
+        if len(argv) != 3:
+            print("usage: record_reference_runs.py --diff OLD NEW", file=sys.stderr)
+            return 2
+        old, new = (json.loads(Path(p).read_text()) for p in argv[1:])
+        print("\n".join(diff(old, new)))
+        return 0
     sys.path.insert(0, str(HERE.parent.parent / "src"))
     out = Path(argv[0]) if argv else REFERENCE
     runs = [run(spec) for spec in RUNS]

@@ -222,6 +222,7 @@ class TestSpanCommand:
         assert census_row(capsys)[1:3] == serial_census(2, 1, 8, settings, 0)
 
     def test_one_hungarian_projection_per_distinct_dsm(self, monkeypatch, capsys):
+        # Once per census, not per chunk: 256 settings in chunks of 7.
         calls = []
 
         def counted(d):
@@ -229,12 +230,17 @@ class TestSpanCommand:
             return project_hungarian(d)
 
         monkeypatch.setattr(cli, "project_hungarian", counted)
+        monkeypatch.setattr(cli, "SPAN_CHUNK_ENTRIES", 7 << 5)
         assert main(["span", "--q", "2", "--ancilla", "1", "--params", "8"]) == 0
         circuit = solver_ansatz("bruhat", 3)
         on = np.zeros((256, circuit.param_count), bool)
         on[:, :8] = list(itertools.product((False, True), repeat=8))
         ds = binary_dsms(circuit, 1, on)
-        assert len(calls) == len(np.unique(ds.reshape(len(ds), -1), axis=0))
+        distinct = np.unique(ds.reshape(len(ds), -1), axis=0)
+        assert len(distinct) > 1
+        assert len(calls) == len(distinct)
+        got = np.unique(np.reshape(calls, (len(calls), -1)), axis=0)
+        assert np.array_equal(got, distinct)
 
     # At q = 2 count_random_order saturates at 4! = 24; only the q = 3 case
     # (cap 8! = 40,320) tells one random-order stream from another.

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -144,7 +145,8 @@ class TestLossPass:
         # give, so the solver's trajectory does not move.
         rng = np.random.default_rng(seed)
         problem = (random_qap if kind == "qap" else random_gip)(n, seed % 1000)
-        cost, cost_and_grad = optimizer._problem_costs(problem)
+        cost = partial(qap_cost if kind == "qap" else gip_cost, problem)
+        _, cost_and_grad = optimizer._problem_costs(problem)
         if source == "mixture":
             d = random_dsm(n, rng)
         elif source == "circuit":
@@ -407,11 +409,9 @@ class TestEmbedTheta:
 
 
 def per_map(cost):
-    """A stack cost from a per-permutation one: one value per one-hot matrix
-    of the (K, n, n) stack, in stack order."""
-    return lambda stack: np.array(
-        [cost(Permutation(tuple(m.argmax(axis=1).tolist()))) for m in stack]
-    )
+    """Map costs from a per-permutation cost: one value per row of the
+    (K, n) int maps, in row order."""
+    return lambda maps: np.array([cost(Permutation(tuple(m))) for m in maps.tolist()])
 
 
 def inline_incumbent_step(d, cost, seed, best_p, best_v):
@@ -461,19 +461,17 @@ class TestBestProjection:
     )
     @example(n=8, dsm_seed=10, seed=11)
     def test_one_cost_call_covers_every_candidate(self, n, dsm_seed, seed):
-        # One call on a (K, n, n) one-hot stack: the Hungarian map, then the
+        # One call on a (K, n) int array of maps: the Hungarian map, then the
         # map of each of the 50 random-order trials, in trial order,
         # duplicates kept.
         d = random_dsm(n, np.random.default_rng(dsm_seed))
         calls = []
         best_projection(d, lambda x: calls.append(x) or np.zeros(len(x)), seed)
         assert len(calls) == 1
-        stack = calls[0]
-        assert stack.ndim == 3 and stack.shape[1:] == (n, n)
-        assert np.array_equal(stack, np.eye(n)[stack.argmax(axis=2)])
-        rows = stack.argmax(axis=2).tolist()
+        maps = calls[0]
+        assert maps.shape == (51, n) and maps.dtype.kind == "i"
         rand = order_maps(d, random_orders(seed, n, 50)).tolist()
-        assert rows == [project_hungarian(d).tolist(), *rand]
+        assert maps.tolist() == [project_hungarian(d).tolist(), *rand]
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -575,6 +573,30 @@ class TestQuperSolve:
         assert trace.levels[-1]["permutation"] == list(p.map)
         assert all(type(i) is int for i in trace.levels[-1]["permutation"])
 
+    @pytest.mark.parametrize("kind", ["qap", "gip"])
+    def test_one_order_stream_per_solve(self, kind, monkeypatch):
+        # Iterate t's candidates, over both levels: the Hungarian map of its
+        # DSM d_t, then the order_maps of d_t at rows 50t..50t+49 of one
+        # random_orders draw from default_rng([seed, 1]).
+        seen = []
+        real = optimizer.best_projection
+
+        def recorded(d, map_costs, seed):
+            calls = []
+            out = real(d, lambda maps: calls.append(maps) or map_costs(maps), seed)
+            seen.append((d, *calls))
+            return out
+
+        monkeypatch.setattr(optimizer, "best_projection", recorded)
+        problem = random_qap(4, 5) if kind == "qap" else random_gip(4, 5)
+        seed, iters = 6, 4
+        quper_solve(problem, QuperConfig("bruhat", 1, iters, seed=seed))
+        assert len(seen) == 2 * iters
+        orders = random_orders(np.random.default_rng([seed, 1]), 4, 50 * len(seen))
+        for t, (d, maps) in enumerate(seen):
+            rand = order_maps(d, orders[50 * t : 50 * t + 50])
+            assert np.array_equal(maps, np.concatenate((project_hungarian(d)[None], rand)))
+
     def test_trace_schema(self):
         inst = random_qap(4, 7)
         _, _, trace = quper_solve(inst, QuperConfig("bruhat", 0, 3, seed=2))
@@ -638,14 +660,15 @@ class TestRandomBaseline:
 
     def test_one_cost_call_per_block_of_50(self, monkeypatch):
         calls = []
-        real = optimizer.qap_cost
-        def counted(inst, p):
-            calls.append(p.shape)
-            return real(inst, p)
+        real = optimizer.qap_map_costs
 
-        monkeypatch.setattr(optimizer, "qap_cost", counted)
+        def counted(inst, maps):
+            calls.append(maps.shape)
+            return real(inst, maps)
+
+        monkeypatch.setattr(optimizer, "qap_map_costs", counted)
         random_baseline(random_qap(4, 1), 95, seed=2)
-        assert calls == [(50, 4, 4)] * 10
+        assert calls == [(50, 4)] * 10
 
 
 def random_baseline_loop(problem, iterations, seed):

@@ -16,6 +16,7 @@ from quper.problems import (
     QapInstance,
     gip_cost,
     gip_cost_and_grad,
+    gip_map_costs,
     gip_to_qap,
     load_qaplib,
     normalized_heuristic_gap,
@@ -25,6 +26,7 @@ from quper.problems import (
     parse_sln,
     qap_cost,
     qap_cost_and_grad,
+    qap_map_costs,
     random_gip,
     random_qap,
     relative_optimality_gap,
@@ -169,27 +171,83 @@ class TestStackedCost:
         k=st.integers(1, 60),
     )
     def test_one_hot_stack_equals_single_calls(self, kind, n, seed, k):
-        # Exactly equal: a last-bit difference could flip the solver's ties.
+        # Each matrix of a (K, n, n) stack, one-hot or relaxed, costs exactly
+        # what it costs alone (a float).
         if kind == "qap":
             inst, cost = random_qap(n, seed), qap_cost  # float data
         else:
             inst, cost = random_gip(n, seed), gip_cost
         rng = np.random.default_rng(seed)
-        maps = np.array([rng.permutation(n) for _ in range(k)])
-        got = cost(inst, np.eye(n)[maps])
-        assert got.shape == (k,)
-        want = [cost(inst, Permutation(tuple(m))) for m in maps.tolist()]
-        assert got.tolist() == want
-        # A relaxed DSM costs the same alone (a float) and as a stack of one.
-        d = random_dsm(n, rng)
-        assert isinstance(cost(inst, d), float)
-        assert cost(inst, d[None]).tolist() == [cost(inst, d)]
+        one_hot = np.eye(n)[[rng.permutation(n) for _ in range(k)]]
+        relaxed = np.array([random_dsm(n, rng) for _ in range(k)])
+        for stack in (one_hot, relaxed):
+            got = cost(inst, stack)
+            assert got.shape == (k,)
+            want = [cost(inst, m) for m in stack]
+            assert all(isinstance(v, float) for v in want)
+            assert got.tolist() == want
 
     def test_stack_dimension_mismatch(self):
         inst = random_qap(4, 0)
         for bad in (np.zeros((2, 5, 5)), np.zeros((2, 4, 5)), np.zeros((1, 2, 4, 4))):
             with pytest.raises(ValueError, match="dimension mismatch"):
                 qap_cost(inst, bad)
+
+
+def map_cost_problem(kind, n, seed):
+    """A QAP with float data, a QAP with 0/1 data (qap_ties: many equal
+    costs), or a GIP, with its map costs and per-Permutation cost."""
+    if kind == "qap":
+        return random_qap(n, seed), qap_map_costs, qap_cost
+    if kind == "qap_ties":
+        w, d = np.random.default_rng(seed).integers(0, 2, (2, n, n))
+        return QapInstance(w, d), qap_map_costs, qap_cost
+    return random_gip(n, seed), gip_map_costs, gip_cost
+
+
+class TestMapCosts:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        kind=st.sampled_from(["qap", "qap_ties", "gip"]),
+        n=st.integers(2, 16),
+        seed=st.integers(0, 2**32 - 1),
+        k=st.integers(1, 60),
+    )
+    def test_equal_permutation_costs_and_the_one_hot_stack(self, kind, n, seed, k):
+        inst, map_costs, cost = map_cost_problem(kind, n, seed)
+        rng = np.random.default_rng(seed)
+        maps = np.array([rng.permutation(n) for _ in range(k)])
+        got = map_costs(inst, maps)
+        assert got.shape == (k,)
+        # Exactly: a Permutation is costed through the same gather.
+        assert got.tolist() == [cost(inst, Permutation(tuple(m))) for m in maps.tolist()]
+        # The one-hot stack sums in another order: exact on the GIP's 0/1
+        # entries, to rounding on float data.
+        stack = cost(inst, np.eye(n)[maps])
+        if kind == "gip":
+            assert got.tolist() == stack.tolist()
+        else:
+            assert np.allclose(got, stack, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("kind", ["qap", "gip"])
+    def test_wrong_size_raises_value_error(self, kind):
+        inst, map_costs, cost = map_cost_problem(kind, 4, 0)
+        for bad in (
+            np.zeros((2, 5), int),
+            np.zeros((2, 3), int),
+            np.zeros(4, int),
+            np.zeros((1, 2, 4), int),
+        ):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                map_costs(inst, bad)
+        for n in (3, 5):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                cost(inst, Permutation.identity(n))
+
+    @pytest.mark.parametrize("kind", ["qap", "gip"])
+    def test_no_maps_no_costs(self, kind):
+        inst, map_costs, _ = map_cost_problem(kind, 4, 0)
+        assert map_costs(inst, np.zeros((0, 4), int)).shape == (0,)
 
 
 class TestGipToQap:

@@ -40,3 +40,19 @@ def test_reference_run_reproduced(ref):
                 assert rec[key] == value, key
             else:
                 assert rec[key] == pytest.approx(value, rel=1e-9, abs=1e-12), key
+
+
+def test_diff_counts_moved_records_per_field():
+    old = REFERENCE[:1]
+    new = json.loads(json.dumps(old))
+    rec = new[0]["records"]
+    rec[2]["loss"] = old[0]["records"][2]["loss"] * 1.5
+    rec[3]["loss"] = old[0]["records"][3]["loss"] * 1.25
+    new[0]["best_permutation"] = new[0]["best_permutation"][::-1]
+    lines = recorder.diff(old, new)
+    name = _run_id(old[0])
+    n = len(rec)
+    assert f"{name} loss: 2/{n} records moved, max rel change 0.333" in lines
+    assert f"{name} raw_cost: 0/{n} records moved, max rel change 0" in lines
+    assert lines[-1].endswith("moved: best_permutation")
+    assert all(" 0/" in ln for ln in recorder.diff(old, old)[:-1])
