@@ -20,12 +20,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import (
+    TAPE_MAX_QUBITS,
     Circuit,
     Gate,
     check_qubit_guard,
     eval_permutations,
     eval_unitary,
     reverse_sweep,
+    tape_gradient,
 )
 from .gf2 import Permutation
 
@@ -85,16 +87,21 @@ def adjoint_gradient(
 ) -> np.ndarray:
     """Exact gradient over theta of a loss of the DSM d of the circuit at
     theta, given its unitary u (as unitary_and_dsm returns it) and
-    g = dloss/dd (n, n).  Builds no unitary of its own.
+    g = dloss/dd (n, n).
 
     d_ij sums |U_rc|^2 / 2^m over the rows r and columns c whose system part
-    is (i, j), so dloss/d|U|^2 is g tiled 2^m x 2^m and divided by 2^m;
-    circuits.reverse_sweep takes it from there.
+    is (i, j), so dloss/d|U|^2 is g tiled 2^m x 2^m and divided by 2^m.  Up
+    to circuits.TAPE_MAX_QUBITS qubits circuits.tape_gradient contracts it
+    with the tape the forward pass recorded (rerunning that pass if the tape
+    at circuit and theta is gone); above, circuits.reverse_sweep walks the
+    gates back.  Either way the bits do not depend on what ran before.
     """
     _check_ancillas(circuit, m)
     k = 1 << m
-    grad, _ = reverse_sweep(circuit, theta, u, np.tile(g / k, (k, k)))
-    return grad
+    lam = np.tile(g / k, (k, k))
+    if circuit.q > TAPE_MAX_QUBITS:
+        return reverse_sweep(circuit, theta, u, lam)[0]
+    return tape_gradient(circuit, theta, u, lam)
 
 
 def _rx_matrix(theta: float) -> np.ndarray:

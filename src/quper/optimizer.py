@@ -4,9 +4,10 @@ The driver optimizes the relaxed cost of the circuit's doubly-stochastic
 matrix plus three regularizers pushing it toward a permutation, projecting
 onto permutations at every iteration and escalating the ancilla count with
 parameter re-embedding.  Its gradient is exact: the closed-form derivative of
-the loss in the DSM, carried back through the circuit by dsm.adjoint_gradient.
-fd_gradient (central differences) is kept as the reference the tests check
-it against.
+the loss in the DSM, carried back through the circuit by dsm.adjoint_gradient,
+from the tape the forward pass recorded up to circuits.TAPE_MAX_QUBITS qubits
+and by the reverse sweep above.  fd_gradient (central differences) is kept as
+the reference the tests check it against.
 """
 
 from __future__ import annotations
@@ -267,11 +268,13 @@ def quper_solve(problem, cfg: QuperConfig):
 
 def random_baseline(problem, iterations: int, seed: int):
     """Best of 50 * ceil(I/10) uniformly random permutations, costed 50 at a
-    time; ties go to the first drawn."""
+    time; ties go to the first drawn.  They come from a stream of their own,
+    default_rng([seed, 2]): default_rng([seed]) is random_gip(n, seed)'s,
+    whose first draw is the planted map."""
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     map_costs, _ = _problem_costs(problem)
-    rng = np.random.default_rng([seed])
+    rng = np.random.default_rng([seed, 2])
     best_p, best_v = None, math.inf
     for _ in range(math.ceil(iterations / 10)):
         maps = random_orders(rng, problem.n, 50)

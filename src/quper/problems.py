@@ -1,11 +1,11 @@
 """Problem definitions: quadratic assignment (QAP), graph isomorphism (GIP).
 
-Costs take a Permutation (row convention: matrix has a 1 at (i, p(i))), a
-relaxed doubly-stochastic matrix, or a (K, n, n) stack of matrices costed in
-one call.  *_map_costs cost a (K, n) array of int maps (p[i] is the image of
-i) by one gather each, with no permutation matrix; a Permutation is costed
-through them.  *_cost_and_grad give a relaxed matrix's cost and its
-closed-form gradient in the matrix entries from one shared product.
+Costs take a Permutation (row convention: matrix has a 1 at (i, p(i))) or a
+relaxed doubly-stochastic (n, n) matrix.  *_map_costs cost a (K, n) array of
+int maps (p[i] is the image of i) by one gather each, with no permutation
+matrix; a Permutation is costed through them.  *_cost_and_grad give a
+relaxed matrix's cost and its closed-form gradient in the matrix entries
+from one shared product.
 
 QAP: minimize f(P) = tr(W P D^T P^T).
 GIP: minimize f(P) = ||A - P B P^T||_F^2, zero iff P is an isomorphism,
@@ -78,9 +78,9 @@ class GipInstance:
 
 
 def _as_matrix(p, shape: tuple[int, int]) -> np.ndarray:
-    """The relaxed matrix p as an (n, n) matrix or a (K, n, n) stack of them."""
+    """The relaxed matrix p as an (n, n) float array."""
     pm = np.asarray(p, dtype=float)
-    if pm.ndim not in (2, 3) or pm.shape[-2:] != shape:
+    if pm.shape != shape:
         raise ValueError("dimension mismatch")
     return pm
 
@@ -106,20 +106,18 @@ def gip_map_costs(inst: GipInstance, maps) -> np.ndarray:
     return (r * r).sum(axis=1)
 
 
-def qap_cost(inst: QapInstance, p):
+def qap_cost(inst: QapInstance, p) -> float:
     if isinstance(p, Permutation):
         return float(qap_map_costs(inst, [p.map])[0])
     pm = _as_matrix(p, inst.w.shape)
-    v = np.trace(inst.w @ pm @ inst.d.T @ pm.swapaxes(-1, -2), axis1=-2, axis2=-1)
-    return float(v) if pm.ndim == 2 else v
+    return float(np.trace(inst.w @ pm @ inst.d.T @ pm.T))
 
 
-def gip_cost(inst: GipInstance, p):
+def gip_cost(inst: GipInstance, p) -> float:
     if isinstance(p, Permutation):
         return float(gip_map_costs(inst, [p.map])[0])
     pm = _as_matrix(p, inst.a.shape)
-    v = np.sum((inst.a - pm @ inst.b @ pm.swapaxes(-1, -2)) ** 2, axis=(-2, -1))
-    return float(v) if pm.ndim == 2 else v
+    return float(np.sum((inst.a - pm @ inst.b @ pm.T) ** 2))
 
 
 def qap_cost_and_grad(inst: QapInstance, d) -> tuple[float, np.ndarray]:
@@ -127,16 +125,16 @@ def qap_cost_and_grad(inst: QapInstance, d) -> tuple[float, np.ndarray]:
     sharing the product W d D^T."""
     pm = _as_matrix(d, inst.w.shape)
     wdd = inst.w @ pm @ inst.d.T
-    return float(np.trace(wdd @ pm.swapaxes(-1, -2))), inst.w.T @ pm @ inst.d + wdd
+    return float(np.trace(wdd @ pm.T)), inst.w.T @ pm @ inst.d + wdd
 
 
 def gip_cost_and_grad(inst: GipInstance, d) -> tuple[float, np.ndarray]:
     """gip_cost at the relaxed matrix d and its gradient
     -2 (R d B^T + R^T d B), sharing the residual R = A - d B d^T."""
     pm = _as_matrix(d, inst.a.shape)
-    r = inst.a - pm @ inst.b @ pm.swapaxes(-1, -2)
-    grad = -2.0 * (r @ pm @ inst.b.T + r.swapaxes(-1, -2) @ pm @ inst.b)
-    return float(np.sum(r**2, axis=(-2, -1))), grad
+    r = inst.a - pm @ inst.b @ pm.T
+    grad = -2.0 * (r @ pm @ inst.b.T + r.T @ pm @ inst.b)
+    return float(np.sum(r**2)), grad
 
 
 def gip_to_qap(inst: GipInstance) -> QapInstance:

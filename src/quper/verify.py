@@ -1,4 +1,5 @@
-"""Self-check suites: gate identities, group theorems, simulator agreement.
+"""Self-check suites: gate identities, group theorems, simulator agreement,
+gradient agreement.
 
 Each suite returns (name, passed, detail); detail carries a counterexample
 description on failure.  The `x_matrix` hook exists so tests can inject a
@@ -12,7 +13,14 @@ import math
 
 import numpy as np
 
-from .circuits import Circuit, Gate, build_ansatz, eval_unitary
+from .circuits import (
+    Circuit,
+    Gate,
+    build_ansatz,
+    eval_unitary,
+    reverse_sweep,
+    tape_gradient,
+)
 from .dsm import binary_dsms, extract_dsm, statevector_oracle
 from .gf2 import (
     Gf2Matrix,
@@ -22,6 +30,7 @@ from .gf2 import (
     random_invertible,
     word_to_matrix,
 )
+from .optimizer import fd_gradient
 
 ATOL = 1e-12
 
@@ -168,6 +177,34 @@ def suite_binary_agreement(seed: int = 0, jobs: int = 20):
     return "binary_agreement", True, f"{3 * jobs} settings agree exactly"
 
 
+def suite_gradient_agreement(seed: int = 0, jobs: int = 2):
+    """The solver's tape gradient against reverse_sweep (to 1e-13) and
+    central differences (to 1e-6), relative to the largest entry of dloss/dd,
+    for the linear loss sum(g * d) of LX's DSM at seeded theta, q + m = 3..5."""
+    rng = np.random.default_rng(seed)
+    worst = np.zeros(2)  # from the sweep, from the differences
+    for w, m in ((3, 0), (3, 1), (4, 1), (5, 0), (5, 1)):
+        c, k = build_ansatz("LX", w), 1 << m
+        for _ in range(jobs):
+            theta = rng.uniform(0, 2 * math.pi, c.param_count)
+            g = rng.normal(size=(1 << (w - m),) * 2)
+            lam = np.tile(g / k, (k, k))
+            u = eval_unitary(c, theta)
+            got = tape_gradient(c, theta, u, lam)
+            wants = (reverse_sweep(c, theta, u, lam)[0],
+                     fd_gradient(lambda t: np.sum(g * extract_dsm(c, m, t)), theta))
+            dev = np.array([np.abs(got - want).max() for want in wants])
+            dev /= np.abs(g).max()
+            worst = np.maximum(worst, dev)
+            if dev[0] > 1e-13 or dev[1] > 1e-6:
+                at = f"q+m={w}, m={m}: {dev[0]:.3e} from the sweep, {dev[1]:.3e}"
+                detail = f"gradients differ at {at} from differences"
+                return "gradient_agreement", False, detail
+    detail = (f"max deviation {worst[0]:.3e} from the sweep, {worst[1]:.3e} "
+              f"from differences over {5 * jobs} jobs")
+    return "gradient_agreement", True, detail
+
+
 def run_suites(q: int = 3, deep: bool = False, x_matrix: np.ndarray | None = None):
     results = [
         suite_x_cx_relations(x_matrix),
@@ -177,5 +214,6 @@ def run_suites(q: int = 3, deep: bool = False, x_matrix: np.ndarray | None = Non
         suite_bruhat_reassembly(q if deep else min(q, 3), deep=deep),
         suite_dsm_agreement(),
         suite_binary_agreement(),
+        suite_gradient_agreement(),
     ]
     return results

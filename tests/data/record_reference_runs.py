@@ -7,9 +7,11 @@ Writes reference_runs.json (or OUT): for each run, the instance, the solver
 config and what quper_solve returned (best permutation and value, every trace
 record and every level), solved with the quper under ../../src.
 
-The checked-in file was recorded with the adjoint gradient read off each
-step's target view, one random-order stream per solve (default_rng([seed,
-1]), apart from the θ stream [seed]) and permutations costed from their maps;
+The checked-in file was recorded with the tape gradient: both runs sit at
+q + m <= circuits.TAPE_MAX_QUBITS, so each gradient was contracted from the
+row differences the forward pass recorded, not taken by the reverse sweep.
+It also used one random-order stream per solve (default_rng([seed, 1]),
+apart from the θ stream [seed]) and permutations costed from their maps;
 recording today reproduces it byte for byte.
 The replay's contract is: permutations, best values, levels and iteration
 counters exact; every other float to a relative 1e-9.  Re-record only when a

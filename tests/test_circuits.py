@@ -376,10 +376,112 @@ class TestReverseSweep:
             reverse_sweep(c, np.zeros(c.param_count + 1), u, np.zeros((4, 4)))
 
 
+def tape_case(name, q):
+    """One of TestTapeGradient's circuits on q qubits: a named ansatz,
+    "linear" (LX lowered), or at q = 4 MIXED_CIRCUIT and its PSWAP-free part
+    lowered to CX ladders."""
+    if name == "mixed":
+        return MIXED_CIRCUIT
+    if name == "mixed_lowered":
+        return lower_to_linear_topology(
+            Circuit(4, tuple(g for g in MIXED_CIRCUIT.gates if g.kind != "PSWAP"), 4)
+        )
+    return any_circuit(name, q)
+
+
+def sweep_gradient(c, m, theta, u, g):
+    """adjoint_gradient's value by reverse_sweep alone."""
+    k = 1 << m
+    return reverse_sweep(c, theta, u, np.tile(g / k, (k, k)))[0]
+
+
+class TestTapeGradient:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        name=st.sampled_from(
+            ANSATZ_KINDS + SOLVER_ANSATZE + ("linear", "mixed", "mixed_lowered")
+        ),
+        q=st.integers(2, circuits.TAPE_MAX_QUBITS),
+        m=st.integers(0, 1),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_agrees_with_the_sweep(self, name, q, m, seed):
+        c = tape_case(name, q)
+        m = min(m, c.q - 1)
+        rng = np.random.default_rng(seed)
+        (theta,) = random_thetas(c, rng, 1)
+        g = rng.normal(size=(1 << (c.q - m),) * 2)
+        u = eval_unitary(c, theta)
+        got = adjoint_gradient(c, m, theta, u, g)
+        want = sweep_gradient(c, m, theta, u, g)
+        # Relative to the gradient's scale, max |g| bounding each row term:
+        # at binary theta the gradient itself can vanish to rounding.
+        scale = max(np.abs(want).max(initial=0.0), np.abs(g).max())
+        assert got.shape == want.shape == (c.param_count,)
+        assert np.abs(got - want).max(initial=0.0) <= 1e-13 * scale
+
+    def test_hit_and_miss_give_the_same_bits(self, monkeypatch):
+        c = solver_ansatz("bruhat", 4)
+        rng = np.random.default_rng(31)
+        (theta,) = random_thetas(c, rng, 1)
+        g = rng.normal(size=(8, 8))
+        forwards = []
+        forward = circuits._forward
+        monkeypatch.setattr(
+            circuits, "_forward", lambda *args: forwards.append(1) or forward(*args)
+        )
+        u = eval_unitary(c, theta)
+        hit = adjoint_gradient(c, 1, theta, u, g)
+        assert len(forwards) == 1  # the gradient read the forward's tape
+        eval_unitary(MIXED_CIRCUIT, np.zeros(4))  # another plan evicts it
+        miss = adjoint_gradient(c, 1, theta, u, g)
+        assert len(forwards) == 3  # the miss ran the recording pass again
+        assert np.array_equal(hit, miss)
+
+    def test_theta_changed_in_place_is_a_miss(self):
+        c = solver_ansatz("bruhat", 3)
+        rng = np.random.default_rng(32)
+        before, after = random_thetas(c, rng, 2)
+        g = rng.normal(size=(8, 8))
+        u = eval_unitary(c, after)
+        want = adjoint_gradient(c, 0, after, u, g)
+        theta = before.copy()
+        eval_unitary(c, theta)  # the plan now holds the tape at before
+        theta[:] = after
+        assert np.array_equal(adjoint_gradient(c, 0, theta, u, g), want)
+
+    @pytest.mark.parametrize("m", [0, 1])
+    def test_sweep_alone_above_the_crossover(self, m):
+        # At q + m = TAPE_MAX_QUBITS + 1 no tape is recorded and the gradient
+        # is reverse_sweep's, bit for bit.
+        c = solver_ansatz("bruhat", circuits.TAPE_MAX_QUBITS + 1)
+        rng = np.random.default_rng(33)
+        (theta,) = random_thetas(c, rng, 1)
+        g = rng.normal(size=(1 << (c.q - m),) * 2)
+        u = eval_unitary(c, theta)
+        assert circuits._plan(c, theta)[4] is None
+        assert np.array_equal(
+            adjoint_gradient(c, m, theta, u, g), sweep_gradient(c, m, theta, u, g)
+        )
+        with pytest.raises(ValueError, match="no tape above TAPE_MAX_QUBITS"):
+            circuits.tape_gradient(c, theta, u, np.ones(u.shape))
+
+    @pytest.mark.parametrize("ell", [0, 2])
+    def test_no_parametrized_gate_gives_an_empty_gradient(self, ell):
+        cx = Gate("CX", (0, 2), None), Gate("CX", (2, 1), None)
+        c = Circuit(3, cx, ell)
+        theta = np.zeros(ell)
+        u = eval_unitary(c, theta)
+        assert circuits._plan(c, theta)[4].shape == (0, 8)
+        got = adjoint_gradient(c, 0, theta, u, np.ones((8, 8)))
+        assert got.dtype == float and np.array_equal(got, np.zeros(ell))
+
+
 class TestStepCache:
     def test_cached_blocks_are_read_only(self):
-        # The forward pass and the sweep at one theta share their blocks, so
-        # neither may write into them; the sweep leaves U and lam as given.
+        # The forward pass, the sweep and the tape contraction at one theta
+        # share their blocks and tape, so none may write into them; the sweep
+        # leaves U and lam as given.
         c = solver_ansatz("bruhat", 3)
         (theta,) = random_thetas(c, np.random.default_rng(8), 1)
         u = eval_unitary(c, theta)
@@ -387,11 +489,11 @@ class TestStepCache:
         kept = u.copy(), lam.copy()
         reverse_sweep(c, theta, u, lam)
         assert np.array_equal(u, kept[0]) and np.array_equal(lam, kept[1])
-        for sweep in (False, True):
-            for _, _, block in circuits._steps(c, theta, sweep):
-                assert not block.flags.writeable
-                with pytest.raises(ValueError):
-                    block[0, 0] = 0.0
+        _, _, _, (blocks, inv), tape = circuits._plan(c, theta)
+        for stack in (blocks, inv, tape):
+            assert not stack.flags.writeable
+            with pytest.raises(ValueError):
+                stack[0, 0] = 0.0
         assert np.array_equal(eval_unitary(c, theta), u)
 
     def test_keyed_on_circuit_and_theta_values(self):

@@ -63,8 +63,9 @@ class TestVerifyCommand:
         assert main(["verify"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") == 7
+        assert out.count("PASS") == 8
         assert "PASS binary_agreement: 60 settings agree exactly" in out
+        assert "PASS gradient_agreement: max deviation " in out
 
     def test_deep_borel_count(self, capsys):
         assert main(["verify", "--q", "4", "--deep"]) == 0
@@ -84,6 +85,22 @@ class TestVerifyCommand:
         name, ok, detail = verify.suite_binary_agreement()
         assert (name, ok) == ("binary_agreement", False)
         assert detail.startswith("DSMs differ at q=2, m=0, bits [")
+
+    def test_gradient_agreement_fails_on_a_faulty_tape(self, monkeypatch, capsys):
+        # One slot off by 1e-12 of the scale is past the sweep's 1e-13.
+        real = verify.tape_gradient
+
+        def shifted(*args):
+            grad = real(*args)
+            grad[-1] += 1e-12 * np.abs(args[3]).max()
+            return grad
+
+        monkeypatch.setattr(verify, "tape_gradient", shifted)
+        name, ok, detail = verify.suite_gradient_agreement()
+        assert (name, ok) == ("gradient_agreement", False)
+        assert detail.startswith("gradients differ at q+m=3, m=0: ")
+        assert main(["verify"]) == 5
+        assert "FAIL gradient_agreement" in capsys.readouterr().out
 
     def test_exit_code_5_on_failure(self, monkeypatch, capsys):
         import quper.cli as cli_mod

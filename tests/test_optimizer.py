@@ -670,6 +670,25 @@ class TestRandomBaseline:
         random_baseline(random_qap(4, 1), 95, seed=2)
         assert calls == [(50, 4)] * 10
 
+    @pytest.mark.parametrize("n", [8, 16])
+    def test_first_draw_is_not_the_planted_map(self, n, monkeypatch):
+        # random_gip(n, s) draws its planted map first from default_rng(s),
+        # the stream default_rng([s]) too: a baseline run at the instance's
+        # seed must not start from it.
+        drawn = []
+        real = optimizer.gip_map_costs
+        monkeypatch.setattr(
+            optimizer,
+            "gip_map_costs",
+            lambda inst, maps: drawn.append(maps) or real(inst, maps),
+        )
+        for s in range(20):
+            inst = random_gip(n, s)
+            drawn.clear()
+            random_baseline(inst, 10, seed=s)
+            assert len(drawn) == 1 and drawn[0].shape == (50, n)
+            assert not (drawn[0] == inst.planted.map).all(axis=1).any()
+
 
 def random_baseline_loop(problem, iterations, seed):
     """Reference for random_baseline: one trial and one Permutation cost call
@@ -679,7 +698,7 @@ def random_baseline_loop(problem, iterations, seed):
     else:
         cost = lambda p: gip_cost(problem, p)
     trials = 50 * math.ceil(iterations / 10)
-    rng = np.random.default_rng([seed])
+    rng = np.random.default_rng([seed, 2])
     best_p, best_v = None, math.inf
     for _ in range(trials):
         p = Permutation(tuple(int(v) for v in rng.permutation(problem.n)))
