@@ -16,9 +16,10 @@ order; since the X-gate subgroup is normal in the affine group, the spanned
 permutation set is the same as with the layer last.
 
 The gradient of a loss of |U|^2 has two paths on the same steps.  Up to
-TAPE_MAX_QUBITS qubits eval_unitary records a tape, each parametrized step's
-row differences, and tape_gradient contracts it with one product; above,
-reverse_sweep walks the gates back.  The sweep is also the tape's reference.
+TAPE_MAX_QUBITS qubits forward returns U with a tape, each parametrized
+step's row differences, and tape_gradient contracts the tape it is handed
+with one product; above, the tape is None and reverse_sweep walks the gates
+back.  The sweep is also the tape's reference.
 """
 
 from __future__ import annotations
@@ -220,40 +221,17 @@ def _check_theta(c: Circuit, theta) -> np.ndarray:
 
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-# Up to this many qubits eval_unitary records a tape and the gradient is
+# Up to this many qubits forward records a tape and the gradient is
 # contracted from it (tape_gradient); above, reverse_sweep walks the gates
 # back.  Set from the per-size timing table in README.md: forward pass plus
 # gradient take 0.56-0.73 of the sweep path's time at q = 3..5 and about 0.8
 # at q = 6, and lose from q = 7 on, where the product costs O(R 4^q) and the
 # tape holds R 2^q complex numbers; from q = 6 on the sweep's bits are kept.
 TAPE_MAX_QUBITS = 5
-# The last circuit and theta bytes asked of _plan, its _layout, its _blocks
-# and the tape the last recording forward pass at them wrote (None until
-# one has).  _plan reads it once and replaces it whole, so a caller that
-# races another only misses: the plan it returns is always that of its own
-# c and theta.
-_last_plan: tuple = (None, b"", None, None, None)
-
-
-def _plan(c: Circuit, theta: np.ndarray) -> tuple:
-    """(c, theta bytes, c's _layout, its _blocks at theta (L,), tape).
-
-    Each step is a 2x2 block on the target axis of its _geometry view.  RX
-    is its block RX(theta) on the target; PCX is PHASE(theta/2) . RX(theta)
-    on the target inside the control-1 slice, and CX, of slot None, is PCX
-    at block X, a flip.  PSWAP(a, b) = CX(b -> a) . PCX(a -> b) . CX(b -> a)
-    is PCX's block on the pair of rows where (a, b) is (1, 0) and (0, 1).
-    cos and sin of theta/2 are exact at theta in {0, pi}, so PCX(pi) is CX
-    and PSWAP(pi) is SWAP exactly.  The plan of the last c and theta is
-    kept, read-only: the forward pass at an iterate and the gradient that
-    follows share one build, and the gradient reads the forward's tape.
-    """
-    global _last_plan
-    last, key = _last_plan, theta.tobytes()
-    if last[0] is not c or last[1] != key:
-        layout = last[2] if last[0] is c else _layout(c)
-        last = _last_plan = c, key, layout, _blocks(layout[3], theta), None
-    return last
+# The last circuit asked of _layout and its layout.  A Circuit is immutable,
+# so its layout never changes and its identity is the key: hashing one walks
+# all its gates (about 3 us at q = 3, against 0.1 us for the check).
+_last_layout: tuple = (None, None)
 
 
 def _layout(c: Circuit) -> tuple:
@@ -261,6 +239,10 @@ def _layout(c: Circuit) -> tuple:
     block's row in _blocks's [RX blocks; PCX blocks; X], and the (shape,
     byte offset) of its rows in the (R, 2^q) tape, unused for CX; then the
     slot of each tape row."""
+    global _last_layout
+    last = _last_layout
+    if last[0] is c:
+        return last[1]
     ell, gates = c.param_count, c.gates
     rows = [g.slot + ell * (g.kind != "RX") if g.slot is not None else 2 * ell
             for g in gates]
@@ -272,13 +254,24 @@ def _layout(c: Circuit) -> tuple:
         tape_rows.append((view, 16 * len(row_slots) << c.q))
         if g.slot is not None:
             row_slots += [g.slot] * (math.prod(view) >> c.q)
-    return ([g.slot for g in gates], *geometries, np.array(rows, dtype=np.intp),
-            tape_rows, np.array(row_slots, dtype=np.intp))
+    layout = ([g.slot for g in gates], *geometries, np.array(rows, dtype=np.intp),
+              tape_rows, np.array(row_slots, dtype=np.intp))
+    _last_layout = c, layout
+    return layout
 
 
-def _blocks(rows: np.ndarray, theta: np.ndarray) -> tuple:
+def _blocks(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """The rows of [RX blocks; PCX blocks; X] at theta, as a (len(rows), 2, 2)
-    stack, and their complex conjugates, both read-only."""
+    stack.
+
+    Each step is a 2x2 block on the target axis of its _geometry view.  RX
+    is its block RX(theta) on the target; PCX is PHASE(theta/2) . RX(theta)
+    on the target inside the control-1 slice, and CX, of slot None, is PCX
+    at block X, a flip.  PSWAP(a, b) = CX(b -> a) . PCX(a -> b) . CX(b -> a)
+    is PCX's block on the pair of rows where (a, b) is (1, 0) and (0, 1).
+    cos and sin of theta/2 are exact at theta in {0, pi}, so PCX(pi) is CX
+    and PSWAP(pi) is SWAP exactly.
+    """
     ell, half = len(theta), theta / 2
     cos, sin = np.cos(half), np.sin(half)
     zero, pi = theta == 0.0, theta == math.pi
@@ -290,10 +283,7 @@ def _blocks(rows: np.ndarray, theta: np.ndarray) -> tuple:
     rx[..., 0, 1] = rx[..., 1, 0] = -1.0j * sin
     np.multiply((cos + 1.0j * sin)[..., None, None], rx, out=stack[ell:-1])
     stack[-1] = _X
-    blocks = stack[rows]
-    inv = blocks.conj()
-    blocks.flags.writeable = inv.flags.writeable = False
-    return blocks, inv
+    return stack[rows]
 
 
 @functools.cache
@@ -323,46 +313,41 @@ def check_qubit_guard(q: int) -> None:
         )
 
 
-def eval_unitary(c: Circuit, theta) -> np.ndarray:
-    """Dense 2^q x 2^q unitary of the circuit at the given parameters.
-
-    At q <= TAPE_MAX_QUBITS the pass also records the tape that
-    tape_gradient contracts and keeps it with the plan at c and theta.
+def forward(c: Circuit, theta) -> tuple[np.ndarray, np.ndarray | None]:
+    """The dense 2^q x 2^q unitary U of the circuit at parameters theta (L,),
+    applied step by step to the identity in place, and its tape: at q <=
+    TAPE_MAX_QUBITS, after each parametrized step, the difference of the two
+    row sets it has just mixed, sub[..., 0, :] - sub[..., 1, :], written as
+    that step's block of rows of one (R, 2^q) array (R = 30, 104 and 320 for
+    LX at q = 3, 4 and 5); above, None.  tape_gradient contracts it.
     """
     check_qubit_guard(c.q)
-    return _forward(c, _check_theta(c, theta))[0]
-
-
-def _forward(c: Circuit, theta: np.ndarray) -> tuple:
-    """U at theta (L,), applied step by step to the identity in place, and
-    its tape: at q <= TAPE_MAX_QUBITS, after each parametrized step, the
-    difference of the two row sets it has just mixed, sub[..., 0, :] -
-    sub[..., 1, :], written as that step's block of rows of one read-only
-    (R, 2^q) array (R = 30, 104 and 320 for LX at q = 3, 4 and 5); else None.
-    """
-    global _last_plan
-    plan = _plan(c, theta)
-    slots, one, _, _, tape_rows, row_slots = plan[2]
+    theta = _check_theta(c, theta)
+    slots, one, _, rows, tape_rows, row_slots = _layout(c)
     psi = np.eye(1 << c.q, dtype=complex)
     tape = None
     if c.q <= TAPE_MAX_QUBITS:
         tape = np.empty((len(row_slots), 1 << c.q), dtype=complex)
-    steps = zip(slots, one, plan[3][0], tape_rows)
+    steps = zip(slots, one, _blocks(rows, theta), tape_rows)
     for slot, (shape, offset, strides), block, (view, at) in steps:
         sub = np.ndarray(shape, complex, psi, offset, strides)
         sub[...] = sub[..., ::-1, :] if slot is None else block @ sub
         if tape is not None and slot is not None:
             out = np.ndarray(view, complex, tape, at)
             np.subtract(sub[..., 0, :], sub[..., 1, :], out=out)
-    if tape is not None:
-        tape.flags.writeable = False
-        _last_plan = *plan[:4], tape
     return psi, tape
 
 
-def tape_gradient(c: Circuit, theta, u: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    """reverse_sweep's gradient, contracted from the tape that eval_unitary
-    recorded at theta (q <= TAPE_MAX_QUBITS), with no second walk over the
+def eval_unitary(c: Circuit, theta) -> np.ndarray:
+    """Dense 2^q x 2^q unitary of the circuit at the given parameters."""
+    return forward(c, theta)[0]
+
+
+def tape_gradient(
+    c: Circuit, u: np.ndarray, lam: np.ndarray, tape: np.ndarray
+) -> np.ndarray:
+    """reverse_sweep's gradient, contracted from the tape that forward
+    returned with u (q <= TAPE_MAX_QUBITS), with no second walk over the
     gates.
 
     The sweep's B_s is P_s B0, with P_s the unitary after step s and B0 =
@@ -370,23 +355,19 @@ def tape_gradient(c: Circuit, theta, u: np.ndarray, lam: np.ndarray) -> np.ndarr
     the slot's -Im<B_r0 - B_r1, U_r0 - U_r1> is -Im<T_s B0, T_s>.  Four
     pieces give every slot: the product B0, the product E = tape B0, the
     row reduction -Im sum(conj(E) * tape) and a sum of each slot's rows.
-    If the plan at c and theta holds no tape (another circuit or theta was
-    evaluated since), the recording forward pass runs again and writes the
-    same bits.
     """
-    if c.q > TAPE_MAX_QUBITS:
-        raise ValueError(f"no tape above TAPE_MAX_QUBITS = {TAPE_MAX_QUBITS} qubits")
-    theta = _check_theta(c, theta)
-    dim = 1 << c.q
+    dim, row_slots = 1 << c.q, _layout(c)[5]
     if u.shape != (dim, dim) or lam.shape != (dim, dim):
         raise ValueError(f"U and lam must be {dim} x {dim}")
-    plan = _plan(c, theta)
-    tape = plan[4] if plan[4] is not None else _forward(c, theta)[1]
+    if np.shape(tape) != (len(row_slots), dim):
+        raise ValueError(
+            f"the circuit's tape is {len(row_slots)} x {dim}, got {np.shape(tape)}"
+        )
     e = tape @ (u.conj().T @ (lam * u))
     # Im(E conj(T)) row by row, from real views: no complex temporary.
     rows = np.einsum("ij,ij->i", e.imag, tape.real)
     rows -= np.einsum("ij,ij->i", e.real, tape.imag)
-    return np.bincount(plan[2][5], rows, c.param_count).astype(float, copy=False)
+    return np.bincount(row_slots, rows, c.param_count).astype(float, copy=False)
 
 
 def reverse_sweep(
@@ -399,7 +380,7 @@ def reverse_sweep(
     reference tape_gradient is checked against.
 
     Walks the stack [U, lam * U] (2, 2^q, 2^q) back through the gates'
-    steps (_plan).  Before undoing a step it holds [U_s, B_s]: U_s is the
+    steps (_blocks).  Before undoing a step it holds [U_s, B_s]: U_s is the
     unitary after that step and B_s the later steps' inverse applied to
     lam * U, so the loss moves by 2 Re<B_s, H_s U_s> per unit of the angle,
     H_s being the step's generator on the target axis of its view: -(i/2) X
@@ -419,10 +400,10 @@ def reverse_sweep(
     dim = 1 << c.q
     if u.shape != (dim, dim) or lam.shape != (dim, dim):
         raise ValueError(f"U and lam must be {dim} x {dim}")
-    _, _, (slots, _, two, *_), (_, inv), _ = _plan(c, theta)
+    slots, _, two, rows, _, _ = _layout(c)
     psi = np.array((u, lam * u), dtype=complex)
     grad = np.zeros(c.param_count)
-    steps = list(zip(slots, two, inv.swapaxes(-1, -2)))
+    steps = list(zip(slots, two, _blocks(rows, theta).conj().swapaxes(-1, -2)))
     for slot, (shape, offset, strides), block in reversed(steps):
         sub = np.ndarray(shape, complex, psi, offset, strides)
         if slot is not None:

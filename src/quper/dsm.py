@@ -20,12 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import (
-    TAPE_MAX_QUBITS,
     Circuit,
     Gate,
     check_qubit_guard,
     eval_permutations,
-    eval_unitary,
+    forward,
     reverse_sweep,
     tape_gradient,
 )
@@ -51,15 +50,17 @@ def _check_ancillas(circuit: Circuit, m: int) -> None:
         raise ValueError("need 0 <= m < circuit.q")
 
 
-def unitary_and_dsm(circuit: Circuit, m: int, theta) -> tuple[np.ndarray, np.ndarray]:
-    """U = eval_unitary(circuit, theta) on m + q qubits, the m ancillas being
-    the most-significant ones, and its (n, n) DSM: the closed-form block sum
-    over the ancilla indices of |U|^2."""
+def unitary_and_dsm(
+    circuit: Circuit, m: int, theta
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(U, tape) = circuits.forward(circuit, theta) on m + q qubits, the m
+    ancillas being the most-significant ones, and U's (n, n) DSM, the
+    closed-form block sum over the ancilla indices of |U|^2: (U, DSM, tape)."""
     _check_ancillas(circuit, m)
-    u = eval_unitary(circuit, theta)
+    u, tape = forward(circuit, theta)
     k = 1 << m
     n = u.shape[-1] >> m
-    return u, (np.abs(u.reshape(k, n, k, n)) ** 2).sum(axis=(0, 2)) / k
+    return u, (np.abs(u.reshape(k, n, k, n)) ** 2).sum(axis=(0, 2)) / k, tape
 
 
 def extract_dsm(circuit: Circuit, m: int, theta) -> np.ndarray:
@@ -72,7 +73,7 @@ def binary_dsms(circuit: Circuit, m: int, on) -> np.ndarray:
     a slot is at pi, as an (S, n, n) stack, from the basis maps p of
     eval_permutations: U is then a permutation matrix up to phases, so
     d_ij = 2^(-m) #{a : the system part of p((a, j)) is i}, exactly, counted
-    by one bincount over (setting, i, j).  Guarded as eval_unitary is."""
+    by one bincount over (setting, i, j).  Guarded as forward is."""
     _check_ancillas(circuit, m)
     check_qubit_guard(circuit.q)
     n, k = 1 << (circuit.q - m), 1 << m
@@ -83,25 +84,29 @@ def binary_dsms(circuit: Circuit, m: int, on) -> np.ndarray:
 
 
 def adjoint_gradient(
-    circuit: Circuit, m: int, theta, u: np.ndarray, g: np.ndarray
+    circuit: Circuit,
+    m: int,
+    theta,
+    u: np.ndarray,
+    tape: np.ndarray | None,
+    g: np.ndarray,
 ) -> np.ndarray:
     """Exact gradient over theta of a loss of the DSM d of the circuit at
-    theta, given its unitary u (as unitary_and_dsm returns it) and
-    g = dloss/dd (n, n).
+    theta, given its unitary u and tape (as unitary_and_dsm returns them)
+    and g = dloss/dd (n, n).
 
     d_ij sums |U_rc|^2 / 2^m over the rows r and columns c whose system part
-    is (i, j), so dloss/d|U|^2 is g tiled 2^m x 2^m and divided by 2^m.  Up
-    to circuits.TAPE_MAX_QUBITS qubits circuits.tape_gradient contracts it
-    with the tape the forward pass recorded (rerunning that pass if the tape
-    at circuit and theta is gone); above, circuits.reverse_sweep walks the
-    gates back.  Either way the bits do not depend on what ran before.
+    is (i, j), so dloss/d|U|^2 is g tiled 2^m x 2^m and divided by 2^m.
+    circuits.tape_gradient contracts it with the tape; where forward
+    recorded none (above circuits.TAPE_MAX_QUBITS qubits), the tape is None
+    and circuits.reverse_sweep walks the gates back.
     """
     _check_ancillas(circuit, m)
     k = 1 << m
     lam = np.tile(g / k, (k, k))
-    if circuit.q > TAPE_MAX_QUBITS:
+    if tape is None:
         return reverse_sweep(circuit, theta, u, lam)[0]
-    return tape_gradient(circuit, theta, u, lam)
+    return tape_gradient(circuit, u, lam, tape)
 
 
 def _rx_matrix(theta: float) -> np.ndarray:

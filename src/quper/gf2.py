@@ -129,16 +129,6 @@ class Gf2Matrix:
             for j in range(self.q)
         )
 
-    @staticmethod
-    def from_text(text: str) -> Gf2Matrix:
-        lines = [ln.strip() for ln in text.strip().splitlines() if ln.strip()]
-        entries = []
-        for ln in lines:
-            if set(ln) - {"0", "1"}:
-                raise ValueError("rows must contain only '0'/'1'")
-            entries.append([int(c) for c in ln])
-        return Gf2Matrix.from_entries(entries)
-
 
 @dataclass(frozen=True)
 class Permutation:

@@ -4,10 +4,11 @@ The driver optimizes the relaxed cost of the circuit's doubly-stochastic
 matrix plus three regularizers pushing it toward a permutation, projecting
 onto permutations at every iteration and escalating the ancilla count with
 parameter re-embedding.  Its gradient is exact: the closed-form derivative of
-the loss in the DSM, carried back through the circuit by dsm.adjoint_gradient,
-from the tape the forward pass recorded up to circuits.TAPE_MAX_QUBITS qubits
-and by the reverse sweep above.  fd_gradient (central differences) is kept as
-the reference the tests check it against.
+the loss in the DSM, carried back through the circuit by dsm.adjoint_gradient:
+from the tape that the iterate's forward pass returned beside U, or by the
+reverse sweep where that tape is None (above circuits.TAPE_MAX_QUBITS
+qubits).  fd_gradient (central differences) is kept as the reference the
+tests check it against.
 """
 
 from __future__ import annotations
@@ -236,15 +237,15 @@ def quper_solve(problem, cfg: QuperConfig):
         else:
             theta = embed_theta(prev_circuit, circuit, theta)
         state = AdamState.fresh(theta, eta=lr)
-        # One forward pass and one loss pass per iterate: U and dloss/dd feed
-        # the next gradient, d the projection and the trace.
-        u, d = unitary_and_dsm(circuit, m, state.theta)
+        # One forward pass and one loss pass per iterate: U, its tape and
+        # dloss/dd feed the next gradient, d the projection and the trace.
+        u, d, tape = unitary_and_dsm(circuit, m, state.theta)
         g = loss_pass(d, cost_and_grad)[-1]
         for _ in range(cfg.iterations):
             state = adam_nesterov_step(
-                state, adjoint_gradient(circuit, m, state.theta, u, g)
+                state, adjoint_gradient(circuit, m, state.theta, u, tape, g)
             )
-            u, d = unitary_and_dsm(circuit, m, state.theta)
+            u, d, tape = unitary_and_dsm(circuit, m, state.theta)
             loss, raw_cost, _, g = loss_pass(d, cost_and_grad)
             p, v, ph_cost, pr_cost = best_projection(d, map_costs, order_rng)
             if v < best_v:

@@ -5,7 +5,7 @@ relaxed doubly-stochastic (n, n) matrix.  *_map_costs cost a (K, n) array of
 int maps (p[i] is the image of i) by one gather each, with no permutation
 matrix; a Permutation is costed through them.  *_cost_and_grad give a
 relaxed matrix's cost and its closed-form gradient in the matrix entries
-from one shared product.
+from one shared product; a relaxed matrix is costed through them.
 
 QAP: minimize f(P) = tr(W P D^T P^T).
 GIP: minimize f(P) = ||A - P B P^T||_F^2, zero iff P is an isomorphism,
@@ -109,27 +109,25 @@ def gip_map_costs(inst: GipInstance, maps) -> np.ndarray:
 def qap_cost(inst: QapInstance, p) -> float:
     if isinstance(p, Permutation):
         return float(qap_map_costs(inst, [p.map])[0])
-    pm = _as_matrix(p, inst.w.shape)
-    return float(np.trace(inst.w @ pm @ inst.d.T @ pm.T))
+    return qap_cost_and_grad(inst, p)[0]
 
 
 def gip_cost(inst: GipInstance, p) -> float:
     if isinstance(p, Permutation):
         return float(gip_map_costs(inst, [p.map])[0])
-    pm = _as_matrix(p, inst.a.shape)
-    return float(np.sum((inst.a - pm @ inst.b @ pm.T) ** 2))
+    return gip_cost_and_grad(inst, p)[0]
 
 
 def qap_cost_and_grad(inst: QapInstance, d) -> tuple[float, np.ndarray]:
-    """qap_cost at the relaxed matrix d and its gradient W^T d D + W d D^T,
-    sharing the product W d D^T."""
+    """The cost tr(W d D^T d^T) at the relaxed matrix d and its gradient
+    W^T d D + W d D^T, sharing the product W d D^T."""
     pm = _as_matrix(d, inst.w.shape)
     wdd = inst.w @ pm @ inst.d.T
     return float(np.trace(wdd @ pm.T)), inst.w.T @ pm @ inst.d + wdd
 
 
 def gip_cost_and_grad(inst: GipInstance, d) -> tuple[float, np.ndarray]:
-    """gip_cost at the relaxed matrix d and its gradient
+    """The cost sum(R^2) at the relaxed matrix d and its gradient
     -2 (R d B^T + R^T d B), sharing the residual R = A - d B d^T."""
     pm = _as_matrix(d, inst.a.shape)
     r = inst.a - pm @ inst.b @ pm.T

@@ -18,6 +18,7 @@ from .circuits import (
     Gate,
     build_ansatz,
     eval_unitary,
+    forward,
     reverse_sweep,
     tape_gradient,
 )
@@ -189,8 +190,8 @@ def suite_gradient_agreement(seed: int = 0, jobs: int = 2):
             theta = rng.uniform(0, 2 * math.pi, c.param_count)
             g = rng.normal(size=(1 << (w - m),) * 2)
             lam = np.tile(g / k, (k, k))
-            u = eval_unitary(c, theta)
-            got = tape_gradient(c, theta, u, lam)
+            u, tape = forward(c, theta)
+            got = tape_gradient(c, u, lam, tape)
             wants = (reverse_sweep(c, theta, u, lam)[0],
                      fd_gradient(lambda t: np.sum(g * extract_dsm(c, m, t)), theta))
             dev = np.array([np.abs(got - want).max() for want in wants])

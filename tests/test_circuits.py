@@ -24,11 +24,13 @@ from quper.circuits import (
     eval_permutation,
     eval_permutations,
     eval_unitary,
+    forward,
     lower_to_linear_topology,
     max_dense_qubits,
     reverse_sweep,
     solver_ansatz,
     synthesize_params,
+    tape_gradient,
 )
 from quper.dsm import _apply_gate, adjoint_gradient, statevector_oracle
 from quper.optimizer import QuperConfig, fd_gradient, quper_solve
@@ -286,10 +288,11 @@ class TestKernel:
         g = rng.normal(size=(1 << q, 1 << q))
         for phi in (rng.uniform(0, 2 * PI), 0.0, PI):
             theta = np.concatenate(([phi], rng.uniform(0, 2 * PI, q)))
-            u = eval_unitary(one, theta)
-            assert np.array_equal(u, eval_unitary(three, theta))
-            got = adjoint_gradient(one, 0, theta, u, g)
-            want = adjoint_gradient(three, 0, theta, u, g)
+            u, tape = forward(one, theta)
+            u3, tape3 = forward(three, theta)
+            assert np.array_equal(u, u3)
+            got = adjoint_gradient(one, 0, theta, u, tape, g)
+            want = adjoint_gradient(three, 0, theta, u3, tape3, g)
             assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_rejects_bad_theta_shape(self):
@@ -353,18 +356,18 @@ class TestReverseSweep:
             assert np.max(np.abs(grad - want)) <= 1e-8 * np.max(np.abs(want))
 
     def test_leaves_its_inputs_unchanged(self):
-        # The solver carries U across iterations; the sweep must not write
-        # into U, lam or g.
+        # The solver carries U and its tape across iterations; neither
+        # gradient path may write into U, the tape, lam or g.
         rng = np.random.default_rng(5)
         for m, c in ((0, MIXED_CIRCUIT), (1, solver_ansatz("bruhat", 4))):
             (theta,) = random_thetas(c, rng, 1)
-            u = eval_unitary(c, theta)
+            u, tape = forward(c, theta)
             lam = rng.normal(size=u.shape)
             g = rng.normal(size=(len(u) >> m, len(u) >> m))
-            kept = u.copy(), lam.copy(), g.copy()
+            kept = u.copy(), tape.copy(), lam.copy(), g.copy()
             reverse_sweep(c, theta, u, lam)
-            adjoint_gradient(c, m, theta, u, g)
-            for arg, copy in zip((u, lam, g), kept):
+            adjoint_gradient(c, m, theta, u, tape, g)
+            for arg, copy in zip((u, tape, lam, g), kept):
                 assert np.array_equal(arg, copy)
 
     def test_rejects_bad_shapes(self):
@@ -411,8 +414,8 @@ class TestTapeGradient:
         rng = np.random.default_rng(seed)
         (theta,) = random_thetas(c, rng, 1)
         g = rng.normal(size=(1 << (c.q - m),) * 2)
-        u = eval_unitary(c, theta)
-        got = adjoint_gradient(c, m, theta, u, g)
+        u, tape = forward(c, theta)
+        got = adjoint_gradient(c, m, theta, u, tape, g)
         want = sweep_gradient(c, m, theta, u, g)
         # Relative to the gradient's scale, max |g| bounding each row term:
         # at binary theta the gradient itself can vanish to rounding.
@@ -420,35 +423,32 @@ class TestTapeGradient:
         assert got.shape == want.shape == (c.param_count,)
         assert np.abs(got - want).max(initial=0.0) <= 1e-13 * scale
 
-    def test_hit_and_miss_give_the_same_bits(self, monkeypatch):
-        c = solver_ansatz("bruhat", 4)
-        rng = np.random.default_rng(31)
+    @pytest.mark.parametrize("q", range(2, circuits.TAPE_MAX_QUBITS + 2))
+    def test_forward_records_a_tape_up_to_the_crossover(self, q):
+        # The tape is None exactly above TAPE_MAX_QUBITS and (R, 2^q) below;
+        # handed None, adjoint_gradient takes the sweep at any size.
+        c = build_ansatz("LX", q)
+        rng = np.random.default_rng(q)
         (theta,) = random_thetas(c, rng, 1)
-        g = rng.normal(size=(8, 8))
-        forwards = []
-        forward = circuits._forward
-        monkeypatch.setattr(
-            circuits, "_forward", lambda *args: forwards.append(1) or forward(*args)
+        g = rng.normal(size=(1 << (q - 1),) * 2)
+        u, tape = forward(c, theta)
+        assert np.array_equal(u, eval_unitary(c, theta))
+        assert (tape is None) == (q > circuits.TAPE_MAX_QUBITS)
+        if tape is not None:
+            # Each RX mixes 2^(q-1) row pairs, each PCX and PSWAP 2^(q-2).
+            rows = (2 * q + 3 * q * (q - 1) // 2) << (q - 2)
+            assert tape.shape == (rows, 1 << q)
+        assert np.array_equal(
+            adjoint_gradient(c, 1, theta, u, None, g), sweep_gradient(c, 1, theta, u, g)
         )
-        u = eval_unitary(c, theta)
-        hit = adjoint_gradient(c, 1, theta, u, g)
-        assert len(forwards) == 1  # the gradient read the forward's tape
-        eval_unitary(MIXED_CIRCUIT, np.zeros(4))  # another plan evicts it
-        miss = adjoint_gradient(c, 1, theta, u, g)
-        assert len(forwards) == 3  # the miss ran the recording pass again
-        assert np.array_equal(hit, miss)
 
-    def test_theta_changed_in_place_is_a_miss(self):
-        c = solver_ansatz("bruhat", 3)
-        rng = np.random.default_rng(32)
-        before, after = random_thetas(c, rng, 2)
-        g = rng.normal(size=(8, 8))
-        u = eval_unitary(c, after)
-        want = adjoint_gradient(c, 0, after, u, g)
-        theta = before.copy()
-        eval_unitary(c, theta)  # the plan now holds the tape at before
-        theta[:] = after
-        assert np.array_equal(adjoint_gradient(c, 0, theta, u, g), want)
+    def test_rejects_another_circuits_tape(self):
+        lx, borel = build_ansatz("LX", 3), solver_ansatz("borel", 3)
+        u, tape = forward(lx, np.zeros(lx.param_count))
+        lam = np.ones(u.shape)
+        assert tape_gradient(lx, u, lam, tape).shape == (lx.param_count,)
+        with pytest.raises(ValueError, match="tape is 18 x 8, got \\(30, 8\\)"):
+            tape_gradient(borel, u, lam, tape)
 
     @pytest.mark.parametrize("m", [0, 1])
     def test_sweep_alone_above_the_crossover(self, m):
@@ -458,44 +458,27 @@ class TestTapeGradient:
         rng = np.random.default_rng(33)
         (theta,) = random_thetas(c, rng, 1)
         g = rng.normal(size=(1 << (c.q - m),) * 2)
-        u = eval_unitary(c, theta)
-        assert circuits._plan(c, theta)[4] is None
+        u, tape = forward(c, theta)
+        assert tape is None
         assert np.array_equal(
-            adjoint_gradient(c, m, theta, u, g), sweep_gradient(c, m, theta, u, g)
+            adjoint_gradient(c, m, theta, u, tape, g),
+            sweep_gradient(c, m, theta, u, g),
         )
-        with pytest.raises(ValueError, match="no tape above TAPE_MAX_QUBITS"):
-            circuits.tape_gradient(c, theta, u, np.ones(u.shape))
+        with pytest.raises(ValueError, match="got \\(\\)"):
+            tape_gradient(c, u, np.ones(u.shape), tape)
 
     @pytest.mark.parametrize("ell", [0, 2])
     def test_no_parametrized_gate_gives_an_empty_gradient(self, ell):
         cx = Gate("CX", (0, 2), None), Gate("CX", (2, 1), None)
         c = Circuit(3, cx, ell)
         theta = np.zeros(ell)
-        u = eval_unitary(c, theta)
-        assert circuits._plan(c, theta)[4].shape == (0, 8)
-        got = adjoint_gradient(c, 0, theta, u, np.ones((8, 8)))
+        u, tape = forward(c, theta)
+        assert tape.shape == (0, 8)
+        got = adjoint_gradient(c, 0, theta, u, tape, np.ones((8, 8)))
         assert got.dtype == float and np.array_equal(got, np.zeros(ell))
 
 
 class TestStepCache:
-    def test_cached_blocks_are_read_only(self):
-        # The forward pass, the sweep and the tape contraction at one theta
-        # share their blocks and tape, so none may write into them; the sweep
-        # leaves U and lam as given.
-        c = solver_ansatz("bruhat", 3)
-        (theta,) = random_thetas(c, np.random.default_rng(8), 1)
-        u = eval_unitary(c, theta)
-        lam = np.random.default_rng(9).normal(size=u.shape)
-        kept = u.copy(), lam.copy()
-        reverse_sweep(c, theta, u, lam)
-        assert np.array_equal(u, kept[0]) and np.array_equal(lam, kept[1])
-        _, _, _, (blocks, inv), tape = circuits._plan(c, theta)
-        for stack in (blocks, inv, tape):
-            assert not stack.flags.writeable
-            with pytest.raises(ValueError):
-                stack[0, 0] = 0.0
-        assert np.array_equal(eval_unitary(c, theta), u)
-
     def test_keyed_on_circuit_and_theta_values(self):
         # Same parameter count and theta on two circuits, and a theta array
         # changed in place between calls: each call sees its own steps.
@@ -702,7 +685,7 @@ class TestSynthesizeParams:
 
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
-            synthesize_params(AffineMap(Gf2Matrix.from_text("11\n11"), 0))
+            synthesize_params(AffineMap(Gf2Matrix.from_entries([[1, 1], [1, 1]]), 0))
 
 
 class TestLowering:

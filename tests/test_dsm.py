@@ -97,7 +97,7 @@ class TestExtractDsm:
             statevector_oracle(build_ansatz("LX", 2), 2, np.zeros(5))
         with pytest.raises(ValueError):
             adjoint_gradient(
-                build_ansatz("LX", 2), 2, np.zeros(5), np.eye(4), np.zeros((1, 1))
+                build_ansatz("LX", 2), 2, np.zeros(5), np.eye(4), None, np.zeros((1, 1))
             )
 
     @settings(max_examples=60, deadline=None)

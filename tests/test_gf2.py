@@ -81,7 +81,7 @@ class TestBorelSubword:
 
     def test_rejects_non_borel(self):
         with pytest.raises(ValueError):
-            borel_subword(Gf2Matrix.from_text("01\n10"))
+            borel_subword(Gf2Matrix.from_entries([[0, 1], [1, 0]]))
 
 
 class TestBruhatDecompose:
@@ -92,7 +92,7 @@ class TestBruhatDecompose:
         assert f.w == Permutation.identity(3)
 
     def test_pure_permutation_matrix(self):
-        f = bruhat_decompose(Gf2Matrix.from_text("01\n10"))
+        f = bruhat_decompose(Gf2Matrix.from_entries([[0, 1], [1, 0]]))
         assert f.u1 == Gf2Matrix.identity(2)
         assert f.u2 == Gf2Matrix.identity(2)
         assert f.w == Permutation((1, 0))
@@ -129,7 +129,7 @@ class TestBruhatDecompose:
 
     def test_singular_rejected(self):
         with pytest.raises(ValueError):
-            bruhat_decompose(Gf2Matrix.from_text("11\n11"))
+            bruhat_decompose(Gf2Matrix.from_entries([[1, 1], [1, 1]]))
 
 
 class TestRandomInvertible:
@@ -233,16 +233,6 @@ class TestWeylWords:
                     prod = prod.compose(Permutation.transposition(q, i - 1, i))
             assert prod == target
             assert sum(mask) == target.inversions()
-
-
-class TestTextFormats:
-    def test_matrix_roundtrip(self):
-        m = Gf2Matrix.from_text("101\n011\n001")
-        assert Gf2Matrix.from_text(m.to_text()) == m
-
-    def test_matrix_rejects_bad_chars(self):
-        with pytest.raises(ValueError):
-            Gf2Matrix.from_text("10\n1x")
 
 
 class TestPermutationBasics:

@@ -166,20 +166,19 @@ class TestLossPass:
 
     def test_solver_costs_each_iterate_once(self, monkeypatch):
         # levels x (I + 1) iterates: one relaxed cost-and-gradient call and
-        # one block build each; the gradient and the sweep reuse them.
-        relaxed, plans = [], []
-        real_cost, real_plan = optimizer.qap_cost_and_grad, circuits._blocks
+        # one block build each; the gradient reuses the forward pass's tape.
+        relaxed, blocks = [], []
+        real_cost, real_blocks = optimizer.qap_cost_and_grad, circuits._blocks
         monkeypatch.setattr(
             optimizer,
             "qap_cost_and_grad",
             lambda *args: relaxed.append(1) or real_cost(*args),
         )
         monkeypatch.setattr(
-            circuits, "_blocks", lambda *args: plans.append(1) or real_plan(*args)
+            circuits, "_blocks", lambda *args: blocks.append(1) or real_blocks(*args)
         )
-        monkeypatch.setattr(circuits, "_last_plan", (None, b"", None, None))
         quper_solve(random_qap(4, 2), QuperConfig("bruhat", 1, iterations=3))
-        assert len(relaxed) == len(plans) == 2 * (3 + 1)
+        assert len(relaxed) == len(blocks) == 2 * (3 + 1)
 
 
 def solver_loss_grads(problem):
@@ -219,8 +218,8 @@ class TestAdjointGradient:
         theta = rng.uniform(0, 2 * PI, c.param_count)
         binary = rng.random(c.param_count) < binary_frac
         theta[binary] = rng.choice([0.0, PI], np.count_nonzero(binary))
-        u, d = unitary_and_dsm(c, m, theta)
-        got = adjoint_gradient(c, m, theta, u, loss_grad(d))
+        u, d, tape = unitary_and_dsm(c, m, theta)
+        got = adjoint_gradient(c, m, theta, u, tape, loss_grad(d))
         # fd_gradient at h and h/2, extrapolated (Richardson) to cancel the
         # h^2 term: where DSM entries sit at 0 the entropy term curves so
         # sharply that this term alone reaches 1e-5 relative at h = 1e-5.
@@ -241,11 +240,11 @@ class TestAdjointGradient:
 
     def test_solver_builds_one_unitary_per_iterate(self, monkeypatch):
         # Each level builds U at its starting theta, then one per Adam step;
-        # the gradient reuses the U of the iterate it starts from.
+        # the gradient reuses the U and tape of the iterate it starts from.
         built = []
-        eval_unitary = dsm.eval_unitary
+        forward = dsm.forward
         monkeypatch.setattr(
-            dsm, "eval_unitary", lambda *args: built.append(1) or eval_unitary(*args)
+            dsm, "forward", lambda *args: built.append(1) or forward(*args)
         )
         quper_solve(random_qap(4, 2), QuperConfig("bruhat", 1, iterations=3))
         assert len(built) == 2 * (3 + 1)
