@@ -99,6 +99,29 @@ class Circuit:
             if g.slot is not None and not 0 <= g.slot < self.param_count:
                 raise ValueError("parameter slot out of range")
 
+    @functools.cached_property
+    def _layout(self) -> tuple:
+        """Per gate: its slot, its geometries on one and on two planes, its
+        block's row in _blocks's [RX blocks; PCX blocks; X], and the (shape,
+        byte offset) of its rows in the (R, 2^q) tape, unused for CX; then
+        the slot of each tape row.  Built on first use and kept with the
+        circuit, which is immutable; its index arrays are read-only."""
+        ell, gates = self.param_count, self.gates
+        rows = [g.slot + ell * (g.kind != "RX") if g.slot is not None else 2 * ell
+                for g in gates]
+        geometries = [
+            [_geometry(self.q, k, g.qubits, g.kind == "PSWAP") for g in gates]
+            for k in (1, 2)
+        ]
+        tape_rows, row_slots = [], []
+        for g, (shape, _, _) in zip(gates, geometries[0]):
+            view = (*shape[:3], shape[4])  # the step's view less its target axis
+            tape_rows.append((view, 16 * len(row_slots) << self.q))
+            if g.slot is not None:
+                row_slots += [g.slot] * (math.prod(view) >> self.q)
+        return ([g.slot for g in gates], *geometries, _read_only(rows, np.intp),
+                tape_rows, _read_only(row_slots, np.intp))
+
 
 @dataclass(frozen=True)
 class CircuitStats:
@@ -181,11 +204,14 @@ def build_ansatz(kind: str, q: int) -> Circuit:
 SOLVER_ANSATZE = ("bruhat", "borel", "sel")
 
 
+@functools.cache
 def solver_ansatz(name: str, q: int) -> Circuit:
     """Ansatz used by the solver: an upstream RX layer plus the named block.
 
     "bruhat" is the full LX circuit; "borel" is the RX layer followed by the
-    Borel block only; "sel" is the hardware-style layered baseline.
+    Borel block only; "sel" is the hardware-style layered baseline.  Built
+    once per (name, q) and process: every caller gets the same Circuit, and
+    with it the layout that the circuit keeps.
     """
     if name == "bruhat":
         return build_ansatz("LX", q)
@@ -224,40 +250,24 @@ _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 # Up to this many qubits forward records a tape and the gradient is
 # contracted from it (tape_gradient); above, reverse_sweep walks the gates
 # back.  Set from the per-size timing table in README.md: forward pass plus
-# gradient take 0.56-0.73 of the sweep path's time at q = 3..5 and about 0.8
-# at q = 6, and lose from q = 7 on, where the product costs O(R 4^q) and the
-# tape holds R 2^q complex numbers; from q = 6 on the sweep's bits are kept.
-TAPE_MAX_QUBITS = 5
-# The last circuit asked of _layout and its layout.  A Circuit is immutable,
-# so its layout never changes and its identity is the key: hashing one walks
-# all its gates (about 3 us at q = 3, against 0.1 us for the check).
-_last_layout: tuple = (None, None)
+# gradient take 0.56-0.61 of the sweep path's time at q = 3..5 and 0.78 at
+# q = 6, and lose from q = 7 on, where the product costs O(R 4^q) and the
+# tape holds R 2^q complex numbers; from q = 7 on the sweep's bits are kept.
+TAPE_MAX_QUBITS = 6
 
 
-def _layout(c: Circuit) -> tuple:
-    """Per gate: its slot, its geometries on one and on two planes, its
-    block's row in _blocks's [RX blocks; PCX blocks; X], and the (shape,
-    byte offset) of its rows in the (R, 2^q) tape, unused for CX; then the
-    slot of each tape row."""
-    global _last_layout
-    last = _last_layout
-    if last[0] is c:
-        return last[1]
-    ell, gates = c.param_count, c.gates
-    rows = [g.slot + ell * (g.kind != "RX") if g.slot is not None else 2 * ell
-            for g in gates]
-    geometries = [[_geometry(c.q, k, g.qubits, g.kind == "PSWAP") for g in gates]
-                  for k in (1, 2)]
-    tape_rows, row_slots = [], []
-    for g, (shape, _, _) in zip(gates, geometries[0]):
-        view = (*shape[:3], shape[4])  # the step's view less its target axis
-        tape_rows.append((view, 16 * len(row_slots) << c.q))
-        if g.slot is not None:
-            row_slots += [g.slot] * (math.prod(view) >> c.q)
-    layout = ([g.slot for g in gates], *geometries, np.array(rows, dtype=np.intp),
-              tape_rows, np.array(row_slots, dtype=np.intp))
-    _last_layout = c, layout
-    return layout
+def _read_only(values, dtype) -> np.ndarray:
+    """values as a new array that refuses writes: a cached array is handed
+    to every caller."""
+    a = np.array(values, dtype=dtype)
+    a.flags.writeable = False
+    return a
+
+
+@functools.cache
+def _identity(q: int) -> np.ndarray:
+    """The 2^q x 2^q complex identity, read-only: forward copies it."""
+    return _read_only(np.eye(1 << q), complex)
 
 
 def _blocks(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
@@ -323,8 +333,8 @@ def forward(c: Circuit, theta) -> tuple[np.ndarray, np.ndarray | None]:
     """
     check_qubit_guard(c.q)
     theta = _check_theta(c, theta)
-    slots, one, _, rows, tape_rows, row_slots = _layout(c)
-    psi = np.eye(1 << c.q, dtype=complex)
+    slots, one, _, rows, tape_rows, row_slots = c._layout
+    psi = _identity(c.q).copy()
     tape = None
     if c.q <= TAPE_MAX_QUBITS:
         tape = np.empty((len(row_slots), 1 << c.q), dtype=complex)
@@ -356,7 +366,7 @@ def tape_gradient(
     pieces give every slot: the product B0, the product E = tape B0, the
     row reduction -Im sum(conj(E) * tape) and a sum of each slot's rows.
     """
-    dim, row_slots = 1 << c.q, _layout(c)[5]
+    dim, row_slots = 1 << c.q, c._layout[5]
     if u.shape != (dim, dim) or lam.shape != (dim, dim):
         raise ValueError(f"U and lam must be {dim} x {dim}")
     if np.shape(tape) != (len(row_slots), dim):
@@ -400,7 +410,7 @@ def reverse_sweep(
     dim = 1 << c.q
     if u.shape != (dim, dim) or lam.shape != (dim, dim):
         raise ValueError(f"U and lam must be {dim} x {dim}")
-    slots, _, two, rows, _, _ = _layout(c)
+    slots, _, two, rows, _, _ = c._layout
     psi = np.array((u, lam * u), dtype=complex)
     grad = np.zeros(c.param_count)
     steps = list(zip(slots, two, _blocks(rows, theta).conj().swapaxes(-1, -2)))

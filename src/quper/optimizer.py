@@ -13,6 +13,7 @@ tests check it against.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -52,6 +53,10 @@ ENTROPY_EPS = 1e-8
 BETA1 = 0.9
 BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# Bound on the entries of one draw of a level's random orders: quper_solve
+# draws the orders of as many iterates at once as fit, and at least one's.
+ORDER_DRAW_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -95,13 +100,21 @@ class QuperTrace:
     levels: list[dict] = field(default_factory=list)
 
 
+@functools.cache
+def _eye(n: int) -> np.ndarray:
+    """The n x n float identity, read-only: the same array for every call."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 def regularizers(d: np.ndarray, entropy_eps: float = ENTROPY_EPS) -> tuple:
     """((st, S_eps, ort), d/dd of their weighted sum) of the DSM d, sharing
     d.sum(0) - 1, log(d + eps) and d^T d - I."""
     dev = d.sum(axis=0) - 1.0  # d st/dd is 2 dev down each column
     shifted = d + entropy_eps
     log = np.log(shifted)
-    gram = d.T @ d - np.eye(len(d))
+    gram = d.T @ d - _eye(len(d))
     terms = float((dev**2).sum()), float(-(d * log).sum()), float((gram**2).sum())
     grad = W_ST * (2.0 * dev) + W_ENTROPY * -(log + d / shifted)
     return terms, grad + W_ORT * (4.0 * d @ gram)
@@ -167,17 +180,28 @@ def _slot_keys(c: Circuit) -> dict[tuple, int]:
     return keys
 
 
+@functools.lru_cache(maxsize=64)
+def _slot_map(old: Circuit, new: Circuit) -> tuple[np.ndarray, np.ndarray]:
+    """The slots of new with a counterpart in old, and those counterparts,
+    as two read-only int arrays: kept for the 64 pairs of circuits used
+    last, so a solve's levels find theirs once per process."""
+    old_keys = _slot_keys(old)
+    pairs = [(slot, old_keys[key]) for key, slot in _slot_keys(new).items()
+             if key in old_keys]
+    slots = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    slots.flags.writeable = False
+    return slots[0], slots[1]
+
+
 def embed_theta(
     old: Circuit, new: Circuit, old_theta, fill: float = PAD_ANGLE
 ) -> np.ndarray:
     """Carry parameters to a larger ansatz by structural slot identity;
     every slot with no counterpart gets the fill angle."""
     old_theta = np.asarray(old_theta, dtype=float)
-    old_keys = _slot_keys(old)
+    new_slots, old_slots = _slot_map(old, new)
     theta = np.full(new.param_count, fill)
-    for key, slot in _slot_keys(new).items():
-        if key in old_keys:
-            theta[slot] = old_theta[old_keys[key]]
+    theta[new_slots] = old_theta[old_slots]
     return theta
 
 
@@ -191,23 +215,35 @@ def _problem_costs(problem):
     raise TypeError("problem must be a QapInstance or GipInstance")
 
 
-def best_projection(d: np.ndarray, map_costs, seed):
+def best_projection(d: np.ndarray, map_costs, orders: np.ndarray):
     """Project d onto permutations and cost all candidates in one call.
 
-    The candidates, the Hungarian map then the order_maps of the next
-    RANDOM_ORDER_TRIALS random_orders of seed in trial order, duplicates
-    kept, are costed as one (K, n) int array of maps by map_costs.  seed may
-    be a Generator, which the draw advances: quper_solve passes one per
+    The candidates, the Hungarian map then the order_maps of d at the
+    (T, n) random orders in trial order, duplicates kept, are costed as one
+    (T + 1, n) int array of maps by map_costs.  quper_solve passes each
+    iterate its RANDOM_ORDER_TRIALS rows of one stream of random_orders per
     solve.  Returns (argmin map, its value, Hungarian cost, best random-order
-    cost); ties go to the first candidate in map order, so the pick is
+    cost); ties go to the first candidate in map order, found by one lexsort
+    of the tied maps (which keeps the earliest of equal maps), so the pick is
     project_random_order's deduplicated one.
     """
-    orders = random_orders(seed, len(d), RANDOM_ORDER_TRIALS)
     maps = np.concatenate((project_hungarian(d)[None], order_maps(d, orders)))
     values = map_costs(maps)
     tied = np.flatnonzero(values == values.min())
-    best = min(zip(maps[tied].tolist(), tied))[1]
+    best = tied[0] if len(tied) == 1 else tied[np.lexsort(maps[tied].T[::-1])[0]]
     return maps[best], float(values[best]), float(values[0]), float(values[1:].min())
+
+
+def _iterate_orders(rng: np.random.Generator, n: int, iterations: int):
+    """Each of a level's iterations' (RANDOM_ORDER_TRIALS, n) random_orders
+    from rng, drawn as many iterates at a time as ORDER_DRAW_ENTRIES allows
+    (at least one): the rows one draw per iterate would give."""
+    per_draw = max(1, ORDER_DRAW_ENTRIES // (RANDOM_ORDER_TRIALS * n))
+    for start in range(0, iterations, per_draw):
+        k = min(per_draw, iterations - start)
+        yield from random_orders(rng, n, k * RANDOM_ORDER_TRIALS).reshape(
+            k, RANDOM_ORDER_TRIALS, n
+        )
 
 
 def quper_solve(problem, cfg: QuperConfig):
@@ -241,13 +277,13 @@ def quper_solve(problem, cfg: QuperConfig):
         # dloss/dd feed the next gradient, d the projection and the trace.
         u, d, tape = unitary_and_dsm(circuit, m, state.theta)
         g = loss_pass(d, cost_and_grad)[-1]
-        for _ in range(cfg.iterations):
+        for orders in _iterate_orders(order_rng, n, cfg.iterations):
             state = adam_nesterov_step(
                 state, adjoint_gradient(circuit, m, state.theta, u, tape, g)
             )
             u, d, tape = unitary_and_dsm(circuit, m, state.theta)
             loss, raw_cost, _, g = loss_pass(d, cost_and_grad)
-            p, v, ph_cost, pr_cost = best_projection(d, map_costs, order_rng)
+            p, v, ph_cost, pr_cost = best_projection(d, map_costs, orders)
             if v < best_v:
                 best_p, best_v = p, v
             trace.records.append(

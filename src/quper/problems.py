@@ -101,9 +101,12 @@ def qap_map_costs(inst: QapInstance, maps) -> np.ndarray:
 
 
 def gip_map_costs(inst: GipInstance, maps) -> np.ndarray:
-    """sum_ij (A_ij - B[p_i, p_j])^2 for each row p of the (K, n) int maps."""
-    r = inst.a.ravel() - _gathered(inst.b, maps)
-    return (r * r).sum(axis=1)
+    """sum_ij (A_ij - B[p_i, p_j])^2 for each row p of the (K, n) int maps,
+    each a permutation: sum(A) + sum(B) - 2 sum_ij A_ij B[p_i, p_j], by one
+    product.  A and B are 0/1, so each square is its entry, every sum is an
+    integer and every value is exact, whatever order the product sums in."""
+    overlap = _gathered(inst.b, maps) @ inst.a.ravel()
+    return (inst.a.sum() + inst.b.sum()) - 2.0 * overlap
 
 
 def qap_cost(inst: QapInstance, p) -> float:

@@ -25,12 +25,14 @@ def project_hungarian(d: np.ndarray) -> np.ndarray:
     return _linear_sum_assignment()(d, maximize=True)[1]  # rows come back sorted
 
 
+@functools.cache
 def _base_vector(n: int) -> np.ndarray:
     # Powers of two keep every coefficient at least twice any smaller one;
-    # representable in double precision up to n = 1024.
-    if n <= 1024:
-        return np.ldexp(1.0, np.arange(n))
-    return np.arange(n, dtype=float)
+    # representable in double precision up to n = 1024.  Read-only: every
+    # caller gets the same array.
+    v = np.ldexp(1.0, np.arange(n)) if n <= 1024 else np.arange(n, dtype=float)
+    v.flags.writeable = False
+    return v
 
 
 def random_orders(seed, n: int, trials: int) -> np.ndarray:

@@ -181,10 +181,11 @@ def suite_binary_agreement(seed: int = 0, jobs: int = 20):
 def suite_gradient_agreement(seed: int = 0, jobs: int = 2):
     """The solver's tape gradient against reverse_sweep (to 1e-13) and
     central differences (to 1e-6), relative to the largest entry of dloss/dd,
-    for the linear loss sum(g * d) of LX's DSM at seeded theta, q + m = 3..5."""
+    for the linear loss sum(g * d) of LX's DSM at seeded theta, q + m = 3..6."""
     rng = np.random.default_rng(seed)
     worst = np.zeros(2)  # from the sweep, from the differences
-    for w, m in ((3, 0), (3, 1), (4, 1), (5, 0), (5, 1)):
+    cases = ((3, 0), (3, 1), (4, 1), (5, 0), (5, 1), (6, 1))
+    for w, m in cases:
         c, k = build_ansatz("LX", w), 1 << m
         for _ in range(jobs):
             theta = rng.uniform(0, 2 * math.pi, c.param_count)
@@ -202,7 +203,7 @@ def suite_gradient_agreement(seed: int = 0, jobs: int = 2):
                 detail = f"gradients differ at {at} from differences"
                 return "gradient_agreement", False, detail
     detail = (f"max deviation {worst[0]:.3e} from the sweep, {worst[1]:.3e} "
-              f"from differences over {5 * jobs} jobs")
+              f"from differences over {len(cases) * jobs} jobs")
     return "gradient_agreement", True, detail
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from quper import circuits
+from quper import circuits, optimizer, projection
 from quper.circuits import (
     ANSATZ_KINDS,
     SOLVER_ANSATZE,
@@ -491,6 +491,23 @@ class TestStepCache:
         theta[3] += 0.5
         assert err(lx) <= 1e-12
         assert not np.allclose(eval_unitary(lx, theta), u)
+
+    def test_cached_arrays_refuse_writes(self):
+        # Each cache hands the same array to every caller, so a write
+        # through one would reach them all.
+        c = solver_ansatz("bruhat", 3)
+        assert solver_ansatz("bruhat", 3) is c
+        assert c._layout is c._layout
+        new_slots, old_slots = optimizer._slot_map(solver_ansatz("bruhat", 2), c)
+        cached = (
+            circuits._identity(3), optimizer._eye(4), projection._base_vector(8),
+            c._layout[3], c._layout[5], new_slots, old_slots,
+        )
+        for a in cached:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[1]
+        u = eval_unitary(c, np.zeros(c.param_count))
+        assert np.array_equal(circuits._identity(3), np.eye(8)) and u.flags.writeable
 
 
 class TestMaxQubitsEnv:

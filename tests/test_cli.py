@@ -332,6 +332,10 @@ class TestSolveCommands:
         assert report["config"]["n"] == 4
         assert len(report["best_permutation"]) == 4
         assert isinstance(report["random_baseline_value"], float)
+        # The solver and baseline times, apart, sum to the wall time.
+        parts = report["solver_s"] + report["baseline_s"]
+        assert min(report["solver_s"], report["baseline_s"]) > 0
+        assert parts == pytest.approx(report["wall_time_s"], rel=1e-12)
         records = [json.loads(ln) for ln in trace.read_text().splitlines()]
         assert len(records) == 5
         assert records[0]["iter"] == 0

@@ -33,10 +33,12 @@ from quper.problems import (
     gip_cost_and_grad,
     qap_cost,
     qap_cost_and_grad,
+    qap_map_costs,
     random_gip,
     random_qap,
 )
 from quper.projection import (
+    RANDOM_ORDER_TRIALS,
     order_maps,
     project_hungarian,
     project_random_order,
@@ -433,7 +435,8 @@ class TestBestProjection:
         p = Permutation((1, 2, 3, 0))
         d = perm_row_matrix(p)
         cost = lambda x: 0.0 if x == p else 1.0
-        best_p, best_v, ph_cost, pr_cost = best_projection(d, per_map(cost), seed=7)
+        orders = random_orders(7, 4, RANDOM_ORDER_TRIALS)
+        best_p, best_v, ph_cost, pr_cost = best_projection(d, per_map(cost), orders)
         assert best_p.tolist() == list(p.map) and best_v == 0.0
         assert ph_cost == pr_cost == 0.0
 
@@ -446,7 +449,8 @@ class TestBestProjection:
 
         for _ in range(10):
             d = random_dsm(6, rng)
-            _, v, ph_cost, pr_cost = best_projection(d, per_map(cost), seed=9)
+            orders = random_orders(9, 6, RANDOM_ORDER_TRIALS)
+            _, v, ph_cost, pr_cost = best_projection(d, per_map(cost), orders)
             ph = Permutation(tuple(project_hungarian(d).tolist()))
             assert v <= cost(ph) + 1e-12
             assert ph_cost == cost(ph)
@@ -465,7 +469,8 @@ class TestBestProjection:
         # duplicates kept.
         d = random_dsm(n, np.random.default_rng(dsm_seed))
         calls = []
-        best_projection(d, lambda x: calls.append(x) or np.zeros(len(x)), seed)
+        orders = random_orders(seed, n, RANDOM_ORDER_TRIALS)
+        best_projection(d, lambda x: calls.append(x) or np.zeros(len(x)), orders)
         assert len(calls) == 1
         maps = calls[0]
         assert maps.shape == (51, n) and maps.dtype.kind == "i"
@@ -493,10 +498,26 @@ class TestBestProjection:
 
         start = Permutation.identity(n)
         want = inline_incumbent_step(d, cost, seed, start, incumbent)
-        p, v, ph_cost, pr_cost = best_projection(d, per_map(cost), seed)
+        orders = random_orders(seed, n, RANDOM_ORDER_TRIALS)
+        p, v, ph_cost, pr_cost = best_projection(d, per_map(cost), orders)
         p = Permutation(tuple(p.tolist()))
         best_p, best_v = (p, v) if v < incumbent else (start, incumbent)
         assert (best_p, best_v, ph_cost, pr_cost) == want
+
+    def test_all_tied_picks_the_smallest_map(self):
+        # W = 0 at n = 16, as in esc16f: every candidate costs 0, and the
+        # pick is the lexicographically smallest map, the first of equals.
+        rng = np.random.default_rng(16)
+        inst = QapInstance(np.zeros((16, 16)), rng.uniform(0, 10, (16, 16)))
+        d = random_dsm(16, rng)
+        orders = random_orders(3, 16, RANDOM_ORDER_TRIALS)
+        calls = []
+        p, v, ph_cost, pr_cost = best_projection(
+            d, lambda maps: calls.append(maps) or qap_map_costs(inst, maps), orders
+        )
+        (maps,) = calls
+        assert len({tuple(m) for m in maps.tolist()}) > 1
+        assert p.tolist() == min(maps.tolist()) and v == ph_cost == pr_cost == 0.0
 
 
 class TestQuperConfig:
@@ -530,14 +551,21 @@ class TestQuperSolve:
         assert v == 0.0
 
     def test_monotone_best_and_determinism(self):
+        # A multi-level solve of another size and ansatz between two runs
+        # shares the per-process circuits, layouts and slot maps: each
+        # solve's result and trace stay those of it run alone.
         inst = random_qap(4, 4)
         cfg = QuperConfig("bruhat", 1, iterations=20, seed=5)
+        other = random_gip(8, 2), QuperConfig("sel", 1, iterations=3, seed=1)
+        o1 = quper_solve(*other)
         p1, v1, t1 = quper_solve(inst, cfg)
         bests = [r["best"] for r in t1.records]
         assert all(b <= a for a, b in zip(bests, bests[1:]))
+        o2 = quper_solve(*other)
         p2, v2, t2 = quper_solve(inst, cfg)
         assert (p1, v1) == (p2, v2)
-        assert t1.records == t2.records
+        assert t1.records == t2.records and t1.levels == t2.levels
+        assert o1[:2] == o2[:2] and o1[2].records == o2[2].records
 
     def test_incumbent_at_least_optimum(self):
         inst = random_qap(4, 6)
@@ -576,25 +604,32 @@ class TestQuperSolve:
     def test_one_order_stream_per_solve(self, kind, monkeypatch):
         # Iterate t's candidates, over both levels: the Hungarian map of its
         # DSM d_t, then the order_maps of d_t at rows 50t..50t+49 of one
-        # random_orders draw from default_rng([seed, 1]).
-        seen = []
+        # random_orders draw from default_rng([seed, 1]).  The same with
+        # draws of 3 iterates' orders and of 1 (the bound below one
+        # iterate's 200 entries), which iterates and levels cross.
         real = optimizer.best_projection
-
-        def recorded(d, map_costs, seed):
-            calls = []
-            out = real(d, lambda maps: calls.append(maps) or map_costs(maps), seed)
-            seen.append((d, *calls))
-            return out
-
-        monkeypatch.setattr(optimizer, "best_projection", recorded)
         problem = random_qap(4, 5) if kind == "qap" else random_gip(4, 5)
         seed, iters = 6, 4
-        quper_solve(problem, QuperConfig("bruhat", 1, iters, seed=seed))
-        assert len(seen) == 2 * iters
-        orders = random_orders(np.random.default_rng([seed, 1]), 4, 50 * len(seen))
-        for t, (d, maps) in enumerate(seen):
-            rand = order_maps(d, orders[50 * t : 50 * t + 50])
-            assert np.array_equal(maps, np.concatenate((project_hungarian(d)[None], rand)))
+        stream = random_orders(np.random.default_rng([seed, 1]), 4, 50 * 2 * iters)
+        runs = []
+        for entries in (optimizer.ORDER_DRAW_ENTRIES, 3 * 50 * 4, 1):
+            seen = []
+
+            def recorded(d, map_costs, orders):
+                calls = []
+                out = real(d, lambda maps: calls.append(maps) or map_costs(maps), orders)
+                seen.append((d, *calls))
+                return out
+
+            monkeypatch.setattr(optimizer, "best_projection", recorded)
+            monkeypatch.setattr(optimizer, "ORDER_DRAW_ENTRIES", entries)
+            runs.append(quper_solve(problem, QuperConfig("bruhat", 1, iters, seed=seed)))
+            assert len(seen) == 2 * iters
+            for t, (d, maps) in enumerate(seen):
+                rand = order_maps(d, stream[50 * t : 50 * t + 50])
+                want = np.concatenate((project_hungarian(d)[None], rand))
+                assert np.array_equal(maps, want)
+        assert all(run[2].records == runs[0][2].records for run in runs)
 
     def test_trace_schema(self):
         inst = random_qap(4, 7)

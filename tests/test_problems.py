@@ -204,6 +204,10 @@ class TestMapCosts:
         assert got.shape == (k,)
         # Exactly: a Permutation is costed through the same gather.
         assert got.tolist() == [cost(inst, Permutation(tuple(m))) for m in maps.tolist()]
+        if kind == "gip":
+            # The GIP's one product, bit for bit the written-out residual sum.
+            a, b = inst.a, inst.b
+            assert got.tolist() == [float(((a - b[m][:, m]) ** 2).sum()) for m in maps]
         # The one-hot matrices sum in another order: exact on the GIP's 0/1
         # entries, to rounding on float data.
         one_hot = [cost(inst, m) for m in np.eye(n)[maps]]
