@@ -99,6 +99,20 @@ class Circuit:
             if g.slot is not None and not 0 <= g.slot < self.param_count:
                 raise ValueError("parameter slot out of range")
 
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        """Pickle and copy the fields only: the cached hash is salted per
+        process, and a workspace's views would come back as arrays apart from
+        its psi, which forward would then leave at the identity."""
+        return type(self), (self.q, self.gates, self.param_count, self.kind)
+
+    @functools.cached_property
+    def _hash(self) -> int:
+        """The fields' hash, which walks every gate: computed once."""
+        return hash((self.q, self.gates, self.param_count, self.kind))
+
     @functools.cached_property
     def _layout(self) -> tuple:
         """Per gate: its slot, its geometries on one and on two planes, its
@@ -121,6 +135,30 @@ class Circuit:
                 row_slots += [g.slot] * (math.prod(view) >> self.q)
         return ([g.slot for g in gates], *geometries, _read_only(rows, np.intp),
                 tape_rows, _read_only(row_slots, np.intp))
+
+    @functools.cached_property
+    def _workspace(self) -> tuple:
+        """forward's buffers, the (2^q, 2^q) state psi and the (R, 2^q) tape
+        (None above TAPE_MAX_QUBITS), then per gate its views over them: the
+        step's view of psi, its flip (CX) or its two halves on the target
+        axis, and its block of tape rows (parametrized steps, with a tape).
+        Built on first use and kept with the circuit: forward rewrites every
+        entry of both buffers before reading it and returns copies."""
+        dim = 1 << self.q
+        slots, one, _, _, tape_rows, row_slots = self._layout
+        psi = np.empty((dim, dim), dtype=complex)
+        tape = None
+        if self.q <= TAPE_MAX_QUBITS:
+            tape = np.empty((len(row_slots), dim), dtype=complex)
+        steps = []
+        for slot, (shape, offset, strides), (view, at) in zip(slots, one, tape_rows):
+            sub = np.ndarray(shape, complex, psi, offset, strides)
+            if slot is None:
+                steps.append((sub, sub[..., ::-1, :], None, None))
+            else:
+                out = None if tape is None else np.ndarray(view, complex, tape, at)
+                steps.append((sub, None, (sub[..., 0, :], sub[..., 1, :]), out))
+        return psi, tape, steps
 
 
 @dataclass(frozen=True)
@@ -250,9 +288,10 @@ _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 # Up to this many qubits forward records a tape and the gradient is
 # contracted from it (tape_gradient); above, reverse_sweep walks the gates
 # back.  Set from the per-size timing table in README.md: forward pass plus
-# gradient take 0.56-0.61 of the sweep path's time at q = 3..5 and 0.78 at
+# gradient take 0.50-0.52 of the sweep path's time at q = 3..5 and 0.79 at
 # q = 6, and lose from q = 7 on, where the product costs O(R 4^q) and the
 # tape holds R 2^q complex numbers; from q = 7 on the sweep's bits are kept.
+# A circuit's workspace reads it when it is built.
 TAPE_MAX_QUBITS = 6
 
 
@@ -266,7 +305,8 @@ def _read_only(values, dtype) -> np.ndarray:
 
 @functools.cache
 def _identity(q: int) -> np.ndarray:
-    """The 2^q x 2^q complex identity, read-only: forward copies it."""
+    """The 2^q x 2^q complex identity, read-only: forward resets its
+    workspace from it."""
     return _read_only(np.eye(1 << q), complex)
 
 
@@ -330,22 +370,23 @@ def forward(c: Circuit, theta) -> tuple[np.ndarray, np.ndarray | None]:
     row sets it has just mixed, sub[..., 0, :] - sub[..., 1, :], written as
     that step's block of rows of one (R, 2^q) array (R = 30, 104 and 320 for
     LX at q = 3, 4 and 5); above, None.  tape_gradient contracts it.
+
+    Both are built in the circuit's workspace (Circuit._workspace) and
+    returned as fresh copies, so no caller holds an alias of it; two calls
+    on one circuit must not run at once.
     """
     check_qubit_guard(c.q)
     theta = _check_theta(c, theta)
-    slots, one, _, rows, tape_rows, row_slots = c._layout
-    psi = _identity(c.q).copy()
-    tape = None
-    if c.q <= TAPE_MAX_QUBITS:
-        tape = np.empty((len(row_slots), 1 << c.q), dtype=complex)
-    steps = zip(slots, one, _blocks(rows, theta), tape_rows)
-    for slot, (shape, offset, strides), block, (view, at) in steps:
-        sub = np.ndarray(shape, complex, psi, offset, strides)
-        sub[...] = sub[..., ::-1, :] if slot is None else block @ sub
-        if tape is not None and slot is not None:
-            out = np.ndarray(view, complex, tape, at)
-            np.subtract(sub[..., 0, :], sub[..., 1, :], out=out)
-    return psi, tape
+    psi, tape, steps = c._workspace
+    psi[...] = _identity(c.q)
+    for (sub, flip, halves, out), block in zip(steps, _blocks(c._layout[3], theta)):
+        if flip is not None:
+            sub[...] = flip
+        else:
+            sub[...] = block @ sub
+            if out is not None:
+                np.subtract(*halves, out=out)
+    return psi.copy(), None if tape is None else tape.copy()
 
 
 def eval_unitary(c: Circuit, theta) -> np.ndarray:

@@ -55,9 +55,12 @@ def unitary_and_dsm(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """(U, tape) = circuits.forward(circuit, theta) on m + q qubits, the m
     ancillas being the most-significant ones, and U's (n, n) DSM, the
-    closed-form block sum over the ancilla indices of |U|^2: (U, DSM, tape)."""
+    closed-form block sum over the ancilla indices of |U|^2: (U, DSM, tape).
+    At m = 0 the DSM is |U|^2 itself."""
     _check_ancillas(circuit, m)
     u, tape = forward(circuit, theta)
+    if m == 0:
+        return u, np.abs(u) ** 2, tape
     k = 1 << m
     n = u.shape[-1] >> m
     return u, (np.abs(u.reshape(k, n, k, n)) ** 2).sum(axis=(0, 2)) / k, tape
@@ -96,14 +99,15 @@ def adjoint_gradient(
     and g = dloss/dd (n, n).
 
     d_ij sums |U_rc|^2 / 2^m over the rows r and columns c whose system part
-    is (i, j), so dloss/d|U|^2 is g tiled 2^m x 2^m and divided by 2^m.
+    is (i, j), so dloss/d|U|^2 is g tiled 2^m x 2^m and divided by 2^m: g
+    itself at m = 0.
     circuits.tape_gradient contracts it with the tape; where forward
     recorded none (above circuits.TAPE_MAX_QUBITS qubits), the tape is None
     and circuits.reverse_sweep walks the gates back.
     """
     _check_ancillas(circuit, m)
     k = 1 << m
-    lam = np.tile(g / k, (k, k))
+    lam = g if m == 0 else np.tile(g / k, (k, k))
     if tape is None:
         return reverse_sweep(circuit, theta, u, lam)[0]
     return tape_gradient(circuit, u, lam, tape)

@@ -110,14 +110,18 @@ def _eye(n: int) -> np.ndarray:
 
 def regularizers(d: np.ndarray, entropy_eps: float = ENTROPY_EPS) -> tuple:
     """((st, S_eps, ort), d/dd of their weighted sum) of the DSM d, sharing
-    d.sum(0) - 1, log(d + eps) and d^T d - I."""
+    d.sum(0) - 1, log(d + eps) and d^T d - I.  The constants are folded:
+    (2 W_ST) dev for W_ST (2 dev), - W_ENTROPY s for + W_ENTROPY (-s) and
+    (4 W_ORT) (d gram) for W_ORT ((4 d) gram); a power of two and a sign
+    commute with rounding, so the bits are the same unless a product
+    underflows."""
     dev = d.sum(axis=0) - 1.0  # d st/dd is 2 dev down each column
     shifted = d + entropy_eps
     log = np.log(shifted)
     gram = d.T @ d - _eye(len(d))
     terms = float((dev**2).sum()), float(-(d * log).sum()), float((gram**2).sum())
-    grad = W_ST * (2.0 * dev) + W_ENTROPY * -(log + d / shifted)
-    return terms, grad + W_ORT * (4.0 * d @ gram)
+    grad = (2.0 * W_ST) * dev - W_ENTROPY * (log + d / shifted)
+    return terms, grad + (4.0 * W_ORT) * (d @ gram)
 
 
 def loss_pass(d: np.ndarray, cost_and_grad) -> tuple:

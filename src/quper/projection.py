@@ -51,7 +51,8 @@ def order_maps(d: np.ndarray, orders: np.ndarray) -> np.ndarray:
     Row t of the (T, n) result is the candidate p of orders[t]: the j-th
     smallest component of d.v sits at the row mapped to the position of the
     j-th smallest component of v = base[orders[t]].  d is one (n, n) matrix
-    for every order, or a (T, n, n) stack, one matrix per order.
+    for every order, or a (T, n, n) stack, one matrix per order; each row of
+    orders is a permutation of range(n).
     """
     v = _base_vector(orders.shape[1])[orders]
     # One matrix-vector product per row, as d @ v would compute it: a
@@ -59,10 +60,13 @@ def order_maps(d: np.ndarray, orders: np.ndarray) -> np.ndarray:
     # d.v the other way.
     u = (d @ v[:, :, None])[:, :, 0]
     # Stable order by (value, index): deterministic under ties.
-    ov = np.argsort(v, axis=1, kind="stable")
     ou = np.argsort(u, axis=1, kind="stable")
-    pmaps = np.empty_like(ov)
-    pmaps[np.arange(len(ov))[:, None], ou] = ov
+    # base is strictly increasing, so v's stable order is each order's
+    # inverse: the j-th smallest of v sits at position k where orders[k] = j,
+    # and the candidate maps ou[orders[k]] to k.
+    rows = np.arange(len(orders))[:, None]
+    pmaps = np.empty_like(ou)
+    pmaps[rows, ou[rows, orders]] = np.arange(orders.shape[1])
     return pmaps
 
 

@@ -1,7 +1,9 @@
 """Ansatz construction, evaluation, synthesis, topology lowering."""
 
+import copy
 import itertools
 import math
+import pickle
 import re
 
 import numpy as np
@@ -508,6 +510,94 @@ class TestStepCache:
                 a[0] = a[1]
         u = eval_unitary(c, np.zeros(c.param_count))
         assert np.array_equal(circuits._identity(3), np.eye(8)) and u.flags.writeable
+
+
+def fresh_forward(c, theta):
+    """forward on a newly built copy of c, whose workspace is new."""
+    return forward(Circuit(c.q, c.gates, c.param_count, c.kind), theta)
+
+
+def assert_forward_equal(got, want):
+    (u, tape), (u_want, tape_want) = got, want
+    assert np.array_equal(u, u_want)
+    assert (tape is None) == (tape_want is None)
+    assert tape is None or np.array_equal(tape, tape_want)
+
+
+workspace_circuits = st.sampled_from(
+    ANSATZ_KINDS + SOLVER_ANSATZE + ("linear", "mixed")
+)
+
+
+class TestWorkspace:
+    """forward builds U and the tape in buffers kept on the circuit; every
+    call must give what a newly built circuit gives, and what it returns
+    must not change under later calls."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(name=workspace_circuits, q=st.integers(2, 5), seed=st.integers(0, 2**32 - 1))
+    def test_calls_at_two_thetas_and_back(self, name, q, seed):
+        c = tape_case(name, q)
+        theta1, theta2 = random_thetas(c, np.random.default_rng(seed), 2)
+        first = forward(c, theta1)
+        kept = tuple(None if a is None else a.copy() for a in first)
+        assert_forward_equal(forward(c, theta2), fresh_forward(c, theta2))
+        again = forward(c, theta1)
+        assert_forward_equal(again, fresh_forward(c, theta1))
+        assert_forward_equal(first, kept)
+        assert again[0] is not first[0]
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        names=st.tuples(workspace_circuits, workspace_circuits),
+        q=st.integers(2, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_calls_interleaved_across_two_circuits(self, names, q, seed):
+        a, b = (tape_case(name, q) for name in names)
+        rng = np.random.default_rng(seed)
+        ta, tb = random_thetas(a, rng, 2), random_thetas(b, rng, 2)
+        got = [forward(a, ta[0]), forward(b, tb[0]), forward(a, ta[1]), forward(b, tb[1])]
+        want = [fresh_forward(a, ta[0]), fresh_forward(b, tb[0]),
+                fresh_forward(a, ta[1]), fresh_forward(b, tb[1])]
+        for g, w in zip(got, want):
+            assert_forward_equal(g, w)
+
+    @pytest.mark.parametrize("q", [3, circuits.TAPE_MAX_QUBITS + 1])
+    def test_writes_to_returned_arrays_do_not_reach_it(self, q):
+        c = build_ansatz("LX", q)
+        theta1, theta2 = random_thetas(c, np.random.default_rng(q), 2)
+        u, tape = forward(c, theta1)
+        u[...] = np.nan
+        if tape is not None:
+            tape[...] = np.nan
+        assert_forward_equal(forward(c, theta2), fresh_forward(c, theta2))
+        assert_forward_equal(forward(c, theta1), fresh_forward(c, theta1))
+
+    @pytest.mark.parametrize("clone", [
+        lambda c: pickle.loads(pickle.dumps(c)), copy.deepcopy, copy.copy,
+    ])
+    def test_copies_after_a_forward_build_their_own(self, clone):
+        # A copy carries the fields only: a copied workspace's views would
+        # no longer alias its psi, and forward would return the identity.
+        c = Circuit(4, MIXED_CIRCUIT.gates, MIXED_CIRCUIT.param_count)
+        theta1, theta2 = random_thetas(c, np.random.default_rng(8), 2)
+        forward(c, theta1)
+        c2 = clone(c)
+        assert not {"_workspace", "_layout", "_hash"} & vars(c2).keys()
+        assert c2 == c and hash(c2) == hash(c) and c2 is not c
+        assert_forward_equal(forward(c2, theta2), fresh_forward(c, theta2))
+        assert_forward_equal(forward(c, theta2), fresh_forward(c, theta2))
+
+    def test_hash_walks_the_gates_once(self, monkeypatch):
+        c = build_ansatz("LX", 3)
+        want = hash((c.q, c.gates, c.param_count, c.kind))
+        walked = []
+        gate_hash = Gate.__hash__
+        monkeypatch.setattr(Gate, "__hash__", lambda g: walked.append(g) or gate_hash(g))
+        assert hash(c) == want and hash(c) == want
+        assert {c: 1}[c] == 1 and optimizer._slot_map(c, c)
+        assert walked == list(c.gates)
 
 
 class TestMaxQubitsEnv:

@@ -14,7 +14,9 @@ from quper.circuits import (
     build_ansatz,
     eval_permutations,
     lower_to_linear_topology,
+    reverse_sweep,
     solver_ansatz,
+    tape_gradient,
 )
 from quper.dsm import (
     NotDoublyStochasticError,
@@ -23,6 +25,7 @@ from quper.dsm import (
     birkhoff_decompose,
     extract_dsm,
     statevector_oracle,
+    unitary_and_dsm,
 )
 from quper.gf2 import Permutation, recognize_affine
 from quper.circuits import eval_permutation
@@ -115,6 +118,37 @@ class TestExtractDsm:
         assert d.shape == (1 << (c.q - m),) * 2
         assert np.max(np.abs(d.sum(axis=0) - 1)) <= 1e-12
         assert np.max(np.abs(d.sum(axis=1) - 1)) <= 1e-12
+
+
+class TestNoAncillas:
+    """At m = 0 the block sum and the division by 2^m are identities, and
+    the DSM and dloss/d|U|^2 are taken without them, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        name=st.sampled_from(ANSATZ_KINDS + SOLVER_ANSATZE),
+        q=st.integers(2, 4),
+        binary=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dsm_and_gradient_equal_the_block_formulas(self, name, q, binary, seed):
+        c = solver_ansatz(name, q) if name in SOLVER_ANSATZE else build_ansatz(name, q)
+        rng = np.random.default_rng(seed)
+        if binary:
+            theta = rng.choice([0.0, PI], c.param_count)
+        else:
+            theta = rng.uniform(-2 * PI, 2 * PI, c.param_count)
+        u, d, tape = unitary_and_dsm(c, 0, theta)
+        n = 1 << q
+        assert np.array_equal(d, np.abs(u) ** 2)
+        assert np.array_equal(d, (np.abs(u.reshape(1, n, 1, n)) ** 2).sum(axis=(0, 2)) / 1)
+        g = rng.normal(size=(n, n))
+        lam = np.tile(g / 1, (1, 1))
+        got = adjoint_gradient(c, 0, theta, u, tape, g)
+        assert np.array_equal(got, tape_gradient(c, u, lam, tape))
+        assert np.array_equal(
+            adjoint_gradient(c, 0, theta, u, None, g), reverse_sweep(c, theta, u, lam)[0]
+        )
 
 
 class TestBinaryDsms:

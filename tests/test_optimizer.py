@@ -134,6 +134,26 @@ def reference_regularizers(d, eps):
     return (st_, s_eps, ort), grad
 
 
+class TestRegularizersFolded:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        n=st.sampled_from([2, 4, 8, 16]),
+        entries=st.data(),
+        eps=st.sampled_from([optimizer.ENTROPY_EPS, 1e-3]),
+    )
+    def test_equals_the_unfolded_formula(self, n, entries, eps):
+        """regularizers folds its constants (2 W_ST, -W_ENTROPY, 4 W_ORT);
+        on any matrix in [0, 1] the gradient is the unfolded one bit for
+        bit.  Entries are 0 or at least 2^-200, so that no product reaches
+        the subnormals, where scaling by a power of two is not exact."""
+        value = st.one_of(st.just(0.0), st.floats(2.0**-200, 1.0))
+        d = np.array(entries.draw(st.lists(value, min_size=n * n, max_size=n * n)))
+        d = d.reshape(n, n)
+        terms, grad = regularizers(d, eps)
+        want_terms, want_grad = reference_regularizers(d, eps)
+        assert terms == want_terms and np.array_equal(grad, want_grad)
+
+
 class TestLossPass:
     @settings(max_examples=60, deadline=None)
     @given(

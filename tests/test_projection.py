@@ -190,6 +190,32 @@ class TestRandomOrderMatchesLoop:
         assert np.array_equal(project_random_order(d, list(seed), 50), full)
 
 
+def two_argsort_maps(d, orders):
+    """Reference for order_maps: both stable orders sorted out, v's and
+    d.v's, and each candidate read off where they meet."""
+    v = np.ldexp(1.0, np.arange(orders.shape[1]))[orders]
+    u = (d @ v[:, :, None])[:, :, 0]
+    ov = np.argsort(v, axis=1, kind="stable")
+    ou = np.argsort(u, axis=1, kind="stable")
+    pmaps = np.empty_like(ov)
+    pmaps[np.arange(len(ov))[:, None], ou] = ov
+    return pmaps
+
+
+class TestOrderMapsBitForBit:
+    @settings(max_examples=150, deadline=None)
+    @given(d=dsms(), seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 60),
+           stacked=st.booleans())
+    def test_equals_the_two_argsort_formula(self, d, seed, trials, stacked):
+        """On one DSM or a stack of it, tied d.v included (permutation and
+        uniform matrices): the same maps and dtype."""
+        orders = random_orders(seed, len(d), trials)
+        if stacked:
+            d = np.broadcast_to(d, (trials, *d.shape))
+        got, want = order_maps(d, orders), two_argsort_maps(d, orders)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 class TestOrderMapsOnAStack:
     @settings(max_examples=80, deadline=None)
     @given(
