@@ -15,11 +15,13 @@ permutations or DSMs.  The RX layer of the LX ansatz is placed first in gate
 order; since the X-gate subgroup is normal in the affine group, the spanned
 permutation set is the same as with the layer last.
 
-The gradient of a loss of |U|^2 has two paths on the same steps.  Up to
-TAPE_MAX_QUBITS qubits forward returns U with a tape, each parametrized
-step's row differences, and tape_gradient contracts the tape it is handed
-with one product; above, the tape is None and reverse_sweep walks the gates
-back.  The sweep is also the tape's reference.
+Each step is a 2x2 block, CX's being X, on one strided view; both walks
+over the gates read the views of one step table that each circuit keeps
+(Circuit._workspace).  The gradient of a loss of |U|^2 has two paths on the
+same steps.  Up to TAPE_MAX_QUBITS qubits forward returns U with a tape,
+each parametrized step's row differences, and tape_gradient contracts the
+tape it is handed with one product; above, the tape is None and
+reverse_sweep walks the gates back.  The sweep is also the tape's reference.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ import numpy as np
 from .gf2 import (
     AffineMap,
     Permutation,
-    Transvection,
     borel_subword,
     bruhat_decompose,
     longest_element_word,
@@ -105,7 +106,7 @@ class Circuit:
     def __reduce__(self):
         """Pickle and copy the fields only: the cached hash is salted per
         process, and a workspace's views would come back as arrays apart from
-        its psi, which forward would then leave at the identity."""
+        its planes, which forward would then leave at the identity."""
         return type(self), (self.q, self.gates, self.param_count, self.kind)
 
     @functools.cached_property
@@ -114,51 +115,40 @@ class Circuit:
         return hash((self.q, self.gates, self.param_count, self.kind))
 
     @functools.cached_property
-    def _layout(self) -> tuple:
-        """Per gate: its slot, its geometries on one and on two planes, its
-        block's row in _blocks's [RX blocks; PCX blocks; X], and the (shape,
-        byte offset) of its rows in the (R, 2^q) tape, unused for CX; then
-        the slot of each tape row.  Built on first use and kept with the
-        circuit, which is immutable; its index arrays are read-only."""
-        ell, gates = self.param_count, self.gates
-        rows = [g.slot + ell * (g.kind != "RX") if g.slot is not None else 2 * ell
-                for g in gates]
-        geometries = [
-            [_geometry(self.q, k, g.qubits, g.kind == "PSWAP") for g in gates]
-            for k in (1, 2)
-        ]
-        tape_rows, row_slots = [], []
-        for g, (shape, _, _) in zip(gates, geometries[0]):
-            view = (*shape[:3], shape[4])  # the step's view less its target axis
-            tape_rows.append((view, 16 * len(row_slots) << self.q))
-            if g.slot is not None:
-                row_slots += [g.slot] * (math.prod(view) >> self.q)
-        return ([g.slot for g in gates], *geometries, _read_only(rows, np.intp),
-                tape_rows, _read_only(row_slots, np.intp))
-
-    @functools.cached_property
     def _workspace(self) -> tuple:
-        """forward's buffers, the (2^q, 2^q) state psi and the (R, 2^q) tape
-        (None above TAPE_MAX_QUBITS), then per gate its views over them: the
-        step's view of psi, its flip (CX) or its two halves on the target
-        axis, and its block of tape rows (parametrized steps, with a tape).
-        Built on first use and kept with the circuit: forward rewrites every
-        entry of both buffers before reading it and returns copies."""
-        dim = 1 << self.q
-        slots, one, _, _, tape_rows, row_slots = self._layout
-        psi = np.empty((dim, dim), dtype=complex)
+        """The circuit's one step table, walked forward by forward and back
+        by reverse_sweep: two (2^q, 2^q) planes; the (R, 2^q) tape, None above
+        TAPE_MAX_QUBITS; per gate (its slot, its step view over both planes,
+        that view's first plane, the halves on the target axis of the first
+        plane's view and of the two-plane view, its block of tape rows or
+        None); then each gate's row in _blocks's [RX blocks; PCX blocks; X]
+        and the slot of each tape row, both read-only.  Built on first use and
+        kept with the circuit, which is immutable: each walk writes every
+        entry before reading it and returns copies."""
+        ell, q, dim = self.param_count, self.q, 1 << self.q
+        # Each RX mixes 2^(q-1) row pairs, each PCX and PSWAP 2^(q-2).
+        counts = [0 if g.slot is None else dim >> len(g.qubits) for g in self.gates]
+        row_slots = [g.slot for g, n in zip(self.gates, counts) for _ in range(n)]
+        planes = np.empty((2, dim, dim), dtype=complex)
         tape = None
-        if self.q <= TAPE_MAX_QUBITS:
+        if q <= TAPE_MAX_QUBITS:
             tape = np.empty((len(row_slots), dim), dtype=complex)
-        steps = []
-        for slot, (shape, offset, strides), (view, at) in zip(slots, one, tape_rows):
-            sub = np.ndarray(shape, complex, psi, offset, strides)
-            if slot is None:
-                steps.append((sub, sub[..., ::-1, :], None, None))
-            else:
-                out = None if tape is None else np.ndarray(view, complex, tape, at)
-                steps.append((sub, None, (sub[..., 0, :], sub[..., 1, :]), out))
-        return psi, tape, steps
+        steps, at = [], 0
+        for g, count in zip(self.gates, counts):
+            shape, offset, strides = _geometry(q, g.qubits, g.kind == "PSWAP")
+            both = np.ndarray(shape, complex, planes, offset, strides)
+            one = both[:1]
+            halves = one[..., 0, :], one[..., 1, :]
+            rows = None
+            if count and tape is not None:
+                rows = tape[at : at + count].reshape(halves[0].shape)
+            at += count
+            steps.append((g.slot, both, one, halves,
+                          (both[..., 0, :], both[..., 1, :]), rows))
+        gather = [g.slot + ell * (g.kind != "RX") if g.slot is not None else 2 * ell
+                  for g in self.gates]
+        return (planes, tape, steps, _read_only(gather, np.intp),
+                _read_only(row_slots, np.intp))
 
 
 @dataclass(frozen=True)
@@ -317,8 +307,9 @@ def _blocks(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
     Each step is a 2x2 block on the target axis of its _geometry view.  RX
     is its block RX(theta) on the target; PCX is PHASE(theta/2) . RX(theta)
     on the target inside the control-1 slice, and CX, of slot None, is PCX
-    at block X, a flip.  PSWAP(a, b) = CX(b -> a) . PCX(a -> b) . CX(b -> a)
-    is PCX's block on the pair of rows where (a, b) is (1, 0) and (0, 1).
+    at block X, whose product moves each value exactly.  PSWAP(a, b) =
+    CX(b -> a) . PCX(a -> b) . CX(b -> a) is PCX's block on the pair of rows
+    where (a, b) is (1, 0) and (0, 1).
     cos and sin of theta/2 are exact at theta in {0, pi}, so PCX(pi) is CX
     and PSWAP(pi) is SWAP exactly.
     """
@@ -336,13 +327,12 @@ def _blocks(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
     return stack[rows]
 
 
-@functools.cache
-def _geometry(q: int, planes: int, qubits: tuple[int, ...], pair: bool) -> tuple:
+def _geometry(q: int, qubits: tuple[int, ...], pair: bool) -> tuple:
     """(shape, byte offset, byte strides) of the rows a step on qubits acts
-    on, in planes stacked C-contiguous complex 2^q x 2^q planes, with the
-    target axis second to last: all rows for one qubit (t,), the control-1
-    slice of c for (c, t), and for pair the rows where (c, t) is (1, 0), then
-    those where it is (0, 1)."""
+    on, in two stacked C-contiguous complex 2^q x 2^q planes, with the target
+    axis second to last: all rows for one qubit (t,), the control-1 slice of
+    c for (c, t), and for pair the rows where (c, t) is (1, 0), then those
+    where it is (0, 1)."""
     row = 16 << q
     bit = [row << (q - 1 - i) for i in range(q)]  # byte stride of qubit i
     *c, t = qubits
@@ -350,7 +340,7 @@ def _geometry(q: int, planes: int, qubits: tuple[int, ...], pair: bool) -> tuple
     offset = bit[c[0]] if c else 0
     step = bit[t] - offset if pair else bit[t]
     # Axes: plane, qubits above lo, qubits between lo and hi, target, rest.
-    shape = (planes, 1 << lo, 1 << max(hi - lo - 1, 0), 2, bit[hi] // 16)
+    shape = (2, 1 << lo, 1 << max(hi - lo - 1, 0), 2, bit[hi] // 16)
     return shape, offset, (row << q, 2 * bit[lo], 2 * bit[hi], step, 16)
 
 
@@ -371,21 +361,20 @@ def forward(c: Circuit, theta) -> tuple[np.ndarray, np.ndarray | None]:
     that step's block of rows of one (R, 2^q) array (R = 30, 104 and 320 for
     LX at q = 3, 4 and 5); above, None.  tape_gradient contracts it.
 
-    Both are built in the circuit's workspace (Circuit._workspace) and
-    returned as fresh copies, so no caller holds an alias of it; two calls
-    on one circuit must not run at once.
+    Both are built in the circuit's workspace (Circuit._workspace), U in its
+    first plane, and returned as fresh copies, so no caller holds an alias
+    of it; two calls of forward or reverse_sweep on one circuit must not run
+    at once.
     """
     check_qubit_guard(c.q)
     theta = _check_theta(c, theta)
-    psi, tape, steps = c._workspace
+    planes, tape, steps, rows, _ = c._workspace
+    psi = planes[0]
     psi[...] = _identity(c.q)
-    for (sub, flip, halves, out), block in zip(steps, _blocks(c._layout[3], theta)):
-        if flip is not None:
-            sub[...] = flip
-        else:
-            sub[...] = block @ sub
-            if out is not None:
-                np.subtract(*halves, out=out)
+    for (_, _, sub, halves, _, out), block in zip(steps, _blocks(rows, theta)):
+        sub[...] = block @ sub
+        if out is not None:
+            np.subtract(*halves, out=out)
     return psi.copy(), None if tape is None else tape.copy()
 
 
@@ -407,7 +396,7 @@ def tape_gradient(
     pieces give every slot: the product B0, the product E = tape B0, the
     row reduction -Im sum(conj(E) * tape) and a sum of each slot's rows.
     """
-    dim, row_slots = 1 << c.q, c._layout[5]
+    dim, row_slots = 1 << c.q, c._workspace[4]
     if u.shape != (dim, dim) or lam.shape != (dim, dim):
         raise ValueError(f"U and lam must be {dim} x {dim}")
     if np.shape(tape) != (len(row_slots), dim):
@@ -430,38 +419,39 @@ def reverse_sweep(
     gates: the gradient's only path above TAPE_MAX_QUBITS qubits, and the
     reference tape_gradient is checked against.
 
-    Walks the stack [U, lam * U] (2, 2^q, 2^q) back through the gates'
-    steps (_blocks).  Before undoing a step it holds [U_s, B_s]: U_s is the
-    unitary after that step and B_s the later steps' inverse applied to
-    lam * U, so the loss moves by 2 Re<B_s, H_s U_s> per unit of the angle,
-    H_s being the step's generator on the target axis of its view: -(i/2) X
-    for RX, (i/2)(I - X) for PCX and PSWAP.  With F the step at block X,
-    H_s U_s is -(i/2) F U_s or (i/2)(U_s - F U_s), and <B_s, U_s> =
+    Walks [U, lam * U] in the workspace's two planes back through the
+    gates' steps (_blocks).  Before undoing a step they hold [U_s, B_s]: U_s
+    is the unitary after that step and B_s the later steps' inverse applied
+    to lam * U, so the loss moves by 2 Re<B_s, H_s U_s> per unit of the
+    angle, H_s being the step's generator on the target axis of its view:
+    -(i/2) X for RX, (i/2)(I - X) for PCX and PSWAP.  With F the step at
+    block X, H_s U_s is -(i/2) F U_s or (i/2)(U_s - F U_s), and <B_s, U_s> =
     sum(lam |U|^2) is real, so both give Im<B_s, F U_s> = Im<B_s, (F - I) U_s>.
     (F - I) U_s is non-zero only on the rows r0 and r1 that the block mixes
     (the target axis at 0 and at 1), where it is +-(U_r1 - U_r0), so the slot
     gets -Im<B_r0 - B_r1, U_r0 - U_r1>: one subtraction on the view the step
     is about to update, whose U and B halves are contiguous.  The inverse of
-    each block is its conjugate transpose, exact at theta in {0, pi}; CX is
-    its own inverse.
+    each block is its conjugate transpose, exact at theta in {0, pi}; CX's
+    block X is its own.
 
-    Returns the gradient and the swept U, the identity up to rounding.
+    Returns the gradient and a copy of the swept U, the identity up to
+    rounding.
     """
     theta = _check_theta(c, theta)
     dim = 1 << c.q
     if u.shape != (dim, dim) or lam.shape != (dim, dim):
         raise ValueError(f"U and lam must be {dim} x {dim}")
-    slots, _, two, rows, _, _ = c._layout
-    psi = np.array((u, lam * u), dtype=complex)
+    planes, _, steps, rows, _ = c._workspace
+    planes[0] = u
+    np.multiply(lam, u, out=planes[1])
     grad = np.zeros(c.param_count)
-    steps = list(zip(slots, two, _blocks(rows, theta).conj().swapaxes(-1, -2)))
-    for slot, (shape, offset, strides), block in reversed(steps):
-        sub = np.ndarray(shape, complex, psi, offset, strides)
+    inverses = _blocks(rows, theta).conj().swapaxes(-1, -2)
+    for (slot, sub, _, _, halves, _), block in zip(steps[::-1], inverses[::-1]):
         if slot is not None:
-            diff = sub[..., 0, :] - sub[..., 1, :]
+            diff = np.subtract(*halves)
             grad[slot] -= np.vdot(diff[1], diff[0]).imag
-        sub[...] = sub[..., ::-1, :] if slot is None else block @ sub
-    return grad, psi[0]
+        sub[...] = block @ sub
+    return grad, planes[0].copy()
 
 
 def affine_images(c: Circuit, on) -> np.ndarray:

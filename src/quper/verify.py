@@ -25,7 +25,6 @@ from .circuits import (
 from .dsm import binary_dsms, extract_dsm, statevector_oracle
 from .gf2 import (
     Gf2Matrix,
-    Transvection,
     borel_subword,
     bruhat_decompose,
     random_invertible,

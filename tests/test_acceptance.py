@@ -39,8 +39,6 @@ from quper.optimizer import (
     random_baseline,
 )
 from quper.problems import (
-    GipInstance,
-    QapInstance,
     gip_cost,
     gip_to_qap,
     load_qaplib,

@@ -183,6 +183,9 @@ class TestEvalUnitary:
         assert np.array_equal(eval_unitary(pswap, [PI]), swap)
         assert np.array_equal(eval_unitary(pswap, [0.0]), np.eye(8))
         assert np.array_equal(eval_unitary(pcx, [PI]), cx)
+        # CX is the step at its X block, exact as a flip would be.
+        cx_only = Circuit(3, (Gate("CX", (a, b), None),), 0)
+        assert np.array_equal(eval_unitary(cx_only, []), cx)
 
     def test_binary_theta_gives_signless_permutation(self):
         rng = np.random.default_rng(3)
@@ -499,11 +502,11 @@ class TestStepCache:
         # through one would reach them all.
         c = solver_ansatz("bruhat", 3)
         assert solver_ansatz("bruhat", 3) is c
-        assert c._layout is c._layout
+        assert c._workspace is c._workspace
         new_slots, old_slots = optimizer._slot_map(solver_ansatz("bruhat", 2), c)
         cached = (
             circuits._identity(3), optimizer._eye(4), projection._base_vector(8),
-            c._layout[3], c._layout[5], new_slots, old_slots,
+            c._workspace[3], c._workspace[4], new_slots, old_slots,
         )
         for a in cached:
             with pytest.raises(ValueError, match="read-only"):
@@ -584,10 +587,49 @@ class TestWorkspace:
         theta1, theta2 = random_thetas(c, np.random.default_rng(8), 2)
         forward(c, theta1)
         c2 = clone(c)
-        assert not {"_workspace", "_layout", "_hash"} & vars(c2).keys()
+        assert not {"_workspace", "_hash"} & vars(c2).keys()
         assert c2 == c and hash(c2) == hash(c) and c2 is not c
         assert_forward_equal(forward(c2, theta2), fresh_forward(c, theta2))
         assert_forward_equal(forward(c, theta2), fresh_forward(c, theta2))
+
+    @pytest.mark.parametrize("name", ["bruhat", "linear", "mixed"])
+    @pytest.mark.parametrize("q", [3, circuits.TAPE_MAX_QUBITS + 1])
+    def test_a_sweep_between_two_forwards_leaves_them_equal(self, name, q):
+        # The sweep walks the planes forward builds U in.
+        c = tape_case(name, q)
+        rng = np.random.default_rng([q, len(name)])
+        (theta,) = random_thetas(c, rng, 1)
+        first = forward(c, theta)
+        reverse_sweep(c, theta, first[0], rng.normal(size=first[0].shape))
+        as_bytes = lambda arrays: [None if a is None else a.tobytes() for a in arrays]
+        assert as_bytes(forward(c, theta)) == as_bytes(first)
+
+    @pytest.mark.parametrize("q", [3, circuits.TAPE_MAX_QUBITS + 1])
+    def test_writes_to_a_sweeps_arrays_do_not_reach_the_next(self, q):
+        c = build_ansatz("LX", q)
+        rng = np.random.default_rng(q)
+        (theta,) = random_thetas(c, rng, 1)
+        u = eval_unitary(c, theta)
+        lam = rng.normal(size=u.shape)
+        want = tuple(a.copy() for a in reverse_sweep(c, theta, u, lam))
+        for written in range(3):  # u, lam, then the swept U returned
+            arrays = [u.copy(), lam.copy()]
+            arrays.append(reverse_sweep(c, theta, *arrays)[1])
+            arrays[written][...] = np.nan
+            got = reverse_sweep(c, theta, u, lam)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert not np.shares_memory(arrays[2], got[1])
+
+    @pytest.mark.parametrize("q", [3, circuits.TAPE_MAX_QUBITS + 1])
+    def test_a_sweep_on_one_circuit_between_forwards_on_another(self, q):
+        a, b = build_ansatz("LX", q), solver_ansatz("borel", q)
+        rng = np.random.default_rng(q)
+        (ta,), (tb,) = random_thetas(a, rng, 1), random_thetas(b, rng, 1)
+        first = forward(a, ta)
+        ub = eval_unitary(b, tb)
+        reverse_sweep(b, tb, ub, rng.normal(size=ub.shape))
+        assert_forward_equal(first, fresh_forward(a, ta))
+        assert_forward_equal(forward(a, ta), fresh_forward(a, ta))
 
     def test_hash_walks_the_gates_once(self, monkeypatch):
         c = build_ansatz("LX", 3)

@@ -1,7 +1,6 @@
 """QAP/GIP costs, the GIP-to-QAP reduction, generators, QAPLIB parsing."""
 
 import itertools
-import math
 from pathlib import Path
 
 import numpy as np
