@@ -100,19 +100,11 @@ class Circuit:
             if g.slot is not None and not 0 <= g.slot < self.param_count:
                 raise ValueError("parameter slot out of range")
 
-    def __hash__(self) -> int:
-        return self._hash
-
     def __reduce__(self):
-        """Pickle and copy the fields only: the cached hash is salted per
-        process, and a workspace's views would come back as arrays apart from
-        its planes, which forward would then leave at the identity."""
+        """Pickle and copy the fields only: a workspace's views would come
+        back as arrays apart from its planes, which forward would then leave
+        at the identity."""
         return type(self), (self.q, self.gates, self.param_count, self.kind)
-
-    @functools.cached_property
-    def _hash(self) -> int:
-        """The fields' hash, which walks every gate: computed once."""
-        return hash((self.q, self.gates, self.param_count, self.kind))
 
     @functools.cached_property
     def _workspace(self) -> tuple:
@@ -293,13 +285,6 @@ def _read_only(values, dtype) -> np.ndarray:
     return a
 
 
-@functools.cache
-def _identity(q: int) -> np.ndarray:
-    """The 2^q x 2^q complex identity, read-only: forward resets its
-    workspace from it."""
-    return _read_only(np.eye(1 << q), complex)
-
-
 def _blocks(rows: np.ndarray, theta: np.ndarray) -> np.ndarray:
     """The rows of [RX blocks; PCX blocks; X] at theta, as a (len(rows), 2, 2)
     stack.
@@ -370,7 +355,8 @@ def forward(c: Circuit, theta) -> tuple[np.ndarray, np.ndarray | None]:
     theta = _check_theta(c, theta)
     planes, tape, steps, rows, _ = c._workspace
     psi = planes[0]
-    psi[...] = _identity(c.q)
+    psi[...] = 0
+    psi.ravel()[:: len(psi) + 1] = 1
     for (_, _, sub, halves, _, out), block in zip(steps, _blocks(rows, theta)):
         sub[...] = block @ sub
         if out is not None:

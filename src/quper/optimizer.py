@@ -21,7 +21,7 @@ from functools import partial
 
 import numpy as np
 
-from .circuits import Circuit, check_qubit_guard, solver_ansatz
+from .circuits import SOLVER_ANSATZE, Circuit, check_qubit_guard, solver_ansatz
 from .dsm import adjoint_gradient, unitary_and_dsm
 from .gf2 import Permutation
 from .problems import (
@@ -73,6 +73,11 @@ class AdamState:
         return AdamState(theta, np.zeros_like(theta), np.zeros_like(theta), 1, eta)
 
 
+def _check_seed(seed) -> None:
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+
+
 @dataclass(frozen=True)
 class QuperConfig:
     ansatz: str = "bruhat"
@@ -90,6 +95,11 @@ class QuperConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
         if self.m_max < 0 or self.iterations < 1:
             raise ValueError("need m_max >= 0 and iterations >= 1")
+        _check_seed(self.seed)
+        if self.ansatz not in SOLVER_ANSATZE:
+            raise ValueError(
+                f"ansatz must be one of {', '.join(SOLVER_ANSATZE)}, got {self.ansatz!r}"
+            )
         if self.lr is not None and not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be None or finite and > 0, got {self.lr!r}")
 
@@ -98,14 +108,6 @@ class QuperConfig:
 class QuperTrace:
     records: list[dict] = field(default_factory=list)
     levels: list[dict] = field(default_factory=list)
-
-
-@functools.cache
-def _eye(n: int) -> np.ndarray:
-    """The n x n float identity, read-only: the same array for every call."""
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
 
 
 def regularizers(d: np.ndarray, entropy_eps: float = ENTROPY_EPS) -> tuple:
@@ -118,7 +120,8 @@ def regularizers(d: np.ndarray, entropy_eps: float = ENTROPY_EPS) -> tuple:
     dev = d.sum(axis=0) - 1.0  # d st/dd is 2 dev down each column
     shifted = d + entropy_eps
     log = np.log(shifted)
-    gram = d.T @ d - _eye(len(d))
+    gram = d.T @ d
+    gram.ravel()[:: len(d) + 1] -= 1.0
     terms = float((dev**2).sum()), float(-(d * log).sum()), float((gram**2).sum())
     grad = (2.0 * W_ST) * dev - W_ENTROPY * (log + d / shifted)
     return terms, grad + (4.0 * W_ORT) * (d @ gram)
@@ -203,6 +206,11 @@ def embed_theta(
     """Carry parameters to a larger ansatz by structural slot identity;
     every slot with no counterpart gets the fill angle."""
     old_theta = np.asarray(old_theta, dtype=float)
+    if old_theta.shape != (old.param_count,):
+        raise ValueError(
+            f"old_theta must have {old.param_count} parameters, got shape "
+            f"{old_theta.shape}"
+        )
     new_slots, old_slots = _slot_map(old, new)
     theta = np.full(new.param_count, fill)
     theta[new_slots] = old_theta[old_slots]
@@ -314,6 +322,7 @@ def random_baseline(problem, iterations: int, seed: int):
     whose first draw is the planted map."""
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    _check_seed(seed)
     map_costs, _ = _problem_costs(problem)
     rng = np.random.default_rng([seed, 2])
     best_p, best_v = None, math.inf

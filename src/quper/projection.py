@@ -25,16 +25,6 @@ def project_hungarian(d: np.ndarray) -> np.ndarray:
     return _linear_sum_assignment()(d, maximize=True)[1]  # rows come back sorted
 
 
-@functools.cache
-def _base_vector(n: int) -> np.ndarray:
-    # Powers of two keep every coefficient at least twice any smaller one;
-    # representable in double precision up to n = 1024.  Read-only: every
-    # caller gets the same array.
-    v = np.ldexp(1.0, np.arange(n)) if n <= 1024 else np.arange(n, dtype=float)
-    v.flags.writeable = False
-    return v
-
-
 def random_orders(seed, n: int, trials: int) -> np.ndarray:
     """The (trials, n) orders of project_random_order: default_rng(seed)
     draws them all, row t for trial t, so the first k rows do not depend on
@@ -54,7 +44,11 @@ def order_maps(d: np.ndarray, orders: np.ndarray) -> np.ndarray:
     for every order, or a (T, n, n) stack, one matrix per order; each row of
     orders is a permutation of range(n).
     """
-    v = _base_vector(orders.shape[1])[orders]
+    n = orders.shape[1]
+    # Powers of two keep every coefficient at least twice any smaller one;
+    # representable in double precision up to n = 1024.
+    base = np.ldexp(1.0, np.arange(n)) if n <= 1024 else np.arange(n, dtype=float)
+    v = base[orders]
     # One matrix-vector product per row, as d @ v would compute it: a
     # matrix-matrix product sums in another order and can break near-ties in
     # d.v the other way.

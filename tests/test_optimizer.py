@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from functools import partial
 
 import numpy as np
@@ -428,6 +429,14 @@ class TestEmbedTheta:
         new_slots = big.param_count - small.param_count
         assert np.sum(theta == PI / 8) == new_slots
 
+    def test_rejects_old_theta_of_another_shape(self):
+        small, big = solver_ansatz("bruhat", 2), solver_ansatz("bruhat", 3)
+        ell = small.param_count
+        for shape in [(ell - 1,), (ell + 1,), (1, ell), ()]:
+            want = f"old_theta must have {ell} parameters, got shape {shape}"
+            with pytest.raises(ValueError, match=re.escape(want)):
+                embed_theta(small, big, np.zeros(shape))
+
 
 def per_map(cost):
     """Map costs from a per-permutation cost: one value per row of the
@@ -560,6 +569,21 @@ class TestQuperConfig:
     @pytest.mark.parametrize("lr", [None, 0.4, 1e-6])
     def test_accepts_good_lr(self, lr):
         assert QuperConfig(lr=lr).lr == lr
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-3)])
+    def test_rejects_negative_seed(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be >= 0, got {seed}"):
+            QuperConfig(seed=seed)
+
+    @pytest.mark.parametrize("ansatz", ["nope", "LX", "Bruhat", ""])
+    def test_rejects_unknown_ansatz(self, ansatz):
+        want = f"ansatz must be one of bruhat, borel, sel, got {ansatz!r}"
+        with pytest.raises(ValueError, match=want):
+            QuperConfig(ansatz=ansatz)
+
+    @pytest.mark.parametrize("ansatz", circuits.SOLVER_ANSATZE)
+    def test_accepts_each_solver_ansatz(self, ansatz):
+        assert QuperConfig(ansatz=ansatz).ansatz == ansatz
 
 
 class TestQuperSolve:
@@ -723,6 +747,10 @@ class TestRandomBaseline:
         monkeypatch.setattr(optimizer, "qap_map_costs", counted)
         random_baseline(random_qap(4, 1), 95, seed=2)
         assert calls == [(50, 4)] * 10
+
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            random_baseline(random_qap(4, 1), 10, seed=-1)
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_first_draw_is_not_the_planted_map(self, n, monkeypatch):

@@ -5,10 +5,20 @@ from pathlib import Path
 
 import pytest
 
-MODULES = sorted(
-    p for p in (Path(__file__).parents[1] / "src" / "quper").glob("*.py")
-    if p.name != "__init__.py"
-)
+PACKAGE = sorted((Path(__file__).parents[1] / "src" / "quper").glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+
+CACHE_MAKERS = ("cache", "lru_cache", "cached_property")
+
+# Every functools cache in the package, each kept for what it saves: a new
+# one is added here with its measured reason (ROADMAP.md, item 4).
+KEPT_CACHES = {
+    "circuits.solver_ansatz",  # each level's circuit and workspace, built once
+    "circuits.Circuit._workspace",  # the step table both walks read
+    "optimizer._slot_map",  # two _slot_keys walks at every level change
+    "projection._linear_sum_assignment",  # scipy.optimize unloaded at import
+    "cli._parser",  # the argparse tree, built once per process
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -37,3 +47,59 @@ def test_the_check_sees_each_import_form():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def cache_sites(source: str, module: str) -> list[str]:
+    """What a module caches through functools, by qualified name: each
+    function or property under a cache decorator, and each name bound to a
+    cache call (the call's own text where it is bound to none)."""
+    tree = ast.parse(source)
+    makers = {f"functools.{m}" for m in CACHE_MAKERS} | {
+        a.asname or a.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "functools"
+        for a in node.names
+        if a.name in CACHE_MAKERS
+    }
+    sites = []
+
+    def visit(node, scope, target=None):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+            for d in node.decorator_list:  # @maker or @maker(...)
+                if ast.unparse(d.func if isinstance(d, ast.Call) else d) in makers:
+                    sites.append(scope)
+            children = node.body
+        else:
+            if isinstance(node, ast.Call) and ast.unparse(node.func) in makers:
+                sites.append(f"{scope}.{target or ast.unparse(node)}")
+            if isinstance(node, ast.Assign):
+                target = ast.unparse(node.targets[0])
+            children = ast.iter_child_nodes(node)
+        for child in children:
+            visit(child, scope, target)
+
+    visit(tree, module)
+    return sorted(sites)
+
+
+def test_the_cache_check_sees_each_form():
+    source = (
+        "import functools\nfrom functools import lru_cache as lru, cached_property\n"
+        "@functools.cache\ndef a(): pass\n"
+        "@functools.lru_cache(maxsize=4)\ndef b(): pass\n"
+        "@lru\ndef c(): pass\n"
+        "class K:\n    @cached_property\n    def d(self): pass\n"
+        "    @property\n    def e(self): pass\n"
+        "f = functools.cache(a)\ng = functools.lru_cache(maxsize=2)(a)\n"
+        "def h():\n    return functools.cache(a)\n"
+        "@functools.wraps(a)\ndef i(): return functools.partial(a)\n"
+    )
+    assert cache_sites(source, "m") == [
+        "m.K.d", "m.a", "m.b", "m.c", "m.f", "m.g", "m.h.functools.cache(a)",
+    ]
+
+
+def test_the_kept_caches_are_the_only_ones():
+    found = [site for p in PACKAGE for site in cache_sites(p.read_text(), p.stem)]
+    assert sorted(found) == sorted(KEPT_CACHES)
