@@ -18,9 +18,10 @@ permutation set is the same as with the layer last.
 Each step is a 2x2 block, CX's being X, on one strided view; both walks
 over the gates read the views of one step table that each circuit keeps
 (Circuit._workspace).  The gradient of a loss of |U|^2 has two paths on the
-same steps.  Up to TAPE_MAX_QUBITS qubits forward returns U with a tape,
-each parametrized step's row differences, and tape_gradient contracts the
-tape it is handed with one product; above, the tape is None and
+same steps.  Up to TAPE_MAX_QUBITS qubits each parametrized step's product
+lands in a tape pair, the two row sets it has just mixed, and forward
+returns U with the tape, their difference; tape_gradient contracts the
+tape it is handed with one product.  Above, the tape is None and
 reverse_sweep walks the gates back.  The sweep is also the tape's reference.
 """
 
@@ -109,14 +110,16 @@ class Circuit:
     @functools.cached_property
     def _workspace(self) -> tuple:
         """The circuit's one step table, walked forward by forward and back
-        by reverse_sweep: two (2^q, 2^q) planes; the (R, 2^q) tape, None above
-        TAPE_MAX_QUBITS; per gate (its slot, its step view over both planes,
-        that view's first plane, the halves on the target axis of the first
-        plane's view and of the two-plane view, its block of tape rows or
-        None); then each gate's row in _blocks's [RX blocks; PCX blocks; X]
-        and the slot of each tape row, both read-only.  Built on first use and
-        kept with the circuit, which is immutable: each walk writes every
-        entry before reading it and returns copies."""
+        by reverse_sweep: two (2^q, 2^q) planes; the (2, R, 2^q) tape pair,
+        None above TAPE_MAX_QUBITS; per gate (its slot, its step view over
+        both planes, that view's first plane, the two-plane view's halves on
+        the target axis, and its record or None: a view shaped as the first
+        plane's, whose target axis at 0 and at 1 is the step's block of rows
+        in the first and in the second tape of the pair); then each gate's
+        row in _blocks's [RX blocks; PCX blocks; X] and the slot of each tape
+        row, both read-only.  Built on first use and kept with the circuit,
+        which is immutable: each walk writes every entry before reading it
+        and returns new arrays."""
         ell, q, dim = self.param_count, self.q, 1 << self.q
         # Each RX mixes 2^(q-1) row pairs, each PCX and PSWAP 2^(q-2).
         counts = [0 if g.slot is None else dim >> len(g.qubits) for g in self.gates]
@@ -124,19 +127,19 @@ class Circuit:
         planes = np.empty((2, dim, dim), dtype=complex)
         tape = None
         if q <= TAPE_MAX_QUBITS:
-            tape = np.empty((len(row_slots), dim), dtype=complex)
+            tape = np.empty((2, len(row_slots), dim), dtype=complex)
         steps, at = [], 0
         for g, count in zip(self.gates, counts):
             shape, offset, strides = _geometry(q, g.qubits, g.kind == "PSWAP")
             both = np.ndarray(shape, complex, planes, offset, strides)
             one = both[:1]
-            halves = one[..., 0, :], one[..., 1, :]
-            rows = None
+            record = None
             if count and tape is not None:
-                rows = tape[at : at + count].reshape(halves[0].shape)
+                rows = tape[:, at : at + count].reshape((2,) + one[..., 0, :].shape)
+                record = np.moveaxis(rows, 0, -2)
             at += count
-            steps.append((g.slot, both, one, halves,
-                          (both[..., 0, :], both[..., 1, :]), rows))
+            steps.append((g.slot, both, one,
+                          (both[..., 0, :], both[..., 1, :]), record))
         gather = [g.slot + ell * (g.kind != "RX") if g.slot is not None else 2 * ell
                   for g in self.gates]
         return (planes, tape, steps, _read_only(gather, np.intp),
@@ -270,9 +273,10 @@ _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 # Up to this many qubits forward records a tape and the gradient is
 # contracted from it (tape_gradient); above, reverse_sweep walks the gates
 # back.  Set from the per-size timing table in README.md: forward pass plus
-# gradient take 0.50-0.52 of the sweep path's time at q = 3..5 and 0.79 at
+# gradient take 0.43-0.47 of the sweep path's time at q = 3..5 and 0.75 at
 # q = 6, and lose from q = 7 on, where the product costs O(R 4^q) and the
-# tape holds R 2^q complex numbers; from q = 7 on the sweep's bits are kept.
+# tape pair holds 2 R 2^q complex numbers; from q = 7 on the sweep's bits
+# are kept.
 # A circuit's workspace reads it when it is built.
 TAPE_MAX_QUBITS = 6
 
@@ -342,14 +346,17 @@ def forward(c: Circuit, theta) -> tuple[np.ndarray, np.ndarray | None]:
     """The dense 2^q x 2^q unitary U of the circuit at parameters theta (L,),
     applied step by step to the identity in place, and its tape: at q <=
     TAPE_MAX_QUBITS, after each parametrized step, the difference of the two
-    row sets it has just mixed, sub[..., 0, :] - sub[..., 1, :], written as
-    that step's block of rows of one (R, 2^q) array (R = 30, 104 and 320 for
-    LX at q = 3, 4 and 5); above, None.  tape_gradient contracts it.
+    row sets it has just mixed, sub[..., 0, :] - sub[..., 1, :], as that
+    step's block of rows of one (R, 2^q) array (R = 30, 104 and 320 for LX
+    at q = 3, 4 and 5); above, None.  tape_gradient contracts it.
 
     Both are built in the circuit's workspace (Circuit._workspace), U in its
-    first plane, and returned as fresh copies, so no caller holds an alias
-    of it; two calls of forward or reverse_sweep on one circuit must not run
-    at once.
+    first plane.  A parametrized step at q <= TAPE_MAX_QUBITS writes its
+    product into its record, the step's rows of the tape pair, and copies
+    that into the plane; the tape is the pair's difference, one subtraction
+    after the walk.  U is returned as a copy and the tape is a new array,
+    so no caller holds an alias of the workspace; two calls of forward or
+    reverse_sweep on one circuit must not run at once.
     """
     check_qubit_guard(c.q)
     theta = _check_theta(c, theta)
@@ -357,11 +364,13 @@ def forward(c: Circuit, theta) -> tuple[np.ndarray, np.ndarray | None]:
     psi = planes[0]
     psi[...] = 0
     psi.ravel()[:: len(psi) + 1] = 1
-    for (_, _, sub, halves, _, out), block in zip(steps, _blocks(rows, theta)):
-        sub[...] = block @ sub
-        if out is not None:
-            np.subtract(*halves, out=out)
-    return psi.copy(), None if tape is None else tape.copy()
+    for (_, _, sub, _, record), block in zip(steps, _blocks(rows, theta)):
+        if record is None:
+            sub[...] = block @ sub
+        else:
+            np.matmul(block, sub, out=record)
+            sub[...] = record
+    return psi.copy(), None if tape is None else np.subtract(*tape)
 
 
 def eval_unitary(c: Circuit, theta) -> np.ndarray:
@@ -432,7 +441,7 @@ def reverse_sweep(
     np.multiply(lam, u, out=planes[1])
     grad = np.zeros(c.param_count)
     inverses = _blocks(rows, theta).conj().swapaxes(-1, -2)
-    for (slot, sub, _, _, halves, _), block in zip(steps[::-1], inverses[::-1]):
+    for (slot, sub, _, halves, _), block in zip(steps[::-1], inverses[::-1]):
         if slot is not None:
             diff = np.subtract(*halves)
             grad[slot] -= np.vdot(diff[1], diff[0]).imag

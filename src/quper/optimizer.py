@@ -227,23 +227,30 @@ def _problem_costs(problem):
     raise TypeError("problem must be a QapInstance or GipInstance")
 
 
-def best_projection(d: np.ndarray, map_costs, orders: np.ndarray):
-    """Project d onto permutations and cost all candidates in one call.
+def best_projection(d: np.ndarray, map_costs, orders: np.ndarray,
+                    best_p: np.ndarray | None = None, best_v: float = math.inf):
+    """The incumbent step: project d onto permutations, cost all candidates
+    in one call, and keep the incumbent (best_p, best_v) unless one beats it.
 
     The candidates, the Hungarian map then the order_maps of d at the
     (T, n) random orders in trial order, duplicates kept, are costed as one
     (T + 1, n) int array of maps by map_costs.  quper_solve passes each
     iterate its RANDOM_ORDER_TRIALS rows of one stream of random_orders per
-    solve.  Returns (argmin map, its value, Hungarian cost, best random-order
-    cost); ties go to the first candidate in map order, found by one lexsort
-    of the tied maps (which keeps the earliest of equal maps), so the pick is
-    project_random_order's deduplicated one.
+    solve.  Returns (best map, its value, Hungarian cost, best random-order
+    cost).  Only when the candidates' least value is below best_v is a map
+    picked: the first candidate in map order at that value, found by one
+    lexsort of the tied maps when more than one ties (which keeps the
+    earliest of equal maps), so the pick is project_random_order's
+    deduplicated one.  Otherwise best_p and best_v come back as they came in.
     """
     maps = np.concatenate((project_hungarian(d)[None], order_maps(d, orders)))
     values = map_costs(maps)
-    tied = np.flatnonzero(values == values.min())
-    best = tied[0] if len(tied) == 1 else tied[np.lexsort(maps[tied].T[::-1])[0]]
-    return maps[best], float(values[best]), float(values[0]), float(values[1:].min())
+    low = values.min()
+    if low < best_v:
+        tied = np.flatnonzero(values == low)
+        best = tied[0] if len(tied) == 1 else tied[np.lexsort(maps[tied].T[::-1])[0]]
+        best_p, best_v = maps[best], float(low)
+    return best_p, best_v, float(values[0]), float(values[1:].min())
 
 
 def _iterate_orders(rng: np.random.Generator, n: int, iterations: int):
@@ -295,9 +302,9 @@ def quper_solve(problem, cfg: QuperConfig):
             )
             u, d, tape = unitary_and_dsm(circuit, m, state.theta)
             loss, raw_cost, _, g = loss_pass(d, cost_and_grad)
-            p, v, ph_cost, pr_cost = best_projection(d, map_costs, orders)
-            if v < best_v:
-                best_p, best_v = p, v
+            best_p, best_v, ph_cost, pr_cost = best_projection(
+                d, map_costs, orders, best_p, best_v
+            )
             trace.records.append(
                 {
                     "iter": it_global,

@@ -1,6 +1,7 @@
 """Record the fixed-seed solves that tests/test_reference_runs.py replays.
 
     python3 tests/data/record_reference_runs.py [OUT]
+    python3 tests/data/record_reference_runs.py --check [REF]
     python3 tests/data/record_reference_runs.py --diff OLD NEW
 
 Writes reference_runs.json (or OUT): for each run, the instance, the solver
@@ -17,13 +18,13 @@ The replay's contract is: permutations, best values, levels and iteration
 counters exact; every other float to a relative 1e-9.  Re-record only when a
 change is meant to alter the solver's trajectory.
 
-A change that must not move the trajectory shows it by recording to OUT in a
-checkout of its parent commit and in one of the change, then comparing the
-two outputs with `cmp`: they must be byte-identical.  A change that is meant
-to move it shows what moved with --diff: per run and per record field, how
-many records differ and the largest relative change |new - old| / max(|old|,
-|new|), then the best value and whether the best permutation or the
-levels moved.
+A change that must not move the trajectory shows it with --check: it
+records into memory and exits 0 when the serialized runs are byte-identical
+to reference_runs.json (or REF), else prints the --diff lines from REF to
+the fresh recording and exits 1.  A change that is meant to move it shows
+what moved with --diff: per run and per record field, how many records
+differ and the largest relative change |new - old| / max(|old|, |new|),
+then the best value and whether the best permutation or the levels moved.
 """
 
 from __future__ import annotations
@@ -106,11 +107,22 @@ def main(argv: list[str]) -> int:
         old, new = (json.loads(Path(p).read_text()) for p in argv[1:])
         print("\n".join(diff(old, new)))
         return 0
+    check = argv[:1] == ["--check"]
+    paths = argv[1:] if check else argv
+    if len(paths) > 1:
+        print("usage: record_reference_runs.py [--check] [FILE]", file=sys.stderr)
+        return 2
     sys.path.insert(0, str(HERE.parent.parent / "src"))
-    out = Path(argv[0]) if argv else REFERENCE
-    runs = [run(spec) for spec in RUNS]
-    out.write_text(json.dumps(runs, indent=1) + "\n")
-    return 0
+    path = Path(paths[0]) if paths else REFERENCE
+    text = json.dumps([run(spec) for spec in RUNS], indent=1) + "\n"
+    if not check:
+        path.write_text(text)
+        return 0
+    if path.read_bytes() == text.encode():
+        return 0
+    print(f"{path} differs from a fresh recording:")
+    print("\n".join(diff(json.loads(path.read_text()), json.loads(text))))
+    return 1
 
 
 if __name__ == "__main__":

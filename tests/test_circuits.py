@@ -448,6 +448,34 @@ class TestTapeGradient:
             adjoint_gradient(c, 1, theta, u, None, g), sweep_gradient(c, 1, theta, u, g)
         )
 
+    @pytest.mark.parametrize(
+        "name, q",
+        [(name, q) for name in ("LX", "linear") for q in range(2, 6)]
+        + [("mixed", 4), ("mixed_lowered", 4)],
+    )
+    def test_tape_rows_are_each_steps_row_differences(self, name, q):
+        # Each parametrized step's rows, from the serial walk of the gates up
+        # to it: P[r0] - P[r1] over the rows r0 it mixes in increasing order
+        # (target 0; control 1; for PSWAP(a, b), a 1 and b 0) and their
+        # partners r1 (target 1; for PSWAP, a 0 and b 1).
+        c = tape_case(name, q)
+        rng = np.random.default_rng([q, len(name)])
+        (theta,) = random_thetas(c, rng, 1)
+        bit = [1 << (c.q - 1 - i) for i in range(c.q)]
+        x = np.arange(1 << c.q)
+        want = []
+        for k, g in enumerate(c.gates):
+            if g.slot is None:
+                continue
+            *ctrl, t = g.qubits
+            r0 = x[(x & bit[t] == 0) & np.all([x & bit[i] != 0 for i in ctrl], axis=0)]
+            r1 = r0 ^ bit[t] ^ (bit[ctrl[0]] if g.kind == "PSWAP" else 0)
+            p = serial_unitary(Circuit(c.q, c.gates[: k + 1], c.param_count), theta)
+            want.append(p[r0] - p[r1])
+        _, tape = forward(c, theta)
+        assert tape.shape == (sum(map(len, want)), 1 << c.q)
+        assert np.max(np.abs(tape - np.concatenate(want))) <= 1e-12
+
     def test_rejects_another_circuits_tape(self):
         lx, borel = build_ansatz("LX", 3), solver_ansatz("borel", 3)
         u, tape = forward(lx, np.zeros(lx.param_count))

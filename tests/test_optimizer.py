@@ -528,9 +528,10 @@ class TestBestProjection:
         start = Permutation.identity(n)
         want = inline_incumbent_step(d, cost, seed, start, incumbent)
         orders = random_orders(seed, n, RANDOM_ORDER_TRIALS)
-        p, v, ph_cost, pr_cost = best_projection(d, per_map(cost), orders)
-        p = Permutation(tuple(p.tolist()))
-        best_p, best_v = (p, v) if v < incumbent else (start, incumbent)
+        best_p, best_v, ph_cost, pr_cost = best_projection(
+            d, per_map(cost), orders, np.arange(n), incumbent
+        )
+        best_p = Permutation(tuple(best_p.tolist()))
         assert (best_p, best_v, ph_cost, pr_cost) == want
 
     def test_all_tied_picks_the_smallest_map(self):
@@ -547,6 +548,29 @@ class TestBestProjection:
         (maps,) = calls
         assert len({tuple(m) for m in maps.tolist()}) > 1
         assert p.tolist() == min(maps.tolist()) and v == ph_cost == pr_cost == 0.0
+        # An incumbent at 0.0 is not beaten: it comes back as it went in.
+        incumbent = np.arange(16)
+        kept = best_projection(d, partial(qap_map_costs, inst), orders, incumbent, 0.0)
+        assert kept[0] is incumbent and kept[1:] == (0.0, 0.0, 0.0)
+
+    def test_no_tie_break_unless_the_incumbent_is_beaten(self, monkeypatch):
+        # Every candidate ties at each call; lexsort runs only when their
+        # value is below the incumbent's.
+        inst = QapInstance(np.zeros((8, 8)), np.ones((8, 8)))
+        d = random_dsm(8, np.random.default_rng(8))
+        orders = random_orders(8, 8, RANDOM_ORDER_TRIALS)
+        costs = partial(qap_map_costs, inst)
+
+        def lexsort(*args):
+            raise AssertionError("tie-break ran")
+
+        monkeypatch.setattr(np, "lexsort", lexsort)
+        incumbent = np.arange(8)
+        for best_v in (0.0, -1.0):
+            got = best_projection(d, costs, orders, incumbent, best_v)
+            assert got[0] is incumbent and got[1] == best_v
+        with pytest.raises(AssertionError, match="tie-break ran"):
+            best_projection(d, costs, orders, incumbent, 1.0)
 
 
 class TestQuperConfig:
@@ -659,9 +683,12 @@ class TestQuperSolve:
         for entries in (optimizer.ORDER_DRAW_ENTRIES, 3 * 50 * 4, 1):
             seen = []
 
-            def recorded(d, map_costs, orders):
+            def recorded(d, map_costs, orders, best_p, best_v):
                 calls = []
-                out = real(d, lambda maps: calls.append(maps) or map_costs(maps), orders)
+                out = real(
+                    d, lambda maps: calls.append(maps) or map_costs(maps), orders,
+                    best_p, best_v,
+                )
                 seen.append((d, *calls))
                 return out
 

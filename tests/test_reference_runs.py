@@ -56,3 +56,25 @@ def test_diff_counts_moved_records_per_field():
     assert f"{name} raw_cost: 0/{n} records moved, max rel change 0" in lines
     assert lines[-1].endswith("moved: best_permutation")
     assert all(" 0/" in ln for ln in recorder.diff(old, old)[:-1])
+
+
+def test_check_passes_on_the_file_and_lists_what_moved_in_a_doctored_copy(
+    tmp_path, capsys
+):
+    # --check records into memory: 0 on an unchanged copy of the file, 1 on
+    # one with a single loss moved, with the --diff lines naming that record.
+    text = (DATA / "reference_runs.json").read_text()
+    same = tmp_path / "same.json"
+    same.write_text(text)
+    assert recorder.main(["--check", str(same)]) == 0
+    assert capsys.readouterr().out == ""
+    runs = json.loads(text)
+    runs[0]["records"][2]["loss"] *= 1.5
+    doctored = tmp_path / "doctored.json"
+    doctored.write_text(json.dumps(runs, indent=1) + "\n")
+    assert recorder.main(["--check", str(doctored)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    n = len(runs[0]["records"])
+    assert lines[0] == f"{doctored} differs from a fresh recording:"
+    assert f"{_run_id(runs[0])} loss: 1/{n} records moved, max rel change 0.333" in lines
+    assert same.read_text() == text  # --check writes nothing
