@@ -110,11 +110,19 @@ class Gf2Matrix:
         return Gf2Matrix(q, tuple(row >> q for row in aug))
 
     def is_invertible(self) -> bool:
-        try:
-            self.inverse()
-            return True
-        except ValueError:
-            return False
+        """Full rank, by forward elimination on the row bitsets: False at
+        the first column with no pivot, without building the inverse."""
+        rows = list(self.rows)
+        for col in range(self.q):
+            bit = 1 << col
+            for k, r in enumerate(rows):
+                if r & bit:
+                    break
+            else:
+                return False
+            pivot = rows.pop(k)
+            rows = [r ^ pivot if r & bit else r for r in rows]
+        return True
 
     def is_upper_unitriangular(self) -> bool:
         for j in range(self.q):
@@ -203,17 +211,27 @@ class AffineMap:
         return self.a.matvec(x) ^ self.b
 
     def basis_map(self) -> tuple[int, ...]:
-        """Entry i: the index of the image of the bit-vector of index i."""
+        """Entry i: the index of the image of the bit-vector of index i.
+
+        The map is affine on indices too, so it is built by q doublings, as
+        circuits.eval_permutations builds its rows: entry 0 is the index of
+        b, and entries 2^k..2^(k+1)-1 are entries 0..2^k-1 XOR the index of
+        column q-1-k of a (index 2^k is the unit vector e_(q-1-k)).
+        """
         q = self.q
-        return tuple(
-            reverse_bits(self.apply(reverse_bits(i, q)), q) for i in range(1 << q)
-        )
+        out = [reverse_bits(self.b, q)]
+        for t in range(q - 1, -1, -1):
+            col = 0
+            for j, r in enumerate(self.a.rows):
+                col |= ((r >> t) & 1) << (q - 1 - j)
+            out += [x ^ col for x in out]
+        return tuple(out)
 
 
 def random_invertible(q: int, rng) -> Gf2Matrix:
     """A uniform invertible q x q matrix: rng draws q rows until they are."""
     while True:
-        a = Gf2Matrix(q, tuple(int(v) for v in rng.integers(0, 1 << q, q)))
+        a = Gf2Matrix(q, tuple(rng.integers(0, 1 << q, q).tolist()))
         if a.is_invertible():
             return a
 

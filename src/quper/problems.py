@@ -52,25 +52,25 @@ class GipInstance:
     name: str = ""
 
     def __post_init__(self):
-        for label, m in (("A", self.a), ("B", self.b)):
-            m = np.asarray(m)
+        a, b = np.asarray(self.a), np.asarray(self.b)
+        for label, m in (("A", a), ("B", b)):
             if (
                 m.ndim != 2
                 or m.shape[0] != m.shape[1]
-                or not np.array_equal(m, m.T)
-                or not np.isin(m, (0, 1)).all()
-                or np.any(np.diag(m))
+                or (m != m.T).any()
+                or not ((m == 0) | (m == 1)).all()
+                or m.diagonal().any()
             ):
                 raise ValueError(
                     f"{label} must be a binary symmetric zero-diagonal matrix"
                 )
-        if np.shape(self.a) != np.shape(self.b):
+        if a.shape != b.shape:
             raise ValueError(
                 f"A and B must have the same number of vertices, got "
-                f"{np.shape(self.a)[0]} and {np.shape(self.b)[0]}"
+                f"{a.shape[0]} and {b.shape[0]}"
             )
-        object.__setattr__(self, "a", np.asarray(self.a, dtype=float))
-        object.__setattr__(self, "b", np.asarray(self.b, dtype=float))
+        object.__setattr__(self, "a", np.asarray(a, dtype=float))
+        object.__setattr__(self, "b", np.asarray(b, dtype=float))
 
     @property
     def n(self) -> int:
@@ -190,17 +190,23 @@ def load_qaplib(dat_text: str, sln_text: str | None, name: str = "") -> QapInsta
 def attach_solution(inst: QapInstance, sln_text: str) -> QapInstance:
     """inst with the .sln optimum attached and the W/D roles pinned.
 
-    If the stored permutation does not reproduce the stored value under
-    f(P) = tr(W P D^T P^T), the matrix roles are swapped.
+    The stored permutation must reproduce the stored value under
+    f(P) = tr(W P D^T P^T): with the roles as given, else with W and D
+    swapped.  A value that neither role reproduces is a ValueError naming
+    the value and both costs.
     """
     n, value, perm = parse_sln(sln_text)
     if n != inst.n:
         raise ValueError(".sln size does not match instance")
-    if not math.isclose(qap_cost(inst, perm), value, abs_tol=1e-6):
-        swapped = QapInstance(inst.d, inst.w, name=inst.name)
-        if math.isclose(qap_cost(swapped, perm), value, abs_tol=1e-6):
-            inst = swapped
-    return QapInstance(inst.w, inst.d, name=inst.name, known_optimum=value)
+    swapped = QapInstance(inst.d, inst.w, name=inst.name)
+    costs = [qap_cost(inst, perm), qap_cost(swapped, perm)]
+    for roles, cost in zip((inst, swapped), costs):
+        if math.isclose(cost, value, abs_tol=1e-6):
+            return QapInstance(roles.w, roles.d, name=inst.name, known_optimum=value)
+    raise ValueError(
+        f".sln value {value:g} matches neither role: its permutation costs "
+        f"{costs[0]:g} as given and {costs[1]:g} with W and D swapped"
+    )
 
 
 def random_qap(n: int, seed: int) -> QapInstance:
@@ -226,7 +232,10 @@ def random_gip(
 
     With span_restricted, the planted permutation is a uniform affine map
     (random invertible matrix plus random offset), so it lies in the span of
-    the full-ansatz circuit without ancillas.
+    the full-ansatz circuit without ancillas.  A has edge {i, j}, i < j,
+    where entry (i, j) of one n x n uniform draw is below 0.5, and B is one
+    gather of A through the planted map's inverse, so an instance costs
+    little more than its draws and GipInstance's checks.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -238,12 +247,12 @@ def random_gip(
         planted = _affine_permutation(q, rng)
     else:
         planted = Permutation(tuple(int(v) for v in rng.permutation(n)))
-    a = np.triu((rng.random((n, n)) < 0.5).astype(int), 1)
-    a = a + a.T
+    i = np.arange(n)
+    a = (rng.random((n, n)) < 0.5) & (i[:, None] < i)
+    a = a | a.T
     # B[p(i)][p(j)] = A[i][j] makes gip_cost(planted) = 0.
-    b = np.zeros_like(a)
-    pm = list(planted.map)
-    b[np.ix_(pm, pm)] = a
+    inv = np.argsort(planted.map)
+    b = a[inv[:, None], inv]
     return GipInstance(a, b, planted=planted, name=f"random_gip_{n}_{seed}")
 
 

@@ -440,6 +440,14 @@ class TestSolveCommands:
         err = capsys.readouterr().err
         assert err.startswith(f"input error: {sln}: non-integer token in .sln data")
 
+    def test_sln_matching_neither_role_names_file(self, tmp_path, capsys):
+        sln = tmp_path / "wrong.sln"
+        sln.write_text("16 5\n" + " ".join(str(i) for i in range(1, 17)) + "\n")
+        argv = ["solve-qap", "--instance", str(DATA / "esc16f.dat"), "--sln", str(sln)]
+        assert main([*argv, "--iters", "1"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"input error: {sln}: .sln value 5 matches neither role")
+
     @pytest.mark.parametrize(
         "flags, message",
         [

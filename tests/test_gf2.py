@@ -132,6 +132,48 @@ class TestBruhatDecompose:
             bruhat_decompose(Gf2Matrix.from_entries([[1, 1], [1, 1]]))
 
 
+def inverse_exists(m):
+    """Whether Gauss-Jordan elimination finds m's inverse: the definition
+    is_invertible answers."""
+    try:
+        m.inverse()
+    except ValueError:
+        return False
+    return True
+
+
+class TestIsInvertible:
+    @pytest.mark.parametrize("q", [1, 2, 3])
+    def test_exhaustive(self, q):
+        for bits in range(1 << (q * q)):
+            rows = tuple((bits >> (q * j)) & ((1 << q) - 1) for j in range(q))
+            m = Gf2Matrix(q, rows)
+            assert m.is_invertible() == inverse_exists(m), m
+
+    @pytest.mark.parametrize("q", [4, 5, 6, 7, 8])
+    def test_random(self, q):
+        rng = np.random.default_rng(q)
+        seen = set()
+        for _ in range(2000):
+            m = Gf2Matrix(q, tuple(int(v) for v in rng.integers(0, 1 << q, q)))
+            assert m.is_invertible() == inverse_exists(m), m
+            seen.add(m.is_invertible())
+        assert seen == {True, False}
+
+
+class TestBasisMap:
+    @pytest.mark.parametrize("q", range(1, 8))
+    def test_is_the_per_index_map(self, q):
+        rng = np.random.default_rng(q)
+        for _ in range(20):
+            amap = AffineMap(random_invertible(q, rng), int(rng.integers(0, 1 << q)))
+            per_index = tuple(
+                reverse_bits(amap.apply(reverse_bits(i, q)), q)
+                for i in range(1 << q)
+            )
+            assert amap.basis_map() == per_index
+
+
 class TestRandomInvertible:
     @settings(max_examples=40, deadline=None)
     @given(q=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))

@@ -1,5 +1,6 @@
 """QAP/GIP costs, the GIP-to-QAP reduction, generators, QAPLIB parsing."""
 
+import hashlib
 import itertools
 from pathlib import Path
 
@@ -32,6 +33,10 @@ from quper.problems import (
 )
 
 DATA = Path(__file__).parent / "data"
+
+# sha256 of random_qap and random_gip (both modes) at n = 2, 4, 8, 16 and
+# seeds 0..99: see TestGenerators.test_instances_are_pinned.
+INSTANCE_DIGEST = "6cca6a6be39ed6efb036e5582ccbc264f01913a93fbfc311e964451b039342c0"
 
 
 def adjacency(n, edges):
@@ -302,6 +307,16 @@ class TestParsing:
             swapped_value
         )
 
+    def test_sln_matching_neither_role_raises(self):
+        dat = (DATA / "esc16f.dat").read_text()
+        sln = "16 5\n" + " ".join(str(i) for i in range(1, 17))
+        message = (
+            r"\.sln value 5 matches neither role: its permutation costs 0 as "
+            r"given and 0 with W and D swapped"
+        )
+        with pytest.raises(ValueError, match=message):
+            load_qaplib(dat, sln)
+
     def test_edge_list(self):
         adj = parse_edge_list("3 0 1 1 2")
         assert np.array_equal(adj, [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
@@ -354,13 +369,75 @@ class TestGenerators:
         with pytest.raises(ValueError):
             random_gip(6, 0, span_restricted=True)
 
+    def test_instances_are_pinned(self):
+        # Every generated instance, byte for byte: the acceptance criteria's
+        # and the benchmark's data.  The digest was recorded before the
+        # generators were last rewritten; a change to it changes the data.
+        h = hashlib.sha256()
+        for n, seed in itertools.product((2, 4, 8, 16), range(100)):
+            qap = random_qap(n, seed)
+            mats = [qap.w, qap.d]
+            maps = []
+            for span in (False, True):
+                gip = random_gip(n, seed, span_restricted=span)
+                mats += [gip.a, gip.b]
+                maps.append(gip.planted.map)
+            for m in mats:
+                h.update(f"{m.dtype.str}{m.shape}".encode())
+                h.update(m.tobytes())
+            h.update(repr(maps).encode())
+        assert h.hexdigest() == INSTANCE_DIGEST
+
     def test_gip_validation(self):
         with pytest.raises(ValueError):
             GipInstance(np.eye(4, dtype=int), np.zeros((4, 4), dtype=int))
 
+    @pytest.mark.parametrize("label", ["A", "B"])
+    @pytest.mark.parametrize(
+        "cells, value",
+        [
+            pytest.param([(0, 1), (1, 0)], 2, id="entry-2"),
+            pytest.param([(0, 1), (1, 0)], -1, id="entry-minus-1"),
+            pytest.param([(0, 1), (1, 0)], 0.5, id="entry-half"),
+            pytest.param([(0, 1), (1, 0)], np.nan, id="entry-nan"),
+            pytest.param([(0, 1), (1, 0)], np.inf, id="entry-inf"),
+            pytest.param([(0, 2)], 1, id="asymmetric"),
+            pytest.param([(2, 2)], 1, id="diagonal"),
+        ],
+    )
+    def test_gip_rejects_a_bad_entry(self, cells, value, label):
+        good = adjacency(4, [(0, 3), (1, 2)]).astype(float)
+        m = good.copy()
+        for cell in cells:
+            m[cell] = value
+        pair = (m, good) if label == "A" else (good, m)
+        message = f"{label} must be a binary symmetric zero-diagonal matrix"
+        with pytest.raises(ValueError, match=message):
+            GipInstance(*pair)
+
+    @pytest.mark.parametrize("label", ["A", "B"])
+    @pytest.mark.parametrize("shape", [(3, 4), (2, 2, 2), (4,)])
+    def test_gip_rejects_a_non_square_matrix(self, shape, label):
+        good = np.zeros(shape[:1] * 2)
+        pair = (np.zeros(shape), good) if label == "A" else (good, np.zeros(shape))
+        message = f"{label} must be a binary symmetric zero-diagonal matrix"
+        with pytest.raises(ValueError, match=message):
+            GipInstance(*pair)
+
     def test_gip_size_mismatch(self):
-        with pytest.raises(ValueError, match="same number of vertices"):
+        with pytest.raises(
+            ValueError,
+            match=r"A and B must have the same number of vertices, got 4 and 5",
+        ):
             GipInstance(np.zeros((4, 4), dtype=int), np.zeros((5, 5), dtype=int))
+
+    @pytest.mark.parametrize("dtype", [bool, int, float])
+    def test_gip_accepts_binary_matrices_of_any_dtype(self, dtype):
+        a = adjacency(4, [(0, 3), (1, 2)])
+        b = adjacency(4, [(0, 1), (2, 3)])
+        inst = GipInstance(a.astype(dtype), b.astype(dtype))
+        assert inst.a.dtype == inst.b.dtype == float
+        assert np.array_equal(inst.a, a) and np.array_equal(inst.b, b)
 
     @given(q=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
     def test_recognize_affine_inverts_affine_permutation(self, q, seed):
