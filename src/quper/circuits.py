@@ -37,7 +37,7 @@ import numpy as np
 from .gf2 import (
     AffineMap,
     Permutation,
-    borel_subword,
+    borel_word,
     bruhat_decompose,
     longest_element_word,
     weyl_subword_mask,
@@ -153,27 +153,24 @@ class CircuitStats:
     two_qubit_gate_count: int
 
 
-def _xlayer_gates(qubits: list[int], slot0: int) -> list[Gate]:
-    return [Gate("RX", (t,), slot0 + i) for i, t in enumerate(qubits)]
+# Each ansatz but SEL as its chain of blocks in gate order (_chain): x the
+# RX layer, b the Borel block, w the Weyl block.  The solver's "borel" is
+# the chain "xb".
+_CHAINS = {"XLayer": "x", "Borel": "b", "Weyl": "w", "Bruhat": "bwb", "LX": "xbwb"}
 
 
-def _borel_pairs(q: int) -> list[tuple[int, int]]:
-    """Ascending lexicographic (j, k), j < k: the universal word right-to-left."""
-    return [(j, k) for j in range(q) for k in range(j + 1, q)]
-
-
-def _borel_gates(q: int, slot0: int) -> list[Gate]:
-    # Transvection T_(jk) <-> cx controlled by qubit k acting on qubit j.
-    return [
-        Gate("PCX", (k, j), slot0 + i) for i, (j, k) in enumerate(_borel_pairs(q))
-    ]
-
-
-def _weyl_gates(q: int, slot0: int) -> list[Gate]:
-    # The longest-element word read right-to-left gives the gate order; the
-    # adjacent transposition sigma_i acts on qubits (i-1, i).
-    word = list(reversed(longest_element_word(q)))
-    return [Gate("PSWAP", (i - 1, i), slot0 + g) for g, i in enumerate(word)]
+def _chain(blocks: str, q: int) -> tuple[Gate, ...]:
+    """The gates of blocks, each taking the next slot.  x is an RX on each
+    qubit; b is gf2.borel_word read right to left, T_(jk) being the PCX
+    controlled by qubit k acting on qubit j; w is the longest-element word
+    read right to left, sigma_i being the PSWAP on qubits (i-1, i)."""
+    words = {
+        "x": [("RX", (t,)) for t in range(q)],
+        "b": [("PCX", (t.k, t.j)) for t in borel_word(q)[::-1]],
+        "w": [("PSWAP", (i - 1, i)) for i in longest_element_word(q)[::-1]],
+    }
+    ops = [op for block in blocks for op in words[block]]
+    return tuple(Gate(kind, qubits, slot) for slot, (kind, qubits) in enumerate(ops))
 
 
 def build_ansatz(kind: str, q: int) -> Circuit:
@@ -181,47 +178,21 @@ def build_ansatz(kind: str, q: int) -> Circuit:
         raise ValueError(f"unknown ansatz kind {kind!r}")
     if q < 1 or (kind in ("Borel", "Weyl", "Bruhat") and q < 2):
         raise ValueError(f"q={q} too small for {kind}")
-    pairs = q * (q - 1) // 2
-    if kind == "XLayer":
-        gates = _xlayer_gates(list(range(q)), 0)
-        ell = q
-    elif kind == "Borel":
-        gates = _borel_gates(q, 0)
-        ell = pairs
-    elif kind == "Weyl":
-        gates = _weyl_gates(q, 0)
-        ell = pairs
-    elif kind == "Bruhat":
-        gates = (
-            _borel_gates(q, 0)
-            + _weyl_gates(q, pairs)
-            + _borel_gates(q, 2 * pairs)
-        )
-        ell = 3 * pairs
-    elif kind == "LX":
-        gates = _xlayer_gates(list(range(q)), 0)
-        gates += (
-            _borel_gates(q, q)
-            + _weyl_gates(q, q + pairs)
-            + _borel_gates(q, q + 2 * pairs)
-        )
-        ell = q + 3 * pairs
-    else:  # SEL
-        if q < 2:
-            raise ValueError("SEL needs q >= 2")
-        # Match the LX parameter count as closely as a whole number of
-        # layers (2q slots each) allows.
-        layers = max(1, round((q + 3 * pairs) / (2 * q)))
-        gates = []
-        slot = 0
-        for _ in range(layers):
-            gates += _xlayer_gates(list(range(q)), slot)
-            slot += q
-            for i in range(q):
-                gates.append(Gate("PCX", (i, (i + 1) % q), slot))
-                slot += 1
-        ell = slot
-    return Circuit(q, tuple(gates), ell, kind)
+    if kind != "SEL":
+        gates = _chain(_CHAINS[kind], q)
+        return Circuit(q, gates, len(gates), kind)
+    if q < 2:
+        raise ValueError("SEL needs q >= 2")
+    # Match the LX parameter count as closely as a whole number of layers
+    # (2q slots each) allows.
+    layers = max(1, round(len(_chain(_CHAINS["LX"], q)) / (2 * q)))
+    gates = []
+    for _ in range(layers):
+        for t in range(q):
+            gates.append(Gate("RX", (t,), len(gates)))
+        for t in range(q):
+            gates.append(Gate("PCX", (t, (t + 1) % q), len(gates)))
+    return Circuit(q, tuple(gates), len(gates), kind)
 
 
 SOLVER_ANSATZE = ("bruhat", "borel", "sel")
@@ -234,13 +205,13 @@ def solver_ansatz(name: str, q: int) -> Circuit:
     "bruhat" is the full LX circuit; "borel" is the RX layer followed by the
     Borel block only; "sel" is the hardware-style layered baseline.  Built
     once per (name, q) and process: every caller gets the same Circuit, and
-    with it the layout that the circuit keeps.
+    with it the circuit's workspace (Circuit._workspace).
     """
     if name == "bruhat":
         return build_ansatz("LX", q)
     if name == "borel":
-        gates = _xlayer_gates(list(range(q)), 0) + _borel_gates(q, q)
-        return Circuit(q, tuple(gates), q + q * (q - 1) // 2, "Custom")
+        gates = _chain("xb", q)
+        return Circuit(q, gates, len(gates), "Custom")
     if name == "sel":
         return build_ansatz("SEL", q)
     raise ValueError(f"unknown solver ansatz {name!r}")
@@ -456,7 +427,8 @@ def affine_images(c: Circuit, on) -> np.ndarray:
     gate is affine over GF(2), so the circuit maps x to A x XOR b, and row s
     of the (S, q + 1) result fixes that map at on[s]: the image of 0, then of
     2^(q-1-t) for t = 0..q-1 (gf2.recognize_affine's e_t), in the narrowest
-    unsigned dtype that holds 2^q - 1 (uint8 up to q = 8).  They are walked
+    unsigned dtype that holds 2^q - 1 (uint8 up to q = 8, uint64 at most:
+    above q = 64 there is none, and a ValueError is raised).  They are walked
     as (q, q + 1, S) bool planes, plane k holding qubit k's bit, each gate
     masked by its slot's row: RX flips its plane, CX and PCX XOR the
     control's plane into the target's, PSWAP swaps two; then packed.
@@ -467,6 +439,8 @@ def affine_images(c: Circuit, on) -> np.ndarray:
             f"expected (S, {c.param_count}) bool bits, got {on.dtype} {on.shape}:"
             " the stacked evaluation requires every parameter in {0, pi},"
             " given as a bit that is True at pi")
+    if c.q > 64:
+        raise ValueError(f"affine images take at most 64 bits, got q = {c.q}")
     on, q = np.ascontiguousarray(on.T), c.q  # (L, S)
     planes = np.repeat(np.eye(q, q + 1, 1, bool)[..., None], on.shape[1], 2)  # 0, e_t
     for g in c.gates:
@@ -517,30 +491,22 @@ def synthesize_params(m: AffineMap) -> tuple[Circuit, np.ndarray]:
     """LX ansatz and binary parameters realizing x -> a.x XOR b.
 
     The circuit applies the RX layer first, so its X offset c must satisfy
-    a.(x XOR c) = a.x XOR b, i.e. c = a^(-1).b.
+    a.(x XOR c) = a.x XOR b, i.e. c = a^(-1).b.  Operator order is Borel2 .
+    Weyl . Borel1 . X, so the first Borel block realizes u2 and the second
+    u1.  Each block's gates read its gf2 word right to left, so each
+    subword mask is reversed.
     """
     q = m.q
-    c = build_ansatz("LX", q)
-    theta = np.zeros(c.param_count)
-    pairs = q * (q - 1) // 2
     offset = m.a.inverse().matvec(m.b)
-    for t in range(q):
-        if (offset >> t) & 1:
-            theta[t] = math.pi
     factors = bruhat_decompose(m.a)
-    # Operator order is Borel2 . Weyl . Borel1 . X, so the first Borel block
-    # realizes u2 and the second realizes u1.
-    pair_slot = {jk: i for i, jk in enumerate(_borel_pairs(q))}
-    for t in borel_subword(factors.u2):
-        theta[q + pair_slot[(t.j, t.k)]] = math.pi
-    for t in borel_subword(factors.u1):
-        theta[q + 2 * pairs + pair_slot[(t.j, t.k)]] = math.pi
-    mask = weyl_subword_mask(factors.w)
-    n_letters = len(mask)
-    for g in range(n_letters):
-        if mask[n_letters - 1 - g]:
-            theta[q + pairs + g] = math.pi
-    return c, theta
+    word = borel_word(q)[::-1]
+    bits = (
+        [(offset >> t) & 1 for t in range(q)]
+        + [factors.u2.entry(t.j, t.k) for t in word]
+        + weyl_subword_mask(factors.w)[::-1]
+        + [factors.u1.entry(t.j, t.k) for t in word]
+    )
+    return build_ansatz("LX", q), math.pi * np.array(bits, dtype=float)
 
 
 def lower_to_linear_topology(c: Circuit) -> Circuit:

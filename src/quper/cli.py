@@ -104,7 +104,9 @@ def _load_qap(args) -> QapInstance:
         n, seed = args.random
         if seed < 0:
             raise InputError(f"--random SEED must be >= 0, got {seed}")
-        return random_qap(_power_of_two(n, "--random N"), seed)
+        n = _power_of_two(n, "--random N")
+        check_qubit_guard(n.bit_length() - 1 + args.ancilla)  # before n x n draws
+        return random_qap(n, seed)
     name = Path(args.instance).stem
     inst = _parse(args.instance, lambda text: parse_qaplib(text, name))
     _power_of_two(inst.n, f"the size of {args.instance}")
@@ -125,6 +127,7 @@ def _load_gip(args) -> GipInstance:
         _power_of_two(inst.n, f"the size of {args.graphs[0]} and {args.graphs[1]}")
         return inst
     n = _power_of_two(args.random, "--random N")
+    check_qubit_guard(n.bit_length() - 1 + args.ancilla)  # before n x n draws
     return random_gip(n, args.seed, span_restricted=args.span_restricted)
 
 

@@ -1,6 +1,7 @@
 """Ansatz construction, evaluation, synthesis, topology lowering."""
 
 import copy
+import hashlib
 import itertools
 import math
 import pickle
@@ -47,6 +48,10 @@ from quper.gf2 import (
 )
 
 PI = math.pi
+
+# sha256 of every ansatz kind, solver ansatz and synthesized parameter
+# vector: see TestBuildAnsatz.test_construction_is_pinned.
+CONSTRUCTION_DIGEST = "f84e34358fe3aa8636e8f64207afbe44165b3d36c1e3c3617f1a58a240050235"
 
 
 def random_invertible(q, rng):
@@ -100,6 +105,34 @@ class TestBuildAnsatz:
     def test_q_too_small(self):
         with pytest.raises(ValueError):
             build_ansatz("Bruhat", 1)
+
+    def test_construction_is_pinned(self):
+        # Every ansatz kind at q = 0..8 (the error text where it has none),
+        # every solver ansatz at q = 1..8 (SEL from 2) and the parameters
+        # synthesize_params gives for 300 seeded affine maps.  The digest
+        # was recorded before the kinds were rewritten as block chains; a
+        # change to it changes the circuits.
+        h = hashlib.sha256()
+
+        def add(c):
+            h.update(f"{circuit_to_text(c)}|{c.param_count}|{c.kind}|".encode())
+
+        for kind, q in itertools.product(ANSATZ_KINDS, range(9)):
+            try:
+                add(build_ansatz(kind, q))
+            except ValueError as e:
+                h.update(f"{kind} {q}: {e}|".encode())
+        for name, q in itertools.product(SOLVER_ANSATZE, range(1, 9)):
+            if name != "sel" or q >= 2:
+                add(solver_ansatz(name, q))
+        rng = np.random.default_rng(29)
+        for q in range(1, 7):
+            for _ in range(50):
+                amap = AffineMap(random_invertible(q, rng), int(rng.integers(0, 1 << q)))
+                c, theta = synthesize_params(amap)
+                add(c)
+                h.update(theta.tobytes())
+        assert h.hexdigest() == CONSTRUCTION_DIGEST
 
 
 class TestCircuitStats:

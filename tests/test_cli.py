@@ -209,6 +209,18 @@ class TestSpanCommand:
         # The binary census builds no DSM, so the guard does not apply.
         assert main(["span", "--q", "5", *sample]) == 0
 
+    def test_binary_census_above_64_qubits_is_input_error(self, capsys):
+        # Affine images are packed in at most 64 bits.
+        sample = ["--mode", "sample", "--samples", "3"]
+        assert main(["span", "--q", "65", *sample]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == (
+            "input error: affine images take at most 64 bits, got q = 65\n"
+        )
+        assert captured.out == ""
+        assert main(["span", "--q", "64", *sample]) == 0
+        assert census_row(capsys)[:3] == ["6112", "3", "3"]
+
     @pytest.mark.parametrize(
         "q, m, extra",
         [
@@ -381,6 +393,32 @@ class TestSolveCommands:
         argv = ["solve-gip", "--random", "8", "--ancilla", "20", "--iters", "2"]
         assert main(argv) == 4
         assert "budget guard" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, qubits",
+        [
+            (["solve-gip", "--random", "4096"], 12),
+            (["solve-qap", "--random", "4096", "1"], 12),
+            (["solve-gip", "--random", "8", "--ancilla", "1"], 4),
+            (["solve-qap", "--random", "8", "1", "--ancilla", "1"], 4),
+        ],
+    )
+    def test_random_instance_over_the_qubit_guard_is_never_built(
+        self, argv, qubits, monkeypatch, capsys
+    ):
+        # log2 N + M qubits over the guard: exit 4 before the n x n draws.
+        def no_instance(*args, **kwargs):
+            pytest.fail("the instance was built before the guard was checked")
+
+        monkeypatch.setenv("QUPER_MAX_QUBITS", "3")
+        monkeypatch.setattr(cli, "random_qap", no_instance)
+        monkeypatch.setattr(cli, "random_gip", no_instance)
+        assert main([*argv, "--iters", "1"]) == 4
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"budget guard: dense evaluation of {qubits} qubits exceeds the guard (3)\n"
+        )
+        assert captured.out == ""
 
     def test_nan_lr_is_input_error(self, capsys):
         code = main(["solve-gip", "--random", "4", "--iters", "1", "--lr", "nan"])

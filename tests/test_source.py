@@ -1,12 +1,17 @@
 """Checks on the package source itself."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = sorted((Path(__file__).parents[1] / "src" / "quper").glob("*.py"))
+ROOT = Path(__file__).parents[1]
+PACKAGE = sorted((ROOT / "src" / "quper").glob("*.py"))
 MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
+# Where a package name may be used: the package, its tests and benchmarks.
+SOURCES = sorted(p for d in ("src", "tests", "benchmarks") for p in (ROOT / d).rglob("*.py"))
 
 CACHE_MAKERS = ("cache", "lru_cache", "cached_property")
 
@@ -103,3 +108,35 @@ def test_the_cache_check_sees_each_form():
 def test_the_kept_caches_are_the_only_ones():
     found = [site for p in PACKAGE for site in cache_sites(p.read_text(), p.stem)]
     assert sorted(found) == sorted(KEPT_CACHES)
+
+
+def unused_names(package: list[str], sources: list[str]) -> list[str]:
+    """The functions, classes and methods defined in the package texts,
+    dunders aside, whose names appear as a word in the source texts only
+    where they are defined."""
+    defined = Counter(
+        node.name
+        for text in package
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not re.fullmatch(r"__\w+__", node.name)
+    )
+    words = Counter(w for text in sources for w in re.findall(r"\w+", text))
+    return sorted(name for name, count in defined.items() if words[name] <= count)
+
+
+def test_the_unused_name_check_catches_a_planted_name():
+    package = (
+        "def used(): pass\ndef planted(): pass\n"
+        "class Kept:\n    def __init__(self): pass\n    def method(self): pass\n"
+        "    def lone(self): pass\n"
+        "class Twice:\n    def lone(self): pass\n"
+    )
+    sources = [package, "used(); Kept().method(); x = Twice\n"]
+    assert unused_names([package], sources) == ["lone", "planted"]
+    assert unused_names([package], sources + ["planted; lone"]) == []
+
+
+def test_every_package_name_is_used():
+    texts = {p: p.read_text() for p in SOURCES}
+    assert unused_names([texts[p] for p in PACKAGE], list(texts.values())) == []
