@@ -8,7 +8,7 @@ Writes reference_runs.json (or OUT): for each run, the instance, the solver
 config and what quper_solve returned (best permutation and value, every trace
 record and every level), solved with the quper under ../../src.
 
-The checked-in file was recorded with the tape gradient: both runs sit at
+The checked-in file was recorded with the tape gradient: every run sits at
 q + m <= circuits.TAPE_MAX_QUBITS, so each gradient was contracted from the
 row differences the forward pass recorded, not taken by the reverse sweep.
 It also used one random-order stream per solve (default_rng([seed, 1]),
@@ -44,6 +44,12 @@ RUNS = [
     {
         "problem": {"kind": "qap", "n": 4, "seed": 4},
         "config": {"ansatz": "bruhat", "m_max": 1, "iterations": 10, "seed": 4},
+    },
+    # 100 iterates per level cross the boundary between two draws of random
+    # orders at n = 16 (81 iterates per draw of optimizer.ORDER_DRAW_ENTRIES).
+    {
+        "problem": {"kind": "qap", "n": 16, "seed": 4},
+        "config": {"ansatz": "bruhat", "m_max": 1, "iterations": 100, "seed": 4},
     },
 ]
 
