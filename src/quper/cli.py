@@ -256,6 +256,9 @@ def cmd_span(args) -> int:
 
 def cmd_verify(args) -> int:
     _check_min(args, q=1)
+    if args.q > 3 and not args.deep:
+        # Enumerating every Borel matrix takes 2^(q(q-1)/2) round trips.
+        raise InputError(f"--q above 3 needs --deep, got {args.q}")
     results = run_suites(q=args.q, deep=args.deep)
     all_ok = True
     for name, ok, detail in results:

@@ -55,7 +55,8 @@ BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 # Bound on the entries of one draw of a level's random orders: quper_solve
-# draws the orders of as many iterates at once as fit, and at least one's.
+# draws the orders of as many iterates at once as fit, and at least one's,
+# and takes one incumbent step per draw.
 ORDER_DRAW_ENTRIES = 1 << 16
 
 
@@ -227,42 +228,41 @@ def _problem_costs(problem):
     raise TypeError("problem must be a QapInstance or GipInstance")
 
 
-def best_projection(d: np.ndarray, map_costs, orders: np.ndarray,
+def best_projection(ds: np.ndarray, map_costs, orders: np.ndarray,
                     best_p: np.ndarray | None = None, best_v: float = math.inf):
-    """The incumbent step: project d onto permutations, cost all candidates
-    in one call, and keep the incumbent (best_p, best_v) unless one beats it.
+    """The incumbent step of k iterates: project each DSM of the (k, n, n)
+    stack ds onto permutations, cost all candidates in one call, and carry
+    the incumbent (best_p, best_v) through the iterates in order.
 
-    The candidates, the Hungarian map then the order_maps of d at the
-    (T, n) random orders in trial order, duplicates kept, are costed as one
-    (T + 1, n) int array of maps by map_costs.  quper_solve passes each
-    iterate its RANDOM_ORDER_TRIALS rows of one stream of random_orders per
-    solve.  Returns (best map, its value, Hungarian cost, best random-order
-    cost).  Only when the candidates' least value is below best_v is a map
-    picked: the first candidate in map order at that value, found by one
-    lexsort of the tied maps when more than one ties (which keeps the
-    earliest of equal maps), so the pick is project_random_order's
-    deduplicated one.  Otherwise best_p and best_v come back as they came in.
+    Iterate i's candidates, the Hungarian map of ds[i] then its order_maps
+    at the (T, n) random orders orders[i] in trial order, duplicates kept,
+    are costed iterate by iterate as one (k (T + 1), n) int array of maps by
+    map_costs.  quper_solve passes one draw's iterates, each with its
+    RANDOM_ORDER_TRIALS rows of one stream of random_orders per solve.  An
+    iterate whose least value is below the incumbent's replaces it with the
+    first candidate in map order at that value, project_random_order's
+    deduplicated pick.  Only the last such iterate's map is picked, by one
+    lexsort of its tied maps when more than one ties (which keeps the
+    earliest of equal maps), so no tie is broken unless the incumbent is
+    beaten.  Returns the incumbent after the last iterate (best_p and best_v
+    as they came in if none beat it), then, as lists of one float per
+    iterate, the Hungarian cost, the best random-order cost and the
+    incumbent's value after the iterate.
     """
-    maps = np.concatenate((project_hungarian(d)[None], order_maps(d, orders)))
-    values = map_costs(maps)
-    low = values.min()
-    if low < best_v:
-        tied = np.flatnonzero(values == low)
-        best = tied[0] if len(tied) == 1 else tied[np.lexsort(maps[tied].T[::-1])[0]]
-        best_p, best_v = maps[best], float(low)
-    return best_p, best_v, float(values[0]), float(values[1:].min())
-
-
-def _iterate_orders(rng: np.random.Generator, n: int, iterations: int):
-    """Each of a level's iterations' (RANDOM_ORDER_TRIALS, n) random_orders
-    from rng, drawn as many iterates at a time as ORDER_DRAW_ENTRIES allows
-    (at least one): the rows one draw per iterate would give."""
-    per_draw = max(1, ORDER_DRAW_ENTRIES // (RANDOM_ORDER_TRIALS * n))
-    for start in range(0, iterations, per_draw):
-        k = min(per_draw, iterations - start)
-        yield from random_orders(rng, n, k * RANDOM_ORDER_TRIALS).reshape(
-            k, RANDOM_ORDER_TRIALS, n
-        )
+    k, trials, n = orders.shape
+    hungarian = np.stack([project_hungarian(d) for d in ds])
+    maps = np.concatenate((hungarian[:, None], order_maps(ds, orders)), axis=1)
+    values = map_costs(maps.reshape(-1, n)).reshape(k, trials + 1)
+    lows = values.min(axis=1)
+    bests = np.minimum.accumulate(np.concatenate(([best_v], lows)))
+    beaten = np.flatnonzero(lows < bests[:-1])
+    if len(beaten):
+        i = beaten[-1]
+        tied = np.flatnonzero(values[i] == lows[i])
+        best = tied[0] if len(tied) == 1 else tied[np.lexsort(maps[i, tied].T[::-1])[0]]
+        best_p, best_v = maps[i, best], float(lows[i])
+    return (best_p, best_v, values[:, 0].tolist(),
+            values[:, 1:].min(axis=1).tolist(), bests[1:].tolist())
 
 
 def quper_solve(problem, cfg: QuperConfig):
@@ -273,6 +273,7 @@ def quper_solve(problem, cfg: QuperConfig):
         raise ValueError(f"problem size must be a power of two >= 2, got n={n}")
     check_qubit_guard(q + cfg.m_max)
     map_costs, cost_and_grad = _problem_costs(problem)
+    per_draw = max(1, ORDER_DRAW_ENTRIES // (RANDOM_ORDER_TRIALS * n))
     lr = cfg.lr or (GIP_LR if isinstance(problem, GipInstance) else DEFAULT_LR)
     rng = np.random.default_rng([cfg.seed])
     order_rng = np.random.default_rng([cfg.seed, 1])  # apart from the θ stream
@@ -296,27 +297,36 @@ def quper_solve(problem, cfg: QuperConfig):
         # dloss/dd feed the next gradient, d the projection and the trace.
         u, d, tape = unitary_and_dsm(circuit, m, state.theta)
         g = loss_pass(d, cost_and_grad)[-1]
-        for orders in _iterate_orders(order_rng, n, cfg.iterations):
-            state = adam_nesterov_step(
-                state, adjoint_gradient(circuit, m, state.theta, u, tape, g)
+        # The incumbent never feeds back into θ, so each draw's k iterates
+        # keep their DSMs in one stack and take one incumbent step.
+        for start in range(0, cfg.iterations, per_draw):
+            k = min(per_draw, cfg.iterations - start)
+            orders = random_orders(order_rng, n, k * RANDOM_ORDER_TRIALS)
+            orders = orders.reshape(k, RANDOM_ORDER_TRIALS, n)
+            ds, passes = np.empty((k, n, n)), []
+            for i in range(k):
+                state = adam_nesterov_step(
+                    state, adjoint_gradient(circuit, m, state.theta, u, tape, g)
+                )
+                u, ds[i], tape = unitary_and_dsm(circuit, m, state.theta)
+                loss, raw_cost, _, g = loss_pass(ds[i], cost_and_grad)
+                passes.append((loss, raw_cost))
+            best_p, best_v, *costs = best_projection(
+                ds, map_costs, orders, best_p, best_v
             )
-            u, d, tape = unitary_and_dsm(circuit, m, state.theta)
-            loss, raw_cost, _, g = loss_pass(d, cost_and_grad)
-            best_p, best_v, ph_cost, pr_cost = best_projection(
-                d, map_costs, orders, best_p, best_v
-            )
-            trace.records.append(
-                {
-                    "iter": it_global,
-                    "m": m,
-                    "loss": loss,
-                    "raw_cost": raw_cost,
-                    "proj_hungarian_cost": ph_cost,
-                    "proj_random_cost": pr_cost,
-                    "best": best_v,
-                }
-            )
-            it_global += 1
+            for (loss, raw_cost), ph_cost, pr_cost, best in zip(passes, *costs):
+                trace.records.append(
+                    {
+                        "iter": it_global,
+                        "m": m,
+                        "loss": loss,
+                        "raw_cost": raw_cost,
+                        "proj_hungarian_cost": ph_cost,
+                        "proj_random_cost": pr_cost,
+                        "best": best,
+                    }
+                )
+                it_global += 1
         trace.levels.append({"m": m, "value": best_v, "permutation": best_p.tolist()})
         prev_circuit, theta = circuit, state.theta
     return Permutation(tuple(best_p.tolist())), best_v, trace

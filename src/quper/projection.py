@@ -41,27 +41,31 @@ def order_maps(d: np.ndarray, orders: np.ndarray) -> np.ndarray:
     Row t of the (T, n) result is the candidate p of orders[t]: the j-th
     smallest component of d.v sits at the row mapped to the position of the
     j-th smallest component of v = base[orders[t]].  d is one (n, n) matrix
-    for every order, or a (T, n, n) stack, one matrix per order; each row of
-    orders is a permutation of range(n).
+    for every order, or a (T, n, n) stack, one matrix per order.  Given
+    (k, T, n) orders, d is a (k, n, n) stack, T orders per matrix, and the
+    result is (k, T, n).  Each row of orders is a permutation of range(n).
     """
-    n = orders.shape[1]
+    n = orders.shape[-1]
     # Powers of two keep every coefficient at least twice any smaller one;
     # representable in double precision up to n = 1024.
     base = np.ldexp(1.0, np.arange(n)) if n <= 1024 else np.arange(n, dtype=float)
     v = base[orders]
+    if orders.ndim == 3:
+        d = d[:, None]
     # One matrix-vector product per row, as d @ v would compute it: a
     # matrix-matrix product sums in another order and can break near-ties in
     # d.v the other way.
-    u = (d @ v[:, :, None])[:, :, 0]
+    u = (d @ v[..., None]).reshape(-1, n)
+    flat = orders.reshape(-1, n)
     # Stable order by (value, index): deterministic under ties.
     ou = np.argsort(u, axis=1, kind="stable")
     # base is strictly increasing, so v's stable order is each order's
     # inverse: the j-th smallest of v sits at position k where orders[k] = j,
     # and the candidate maps ou[orders[k]] to k.
-    rows = np.arange(len(orders))[:, None]
+    rows = np.arange(len(flat))[:, None]
     pmaps = np.empty_like(ou)
-    pmaps[rows, ou[rows, orders]] = np.arange(orders.shape[1])
-    return pmaps
+    pmaps[rows, ou[rows, flat]] = np.arange(n)
+    return pmaps.reshape(orders.shape)
 
 
 def project_random_order(

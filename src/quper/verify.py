@@ -117,7 +117,7 @@ def suite_borel_enumeration(q: int):
         count += 1
     expect = 1 << (q * (q - 1) // 2)
     ok = count == expect
-    return "borel_enumeration", ok, f"{count} matrices (expected {expect})"
+    return "borel_enumeration", ok, f"q={q}: {count} matrices (expected {expect})"
 
 
 def _all_gl(q: int):
@@ -145,7 +145,7 @@ def suite_bruhat_reassembly(q: int = 3, deep: bool = False, samples: int = 500):
         if not ok:
             return "bruhat_reassembly", False, f"failed for\n{m.to_text()}"
         count += 1
-    return "bruhat_reassembly", True, f"{count} matrices reassembled"
+    return "bruhat_reassembly", True, f"q={q}: {count} matrices reassembled"
 
 
 def suite_dsm_agreement(seed: int = 0, jobs: int = 20):
@@ -207,12 +207,15 @@ def suite_gradient_agreement(seed: int = 0, jobs: int = 2):
 
 
 def run_suites(q: int = 3, deep: bool = False, x_matrix: np.ndarray | None = None):
+    """Every suite.  Borel enumeration runs at q (at 4 when deep) and Bruhat
+    reassembly at q: every invertible matrix up to q = 3 unless deep, else
+    seeded samples; the other suites take no q."""
     results = [
         suite_x_cx_relations(x_matrix),
         suite_noncommutation(),
         suite_gate_constructions(),
-        suite_borel_enumeration(4 if deep else min(q, 3)),
-        suite_bruhat_reassembly(q if deep else min(q, 3), deep=deep),
+        suite_borel_enumeration(4 if deep else q),
+        suite_bruhat_reassembly(q, deep=deep),
         suite_dsm_agreement(),
         suite_binary_agreement(),
         suite_gradient_agreement(),

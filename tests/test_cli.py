@@ -69,7 +69,9 @@ class TestVerifyCommand:
 
     def test_deep_borel_count(self, capsys):
         assert main(["verify", "--q", "4", "--deep"]) == 0
-        assert "64 matrices" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "PASS borel_enumeration: q=4: 64 matrices (expected 64)" in out
+        assert "PASS bruhat_reassembly: q=4: 500 matrices reassembled" in out
 
     def test_fault_injection_fails_gate_suite(self):
         bad_x = np.array([[0.0, 1.0], [1.0, 0.1]])
@@ -111,6 +113,22 @@ class TestVerifyCommand:
         assert main(["verify"]) == 5
         assert "FAIL demo" in capsys.readouterr().out
 
+
+    @pytest.mark.parametrize("q", ["2", "3"])
+    def test_q_dependent_suites_state_the_q_they_ran_at(self, q, capsys):
+        borel = {"2": 2, "3": 8}[q]
+        gl = {"2": 6, "3": 168}[q]
+        assert main(["verify", "--q", q]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert f"PASS borel_enumeration: q={q}: {borel} matrices (expected {borel})" in out
+        assert f"PASS bruhat_reassembly: q={q}: {gl} matrices reassembled" in out
+
+    @pytest.mark.parametrize("q", ["4", "15"])
+    def test_q_above_3_without_deep_is_input_error(self, q, capsys):
+        assert main(["verify", "--q", q]) == 3
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: --q above 3 needs --deep, got {q}\n"
+        assert captured.out == ""
 
     @pytest.mark.parametrize("q", ["0", "-2"])
     def test_non_positive_q_is_input_error(self, q, capsys):

@@ -458,6 +458,21 @@ def inline_incumbent_step(d, cost, seed, best_p, best_v):
     return best_p, best_v, ph_cost, pr_cost
 
 
+def incumbent_steps(ds, cost, seeds, best_p, best_v):
+    """Reference for best_projection on a chunk: inline_incumbent_step
+    applied iterate by iterate, each at its own seed, with the incumbent
+    carried through; the per-iterate costs and incumbent values as lists."""
+    ph_costs, pr_costs, bests = [], [], []
+    for d, seed in zip(ds, seeds):
+        best_p, best_v, ph_cost, pr_cost = inline_incumbent_step(
+            d, cost, seed, best_p, best_v
+        )
+        ph_costs.append(ph_cost)
+        pr_costs.append(pr_cost)
+        bests.append(best_v)
+    return best_p, best_v, ph_costs, pr_costs, bests
+
+
 class TestBestProjection:
     def test_optimal_permutation_dsm(self):
         # Cost is minimized by the permutation the DSM already encodes.
@@ -465,9 +480,11 @@ class TestBestProjection:
         d = perm_row_matrix(p)
         cost = lambda x: 0.0 if x == p else 1.0
         orders = random_orders(7, 4, RANDOM_ORDER_TRIALS)
-        best_p, best_v, ph_cost, pr_cost = best_projection(d, per_map(cost), orders)
+        best_p, best_v, ph_costs, pr_costs, bests = best_projection(
+            d[None], per_map(cost), orders[None]
+        )
         assert best_p.tolist() == list(p.map) and best_v == 0.0
-        assert ph_cost == pr_cost == 0.0
+        assert ph_costs == pr_costs == bests == [0.0]
 
     def test_never_worse_than_hungarian(self):
         rng = np.random.default_rng(8)
@@ -476,89 +493,102 @@ class TestBestProjection:
         def cost(p):
             return float(w[np.arange(6), list(p.map)].sum())
 
-        for _ in range(10):
-            d = random_dsm(6, rng)
-            orders = random_orders(9, 6, RANDOM_ORDER_TRIALS)
-            _, v, ph_cost, pr_cost = best_projection(d, per_map(cost), orders)
+        ds = np.stack([random_dsm(6, rng) for _ in range(10)])
+        orders = random_orders(9, 6, 10 * RANDOM_ORDER_TRIALS).reshape(10, -1, 6)
+        _, v, ph_costs, pr_costs, bests = best_projection(ds, per_map(cost), orders)
+        for d, ph_cost, pr_cost, best in zip(ds, ph_costs, pr_costs, bests):
             ph = Permutation(tuple(project_hungarian(d).tolist()))
-            assert v <= cost(ph) + 1e-12
+            assert best <= cost(ph) + 1e-12
             assert ph_cost == cost(ph)
-            assert v == min(ph_cost, pr_cost)
+        lows = np.minimum(ph_costs, pr_costs)
+        assert bests == np.minimum.accumulate(lows).tolist() and v == bests[-1]
 
     @settings(max_examples=40, deadline=None)
     @given(
         n=st.sampled_from([2, 4, 8]),
+        k=st.integers(1, 4),
         dsm_seed=st.integers(0, 2**32 - 1),
         seed=st.integers(0, 2**32 - 1),
     )
-    @example(n=8, dsm_seed=10, seed=11)
-    def test_one_cost_call_covers_every_candidate(self, n, dsm_seed, seed):
-        # One call on a (K, n) int array of maps: the Hungarian map, then the
-        # map of each of the 50 random-order trials, in trial order,
-        # duplicates kept.
-        d = random_dsm(n, np.random.default_rng(dsm_seed))
+    @example(n=8, k=1, dsm_seed=10, seed=11)
+    def test_one_cost_call_covers_every_candidate(self, n, k, dsm_seed, seed):
+        # One call on a (k (T + 1), n) int array of maps: per iterate, the
+        # Hungarian map, then the map of each of its 50 random-order trials,
+        # in trial order, duplicates kept.
+        rng = np.random.default_rng(dsm_seed)
+        ds = np.stack([random_dsm(n, rng) for _ in range(k)])
         calls = []
-        orders = random_orders(seed, n, RANDOM_ORDER_TRIALS)
-        best_projection(d, lambda x: calls.append(x) or np.zeros(len(x)), orders)
+        orders = random_orders(seed, n, k * RANDOM_ORDER_TRIALS).reshape(k, -1, n)
+        best_projection(ds, lambda x: calls.append(x) or np.zeros(len(x)), orders)
         assert len(calls) == 1
         maps = calls[0]
-        assert maps.shape == (51, n) and maps.dtype.kind == "i"
-        rand = order_maps(d, random_orders(seed, n, 50)).tolist()
-        assert maps.tolist() == [project_hungarian(d).tolist(), *rand]
+        assert maps.shape == (k * 51, n) and maps.dtype.kind == "i"
+        for i, d in enumerate(ds):
+            rand = order_maps(d, orders[i]).tolist()
+            assert maps[51 * i : 51 * i + 51].tolist() == [
+                project_hungarian(d).tolist(), *rand
+            ]
 
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.sampled_from([4, 8]),
+        k=st.integers(1, 5),
         dsm_seed=st.integers(0, 2**32 - 1),
         seed=st.integers(0, 2**32 - 1),
         incumbent=st.sampled_from([math.inf, 0.0, 3.0, 6.0]),
     )
     # The Hungarian map ties with a random-order map that comes first in map
     # order, which must win.
-    @example(n=4, dsm_seed=9, seed=9, incumbent=math.inf)
-    def test_matches_inline_incumbent_step(self, n, dsm_seed, seed, incumbent):
-        # Costs in 0..2 per row make ties between candidates common.
+    @example(n=4, k=1, dsm_seed=9, seed=9, incumbent=math.inf)
+    def test_matches_inline_incumbent_step(self, n, k, dsm_seed, seed, incumbent):
+        # A chunk of k iterates, each with its own orders, against the step
+        # applied iterate by iterate.  Costs in 0..2 per row make ties
+        # between candidates, and between iterates, common.
         rng = np.random.default_rng(dsm_seed)
         w = rng.integers(0, 3, (n, n))
-        d = random_dsm(n, rng)
+        ds = np.stack([random_dsm(n, rng) for _ in range(k)])
 
         def cost(p):
             return float(w[np.arange(n), list(p.map)].sum())
 
+        seeds = [seed + i for i in range(k)]
         start = Permutation.identity(n)
-        want = inline_incumbent_step(d, cost, seed, start, incumbent)
-        orders = random_orders(seed, n, RANDOM_ORDER_TRIALS)
-        best_p, best_v, ph_cost, pr_cost = best_projection(
-            d, per_map(cost), orders, np.arange(n), incumbent
+        want = incumbent_steps(ds, cost, seeds, start, incumbent)
+        orders = np.stack([random_orders(s, n, RANDOM_ORDER_TRIALS) for s in seeds])
+        best_p, *got = best_projection(
+            ds, per_map(cost), orders, np.arange(n), incumbent
         )
-        best_p = Permutation(tuple(best_p.tolist()))
-        assert (best_p, best_v, ph_cost, pr_cost) == want
+        assert (Permutation(tuple(best_p.tolist())), *got) == want
 
     def test_all_tied_picks_the_smallest_map(self):
         # W = 0 at n = 16, as in esc16f: every candidate costs 0, and the
-        # pick is the lexicographically smallest map, the first of equals.
+        # pick is the lexicographically smallest map of the first iterate,
+        # the first of equals; the second iterate does not beat it.
         rng = np.random.default_rng(16)
         inst = QapInstance(np.zeros((16, 16)), rng.uniform(0, 10, (16, 16)))
-        d = random_dsm(16, rng)
-        orders = random_orders(3, 16, RANDOM_ORDER_TRIALS)
+        ds = np.stack([random_dsm(16, rng) for _ in range(2)])
+        orders = random_orders(3, 16, 2 * RANDOM_ORDER_TRIALS).reshape(2, -1, 16)
         calls = []
-        p, v, ph_cost, pr_cost = best_projection(
-            d, lambda maps: calls.append(maps) or qap_map_costs(inst, maps), orders
+        p, v, *costs = best_projection(
+            ds, lambda maps: calls.append(maps) or qap_map_costs(inst, maps), orders
         )
         (maps,) = calls
-        assert len({tuple(m) for m in maps.tolist()}) > 1
-        assert p.tolist() == min(maps.tolist()) and v == ph_cost == pr_cost == 0.0
+        first = maps[:51].tolist()
+        assert len({tuple(m) for m in first}) > 1
+        assert p.tolist() == min(first) and v == 0.0
+        assert costs == [[0.0, 0.0]] * 3
         # An incumbent at 0.0 is not beaten: it comes back as it went in.
         incumbent = np.arange(16)
-        kept = best_projection(d, partial(qap_map_costs, inst), orders, incumbent, 0.0)
-        assert kept[0] is incumbent and kept[1:] == (0.0, 0.0, 0.0)
+        kept = best_projection(ds, partial(qap_map_costs, inst), orders, incumbent, 0.0)
+        assert kept[0] is incumbent and kept[1:] == (0.0, *costs)
 
     def test_no_tie_break_unless_the_incumbent_is_beaten(self, monkeypatch):
-        # Every candidate ties at each call; lexsort runs only when their
-        # value is below the incumbent's.
+        # Every candidate of every iterate ties; lexsort runs only when
+        # their value is below the incumbent's.
         inst = QapInstance(np.zeros((8, 8)), np.ones((8, 8)))
-        d = random_dsm(8, np.random.default_rng(8))
-        orders = random_orders(8, 8, RANDOM_ORDER_TRIALS)
+        rng = np.random.default_rng(8)
+        ds = np.stack([random_dsm(8, rng) for _ in range(3)])
+        orders = random_orders(8, 8, 3 * RANDOM_ORDER_TRIALS).reshape(3, -1, 8)
         costs = partial(qap_map_costs, inst)
 
         def lexsort(*args):
@@ -567,10 +597,11 @@ class TestBestProjection:
         monkeypatch.setattr(np, "lexsort", lexsort)
         incumbent = np.arange(8)
         for best_v in (0.0, -1.0):
-            got = best_projection(d, costs, orders, incumbent, best_v)
+            got = best_projection(ds, costs, orders, incumbent, best_v)
             assert got[0] is incumbent and got[1] == best_v
+            assert got[-1] == [best_v] * 3
         with pytest.raises(AssertionError, match="tie-break ran"):
-            best_projection(d, costs, orders, incumbent, 1.0)
+            best_projection(ds, costs, orders, incumbent, 1.0)
 
 
 class TestQuperConfig:
@@ -674,29 +705,35 @@ class TestQuperSolve:
         # DSM d_t, then the order_maps of d_t at rows 50t..50t+49 of one
         # random_orders draw from default_rng([seed, 1]).  The same with
         # draws of 3 iterates' orders and of 1 (the bound below one
-        # iterate's 200 entries), which iterates and levels cross.
+        # iterate's 200 entries), which iterates and levels cross: one
+        # incumbent step and one cost call per draw.
         real = optimizer.best_projection
         problem = random_qap(4, 5) if kind == "qap" else random_gip(4, 5)
         seed, iters = 6, 4
         stream = random_orders(np.random.default_rng([seed, 1]), 4, 50 * 2 * iters)
         runs = []
-        for entries in (optimizer.ORDER_DRAW_ENTRIES, 3 * 50 * 4, 1):
+        chunks = {optimizer.ORDER_DRAW_ENTRIES: [4, 4], 3 * 50 * 4: [3, 1, 3, 1],
+                  1: [1] * 8}
+        for entries, sizes in chunks.items():
             seen = []
 
-            def recorded(d, map_costs, orders, best_p, best_v):
+            def recorded(ds, map_costs, orders, best_p, best_v):
                 calls = []
                 out = real(
-                    d, lambda maps: calls.append(maps) or map_costs(maps), orders,
+                    ds, lambda maps: calls.append(maps) or map_costs(maps), orders,
                     best_p, best_v,
                 )
-                seen.append((d, *calls))
+                seen.append((ds, *calls))
                 return out
 
             monkeypatch.setattr(optimizer, "best_projection", recorded)
             monkeypatch.setattr(optimizer, "ORDER_DRAW_ENTRIES", entries)
             runs.append(quper_solve(problem, QuperConfig("bruhat", 1, iters, seed=seed)))
-            assert len(seen) == 2 * iters
-            for t, (d, maps) in enumerate(seen):
+            assert [len(ds) for ds, _ in seen] == sizes
+            iterates = [(d, maps[51 * i : 51 * i + 51])
+                        for ds, maps in seen for i, d in enumerate(ds)]
+            assert len(iterates) == 2 * iters
+            for t, (d, maps) in enumerate(iterates):
                 rand = order_maps(d, stream[50 * t : 50 * t + 50])
                 want = np.concatenate((project_hungarian(d)[None], rand))
                 assert np.array_equal(maps, want)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quper import problems
 from quper.gf2 import Permutation, recognize_affine, reverse_bits
 from quper.problems import (
     GipInstance,
@@ -209,9 +210,9 @@ class TestMapCosts:
         # Exactly: a Permutation is costed through the same gather.
         assert got.tolist() == [cost(inst, Permutation(tuple(m))) for m in maps.tolist()]
         if kind == "gip":
-            # The GIP's one product, bit for bit the written-out residual sum.
-            a, b = inst.a, inst.b
-            assert got.tolist() == [float(((a - b[m][:, m]) ** 2).sum()) for m in maps]
+            # The GIP's sum over A's edges, bit for bit the written-out
+            # residual sum.
+            assert got.tolist() == residual_sums(inst, maps)
         # The one-hot matrices sum in another order: exact on the GIP's 0/1
         # entries, to rounding on float data.
         one_hot = [cost(inst, m) for m in np.eye(n)[maps]]
@@ -239,6 +240,66 @@ class TestMapCosts:
     def test_no_maps_no_costs(self, kind):
         inst, map_costs, _ = map_cost_problem(kind, 4, 0)
         assert map_costs(inst, np.zeros((0, 4), int)).shape == (0,)
+
+
+def residual_sums(inst, maps):
+    """sum_ij (A_ij - B[p_i, p_j])^2 written out, one map at a time."""
+    a, b = inst.a, inst.b
+    return [float(((a - b[m][:, m]) ** 2).sum()) for m in maps]
+
+
+def dense_qap_costs(inst, maps):
+    """The QAP map costs in one gather of every map, with no blocks."""
+    n = inst.n
+    gathered = inst.d[maps[:, :, None], maps[:, None, :]].reshape(len(maps), n * n)
+    return (inst.w.ravel() * gathered).sum(axis=1)
+
+
+class TestBlockedGather:
+    @pytest.mark.parametrize("kind", ["qap", "gip"])
+    @pytest.mark.parametrize("n", [2, 8, 16])
+    def test_block_edges_cost_what_one_gather_does(self, kind, n):
+        # B maps fill one block; K = 1, B, B + 1 and 3B + 5 cross none, one
+        # and three block edges.
+        inst, map_costs, _ = map_cost_problem(kind, n, n)
+        edges = int(np.triu(inst.a).sum()) if kind == "gip" else n * n
+        block = problems.GATHER_BLOCK_ENTRIES // max(1, edges)
+        rng = np.random.default_rng(n)
+        for k in (1, block, block + 1, 3 * block + 5):
+            maps = np.array([rng.permutation(n) for _ in range(k)])
+            got = map_costs(inst, maps)
+            if kind == "gip":
+                assert got.tolist() == residual_sums(inst, maps)
+            else:
+                assert got.tobytes() == dense_qap_costs(inst, maps).tobytes()
+
+    def test_blocks_hold_at_most_the_bound(self):
+        sizes = []
+        maps = np.zeros((3 * 32 + 5, 16), int)
+        problems._blocked(lambda b: sizes.append(len(b)) or np.zeros(len(b)), maps,
+                          16, 16 * 16)
+        assert problems.GATHER_BLOCK_ENTRIES == 32 * 16 * 16
+        assert sizes == [32, 32, 32, 5]
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.zeros((8, 8), int),  # edgeless: no entry of B is gathered
+            1 - np.eye(8, dtype=int),  # complete
+            np.array([[0, 1], [1, 0]]),  # n = 2
+            np.zeros((2, 2), int),
+        ],
+        ids=["edgeless", "complete", "n2_edge", "n2_edgeless"],
+    )
+    def test_gip_on_edges_equals_the_residual_sum(self, a):
+        n = len(a)
+        rng = np.random.default_rng(n)
+        upper = np.triu(rng.integers(0, 2, (n, n)), 1)
+        for b in (upper + upper.T, a, 1 - np.eye(n, dtype=int)):
+            inst = GipInstance(a, b)
+            maps = np.array(list(itertools.permutations(range(n)))[:200])
+            got = gip_map_costs(inst, maps)
+            assert got.tolist() == residual_sums(inst, maps)
 
 
 class TestGipToQap:

@@ -245,3 +245,22 @@ class TestOrderMapsOnAStack:
         assert got.shape == (rows, n)
         for i, d in enumerate(ds):
             assert got[i].tolist() == project_random_order(d, [seed, i], 1)[0].tolist()
+
+
+class TestOrderMapsOnAChunk:
+    @settings(max_examples=80, deadline=None)
+    @given(d=dsms(), k=st.integers(1, 5), trials=st.integers(1, 60),
+           seed=st.integers(0, 2**32 - 1))
+    def test_each_matrix_at_its_own_orders(self, d, k, trials, seed):
+        """(k, T, n) orders on a (k, n, n) stack, here d and k - 1 row
+        permutations of it (tied and near-tied d.v included): block i is
+        order_maps of matrix i at its T orders, bit for bit."""
+        n = len(d)
+        rng = np.random.default_rng(seed)
+        ds = np.stack([d] + [d[rng.permutation(n)] for _ in range(k - 1)])
+        orders = random_orders(rng, n, k * trials).reshape(k, trials, n)
+        got = order_maps(ds, orders)
+        assert got.shape == (k, trials, n)
+        for i in range(k):
+            assert np.array_equal(got[i], order_maps(ds[i], orders[i]))
+            assert np.array_equal(got[i], two_argsort_maps(ds[i], orders[i]))
