@@ -42,7 +42,6 @@ from .optimizer import (
     adam_nesterov_step,
     best_projection,
     fd_gradient,
-    loss_from_dsm,
     quper_solve,
     random_baseline,
     regularizers,

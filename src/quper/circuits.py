@@ -153,9 +153,10 @@ class CircuitStats:
     two_qubit_gate_count: int
 
 
-# Each ansatz but SEL as its chain of blocks in gate order (_chain): x the
-# RX layer, b the Borel block, w the Weyl block.  The solver's "borel" is
-# the chain "xb".
+# Each ansatz as its chain of blocks in gate order (_chain): x the RX
+# layer, b the Borel block, w the Weyl block.  The solver's "borel" is the
+# chain "xb"; SEL, whose layer count depends on q, is "xr" repeated
+# (build_ansatz).
 _CHAINS = {"XLayer": "x", "Borel": "b", "Weyl": "w", "Bruhat": "bwb", "LX": "xbwb"}
 
 
@@ -163,11 +164,13 @@ def _chain(blocks: str, q: int) -> tuple[Gate, ...]:
     """The gates of blocks, each taking the next slot.  x is an RX on each
     qubit; b is gf2.borel_word read right to left, T_(jk) being the PCX
     controlled by qubit k acting on qubit j; w is the longest-element word
-    read right to left, sigma_i being the PSWAP on qubits (i-1, i)."""
+    read right to left, sigma_i being the PSWAP on qubits (i-1, i); r is the
+    ring of PCX(t -> t+1 mod q) for t = 0..q-1."""
     words = {
         "x": [("RX", (t,)) for t in range(q)],
         "b": [("PCX", (t.k, t.j)) for t in borel_word(q)[::-1]],
         "w": [("PSWAP", (i - 1, i)) for i in longest_element_word(q)[::-1]],
+        "r": [("PCX", (t, (t + 1) % q)) for t in range(q)],
     }
     ops = [op for block in blocks for op in words[block]]
     return tuple(Gate(kind, qubits, slot) for slot, (kind, qubits) in enumerate(ops))
@@ -179,20 +182,15 @@ def build_ansatz(kind: str, q: int) -> Circuit:
     if q < 1 or (kind in ("Borel", "Weyl", "Bruhat") and q < 2):
         raise ValueError(f"q={q} too small for {kind}")
     if kind != "SEL":
-        gates = _chain(_CHAINS[kind], q)
-        return Circuit(q, gates, len(gates), kind)
-    if q < 2:
+        blocks = _CHAINS[kind]
+    elif q < 2:
         raise ValueError("SEL needs q >= 2")
-    # Match the LX parameter count as closely as a whole number of layers
-    # (2q slots each) allows.
-    layers = max(1, round(len(_chain(_CHAINS["LX"], q)) / (2 * q)))
-    gates = []
-    for _ in range(layers):
-        for t in range(q):
-            gates.append(Gate("RX", (t,), len(gates)))
-        for t in range(q):
-            gates.append(Gate("PCX", (t, (t + 1) % q), len(gates)))
-    return Circuit(q, tuple(gates), len(gates), kind)
+    else:
+        # Match the LX parameter count as closely as a whole number of "xr"
+        # layers (2q slots each) allows.
+        blocks = "xr" * max(1, round(len(_chain(_CHAINS["LX"], q)) / (2 * q)))
+    gates = _chain(blocks, q)
+    return Circuit(q, gates, len(gates), kind)
 
 
 SOLVER_ANSATZE = ("bruhat", "borel", "sel")

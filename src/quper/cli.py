@@ -58,10 +58,6 @@ EXIT_VERIFY = 5
 SPAN_CHUNK_ENTRIES = 1 << 20
 
 
-class InputError(Exception):
-    pass
-
-
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--ansatz", default="bruhat", choices=SOLVER_ANSATZE)
     p.add_argument("--ancilla", type=int, default=0, metavar="M")
@@ -77,11 +73,11 @@ def _parse(path: str, parse):
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
     try:
         return parse(text)
     except ValueError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _check_min(args, **lowest) -> None:
@@ -89,13 +85,13 @@ def _check_min(args, **lowest) -> None:
     for flag, low in lowest.items():
         value = getattr(args, flag)
         if value < low:
-            raise InputError(f"--{flag} must be >= {low}, got {value}")
+            raise ValueError(f"--{flag} must be >= {low}, got {value}")
 
 
 def _power_of_two(n: int, what: str) -> int:
     """n, the size named by what; the solver takes powers of two >= 2."""
     if n < 2 or n & (n - 1):
-        raise InputError(f"{what} must be a power of two >= 2, got {n}")
+        raise ValueError(f"{what} must be a power of two >= 2, got {n}")
     return n
 
 
@@ -103,7 +99,7 @@ def _load_qap(args) -> QapInstance:
     if args.random:
         n, seed = args.random
         if seed < 0:
-            raise InputError(f"--random SEED must be >= 0, got {seed}")
+            raise ValueError(f"--random SEED must be >= 0, got {seed}")
         n = _power_of_two(n, "--random N")
         check_qubit_guard(n.bit_length() - 1 + args.ancilla)  # before n x n draws
         return random_qap(n, seed)
@@ -123,7 +119,7 @@ def _parse_graph(text: str) -> np.ndarray:
 def _load_gip(args) -> GipInstance:
     if args.graphs:
         mats = [_parse(path, _parse_graph) for path in args.graphs]
-        inst = GipInstance(mats[0], mats[1], name="files")  # main: ValueError -> 3
+        inst = GipInstance(mats[0], mats[1], name="files")
         _power_of_two(inst.n, f"the size of {args.graphs[0]} and {args.graphs[1]}")
         return inst
     n = _power_of_two(args.random, "--random N")
@@ -200,7 +196,7 @@ def cmd_span(args) -> int:
     circuit = solver_ansatz(args.ansatz, q + m)
     ell = args.params if args.params is not None else circuit.param_count
     if not 0 <= ell <= circuit.param_count:
-        raise InputError(f"--params must be in 0..{circuit.param_count}")
+        raise ValueError(f"--params must be in 0..{circuit.param_count}")
     cap = min(1 << ell, bruhat_span_size(q + m))
     if m > 0:  # at m = 0 the span is a subgroup of S_(2^q)
         check_qubit_guard(q + m)  # before (2^q)!, which takes seconds at q = 20
@@ -256,10 +252,7 @@ def cmd_span(args) -> int:
 
 def cmd_verify(args) -> int:
     _check_min(args, q=1)
-    if args.q > 3 and not args.deep:
-        # Enumerating every Borel matrix takes 2^(q(q-1)/2) round trips.
-        raise InputError(f"--q above 3 needs --deep, got {args.q}")
-    results = run_suites(q=args.q, deep=args.deep)
+    results = run_suites(q=args.q)
     all_ok = True
     for name, ok, detail in results:
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
@@ -320,7 +313,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     sv = sub.add_parser("verify", help="run the self-check suites")
     sv.add_argument("--q", type=int, default=3)
-    sv.add_argument("--deep", action="store_true")
     sv.set_defaults(func=cmd_verify)
 
     sc = sub.add_parser("compile", help="lower a circuit to linear topology")
@@ -341,9 +333,6 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except QubitBudgetError as exc:
         print(f"budget guard: {exc}", file=sys.stderr)
         return EXIT_BUDGET

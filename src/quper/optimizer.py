@@ -138,11 +138,6 @@ def loss_pass(d: np.ndarray, cost_and_grad) -> tuple:
     return loss, raw_cost, (st, s_eps, ort), cost_grad + reg_grad
 
 
-def loss_from_dsm(d: np.ndarray, cost) -> float:
-    """cost(d) plus the weighted regularizers of the DSM d."""
-    return loss_pass(d, lambda d: (cost(d), 0.0))[0]
-
-
 def fd_gradient(f, theta, h: float = 1e-5) -> np.ndarray:
     """Central differences in every coordinate of the one-point loss f,
     called at theta + h e_i for every i, then at theta - h e_i."""
@@ -267,12 +262,12 @@ def best_projection(ds: np.ndarray, map_costs, orders: np.ndarray,
 
 def quper_solve(problem, cfg: QuperConfig):
     """Run the full heuristic; returns (best permutation, value, trace)."""
+    map_costs, cost_and_grad = _problem_costs(problem)  # its TypeError first
     n = problem.n
     q = n.bit_length() - 1
     if n < 2 or 1 << q != n:
         raise ValueError(f"problem size must be a power of two >= 2, got n={n}")
     check_qubit_guard(q + cfg.m_max)
-    map_costs, cost_and_grad = _problem_costs(problem)
     per_draw = max(1, ORDER_DRAW_ENTRIES // (RANDOM_ORDER_TRIALS * n))
     lr = cfg.lr or (GIP_LR if isinstance(problem, GipInstance) else DEFAULT_LR)
     rng = np.random.default_rng([cfg.seed])

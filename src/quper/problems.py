@@ -16,7 +16,7 @@ i.e. A[i][j] = B[p(i)][p(j)] for all i, j.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,6 +51,11 @@ class GipInstance:
     b: np.ndarray
     planted: Permutation | None = None
     name: str = ""
+    # Set from a and b once they are checked: A's edges i < j as two
+    # read-only int arrays (i, j), and sum(A) + sum(B); gip_map_costs reads
+    # them.
+    edges: tuple = field(init=False, repr=False, compare=False)
+    weight: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         a, b = np.asarray(self.a), np.asarray(self.b)
@@ -70,8 +75,15 @@ class GipInstance:
                 f"A and B must have the same number of vertices, got "
                 f"{a.shape[0]} and {b.shape[0]}"
             )
-        object.__setattr__(self, "a", np.asarray(a, dtype=float))
-        object.__setattr__(self, "b", np.asarray(b, dtype=float))
+        i, j = np.nonzero(a)
+        upper = i < j
+        i, j = i[upper], j[upper]
+        i.flags.writeable = j.flags.writeable = False
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "edges", (i, j))
+        object.__setattr__(self, "weight", a.sum() + b.sum())
 
     @property
     def n(self) -> int:
@@ -128,16 +140,13 @@ def gip_map_costs(inst: GipInstance, maps) -> np.ndarray:
     gathered at A's edges only; every term is an integer, so every value is
     exact, whatever order the sums run in (a product sums several times
     faster than sum(axis=1) along rows this short)."""
-    n = inst.n
-    i, j = np.nonzero(inst.a)
-    upper = i < j
-    i, j = i[upper], j[upper]
+    n, (i, j) = inst.n, inst.edges
     b, ones = inst.b.ravel(), np.ones(len(i))
 
     def overlap(block):
         return b.take(block[:, i] * n + block[:, j]) @ ones
 
-    return (inst.a.sum() + inst.b.sum()) - 4.0 * _blocked(overlap, maps, n, len(i))
+    return inst.weight - 4.0 * _blocked(overlap, maps, n, len(i))
 
 
 def qap_cost(inst: QapInstance, p) -> float:
@@ -174,12 +183,17 @@ def gip_to_qap(inst: GipInstance) -> QapInstance:
     return QapInstance(inst.a, -inst.b, name=inst.name or "gip")
 
 
-def parse_qaplib(text: str, name: str = "") -> QapInstance:
-    toks = text.split()
+def _ints(text: str, what: str) -> list[int]:
+    """The whitespace-separated integers of text; what names the text in
+    the error a non-integer token raises."""
     try:
-        vals = [int(t) for t in toks]
+        return [int(t) for t in text.split()]
     except ValueError as exc:
-        raise ValueError(f"non-integer token in QAPLIB data: {exc}") from exc
+        raise ValueError(f"non-integer token in {what}: {exc}") from exc
+
+
+def parse_qaplib(text: str, name: str = "") -> QapInstance:
+    vals = _ints(text, "QAPLIB data")
     if not vals:
         raise ValueError("empty QAPLIB data")
     n = vals[0]
@@ -195,11 +209,7 @@ def parse_qaplib(text: str, name: str = "") -> QapInstance:
 
 
 def parse_sln(text: str) -> tuple[int, float, Permutation]:
-    toks = text.split()
-    try:
-        vals = [int(t) for t in toks]
-    except ValueError as exc:
-        raise ValueError(f"non-integer token in .sln data: {exc}") from exc
+    vals = _ints(text, ".sln data")
     if len(vals) < 2:
         raise ValueError("solution file needs n and a value")
     n, value = vals[0], vals[1]
@@ -289,10 +299,7 @@ def random_gip(
 
 def parse_edge_list(text: str) -> np.ndarray:
     """Graph as 'n' then one 'u v' pair per edge; returns the adjacency matrix."""
-    try:
-        vals = [int(t) for t in text.split()]
-    except ValueError as exc:
-        raise ValueError(f"non-integer token in edge list: {exc}") from exc
+    vals = _ints(text, "edge list")
     if not vals:
         raise ValueError("empty edge list")
     n, rest = vals[0], vals[1:]

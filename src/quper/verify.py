@@ -128,9 +128,9 @@ def _all_gl(q: int):
             yield m
 
 
-def suite_bruhat_reassembly(q: int = 3, deep: bool = False, samples: int = 500):
+def suite_bruhat_reassembly(q: int = 3, samples: int = 500):
     count = 0
-    if q <= 3 and not deep:
+    if q <= 3:
         mats = _all_gl(q)
     else:
         rng = np.random.default_rng(0)
@@ -206,16 +206,16 @@ def suite_gradient_agreement(seed: int = 0, jobs: int = 2):
     return "gradient_agreement", True, detail
 
 
-def run_suites(q: int = 3, deep: bool = False, x_matrix: np.ndarray | None = None):
-    """Every suite.  Borel enumeration runs at q (at 4 when deep) and Bruhat
-    reassembly at q: every invertible matrix up to q = 3 unless deep, else
-    seeded samples; the other suites take no q."""
+def run_suites(q: int = 3, x_matrix: np.ndarray | None = None):
+    """Every suite.  Borel enumeration runs at min(q, 4), 2^(q(q-1)/2) round
+    trips, and Bruhat reassembly at q: every invertible matrix up to q = 3,
+    else seeded samples; the other suites take no q."""
     results = [
         suite_x_cx_relations(x_matrix),
         suite_noncommutation(),
         suite_gate_constructions(),
-        suite_borel_enumeration(4 if deep else q),
-        suite_bruhat_reassembly(q, deep=deep),
+        suite_borel_enumeration(min(q, 4)),
+        suite_bruhat_reassembly(q),
         suite_dsm_agreement(),
         suite_binary_agreement(),
         suite_gradient_agreement(),

@@ -34,7 +34,7 @@ from quper.optimizer import (
     QuperConfig,
     adam_nesterov_step,
     fd_gradient,
-    loss_from_dsm,
+    loss_pass,
     quper_solve,
     random_baseline,
 )
@@ -43,6 +43,7 @@ from quper.problems import (
     gip_to_qap,
     load_qaplib,
     qap_cost,
+    qap_cost_and_grad,
     random_gip,
     random_qap,
 )
@@ -324,13 +325,13 @@ def test_criterion_12_optimizer_numerics():
     from quper.circuits import solver_ansatz
 
     inst = random_qap(4, 121)
-    cost = lambda d: qap_cost(inst, d)
+    cost_and_grad = lambda d: qap_cost_and_grad(inst, d)
     c = solver_ansatz("bruhat", 3)
     rng = np.random.default_rng(122)
     ok = True
     for _ in range(20):
         theta = rng.uniform(0, 2 * PI, c.param_count)
-        f = lambda t: loss_from_dsm(extract_dsm(c, 1, t), cost)
+        f = lambda t: loss_pass(extract_dsm(c, 1, t), cost_and_grad)[0]
         g1 = fd_gradient(f, theta, 1e-5)
         g2 = fd_gradient(f, theta, 0.5e-5)
         rel = np.max(np.abs(g1 - g2)) / max(1e-9, np.max(np.abs(g2)))

@@ -67,12 +67,6 @@ class TestVerifyCommand:
         assert "PASS binary_agreement: 60 settings agree exactly" in out
         assert "PASS gradient_agreement: max deviation " in out
 
-    def test_deep_borel_count(self, capsys):
-        assert main(["verify", "--q", "4", "--deep"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS borel_enumeration: q=4: 64 matrices (expected 64)" in out
-        assert "PASS bruhat_reassembly: q=4: 500 matrices reassembled" in out
-
     def test_fault_injection_fails_gate_suite(self):
         bad_x = np.array([[0.0, 1.0], [1.0, 0.1]])
         results = run_suites(x_matrix=bad_x)
@@ -114,21 +108,23 @@ class TestVerifyCommand:
         assert "FAIL demo" in capsys.readouterr().out
 
 
-    @pytest.mark.parametrize("q", ["2", "3"])
+    @pytest.mark.parametrize("q", ["2", "3", "4", "5"])
     def test_q_dependent_suites_state_the_q_they_ran_at(self, q, capsys):
-        borel = {"2": 2, "3": 8}[q]
-        gl = {"2": 6, "3": 168}[q]
+        # Borel enumeration runs at min(q, 4); Bruhat reassembly takes every
+        # invertible matrix up to q = 3, else 500 seeded samples.
+        borel_q, borel = {"2": (2, 2), "3": (3, 8)}.get(q, (4, 64))
+        gl = {"2": 6, "3": 168}.get(q, 500)
         assert main(["verify", "--q", q]) == 0
         out = capsys.readouterr().out.splitlines()
-        assert f"PASS borel_enumeration: q={q}: {borel} matrices (expected {borel})" in out
+        assert (f"PASS borel_enumeration: q={borel_q}: {borel} matrices"
+                f" (expected {borel})") in out
         assert f"PASS bruhat_reassembly: q={q}: {gl} matrices reassembled" in out
 
-    @pytest.mark.parametrize("q", ["4", "15"])
-    def test_q_above_3_without_deep_is_input_error(self, q, capsys):
-        assert main(["verify", "--q", q]) == 3
-        captured = capsys.readouterr()
-        assert captured.err == f"input error: --q above 3 needs --deep, got {q}\n"
-        assert captured.out == ""
+    def test_deep_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--deep"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --deep" in capsys.readouterr().err
 
     @pytest.mark.parametrize("q", ["0", "-2"])
     def test_non_positive_q_is_input_error(self, q, capsys):

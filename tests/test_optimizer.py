@@ -22,7 +22,6 @@ from quper.optimizer import (
     best_projection,
     embed_theta,
     fd_gradient,
-    loss_from_dsm,
     loss_pass,
     quper_solve,
     random_baseline,
@@ -178,9 +177,11 @@ class TestLossPass:
         else:
             d = np.eye(n)[rng.permutation(n)]
         loss, raw_cost, terms, grad = loss_pass(d, cost_and_grad)
-        assert loss == loss_from_dsm(d, cost)
         assert raw_cost == cost(d)
         reg_terms, reg_grad = regularizers(d)
+        stoch, s_eps, ort = reg_terms
+        assert loss == (raw_cost + optimizer.W_ST * stoch
+                        + optimizer.W_ENTROPY * s_eps + optimizer.W_ORT * ort)
         assert terms == reg_terms
         assert np.array_equal(grad, cost_and_grad(d)[1] + reg_grad)
         want_terms, want_reg_grad = reference_regularizers(d, optimizer.ENTROPY_EPS)
@@ -207,14 +208,12 @@ class TestLossPass:
 def solver_loss_grads(problem):
     """The solver's loss and its gradient in the DSM, for a QAP or GIP."""
     if isinstance(problem, QapInstance):
-        cost = lambda d: qap_cost(problem, d)
-        cost_grad = lambda d: qap_cost_and_grad(problem, d)[1]
+        cost_and_grad = partial(qap_cost_and_grad, problem)
     else:
-        cost = lambda d: gip_cost(problem, d)
-        cost_grad = lambda d: gip_cost_and_grad(problem, d)[1]
+        cost_and_grad = partial(gip_cost_and_grad, problem)
     return (
-        lambda d: loss_from_dsm(d, cost),
-        lambda d: cost_grad(d) + regularizers(d)[1],
+        lambda d: loss_pass(d, cost_and_grad)[0],
+        lambda d: cost_and_grad(d)[1] + regularizers(d)[1],
     )
 
 
@@ -281,9 +280,8 @@ class TestLoss:
         c = solver_ansatz("bruhat", 2)
         theta = np.random.default_rng(0).uniform(0, 2 * PI, c.param_count)
         d = extract_dsm(c, 0, theta)
-        assert loss_from_dsm(d, lambda d: qap_cost(inst, d)) == pytest.approx(
-            qap_cost(inst, d)
-        )
+        cost_and_grad = partial(qap_cost_and_grad, inst)
+        assert loss_pass(d, cost_and_grad)[0] == pytest.approx(qap_cost(inst, d))
 
 
 class TestFdGradient:
@@ -296,13 +294,12 @@ class TestFdGradient:
         assert np.array_equal(g, np.zeros(3))
 
     def test_step_halving_on_loss(self):
-        inst = random_qap(4, 1)
-        cost = lambda d: qap_cost(inst, d)
+        cost_and_grad = partial(qap_cost_and_grad, random_qap(4, 1))
         c = solver_ansatz("bruhat", 3)
         rng = np.random.default_rng(2)
 
         def f(theta):
-            return loss_from_dsm(extract_dsm(c, 1, theta), cost)
+            return loss_pass(extract_dsm(c, 1, theta), cost_and_grad)[0]
 
         for _ in range(5):
             theta = rng.uniform(0, 2 * PI, c.param_count)
@@ -339,13 +336,12 @@ class TestStackedFdGradient:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_one_coordinate_loop(self, name, q, m, seed):
-        inst = random_qap(1 << q, seed % 1000)
-        cost = lambda d: qap_cost(inst, d)
+        cost_and_grad = partial(qap_cost_and_grad, random_qap(1 << q, seed % 1000))
         c = solver_ansatz(name, q + m)
         theta = np.random.default_rng(seed).uniform(0, 2 * PI, c.param_count)
 
         def f(t):
-            return loss_from_dsm(extract_dsm(c, m, t), cost)
+            return loss_pass(extract_dsm(c, m, t), cost_and_grad)[0]
 
         got = fd_gradient(f, theta)
         want = fd_gradient_loop(f, theta)
@@ -753,6 +749,15 @@ class TestQuperSolve:
         }
         assert all(set(r) == keys for r in trace.records)
         assert len(trace.levels) == 1
+
+
+@pytest.mark.parametrize("call", [
+    lambda problem: quper_solve(problem, QuperConfig(iterations=1)),
+    lambda problem: random_baseline(problem, 1, 0),
+], ids=["quper_solve", "random_baseline"])
+def test_a_non_instance_is_a_type_error(call):
+    with pytest.raises(TypeError, match="^problem must be a QapInstance or GipInstance$"):
+        call("x")
 
 
 class TestRandomBaseline:

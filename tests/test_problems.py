@@ -500,6 +500,17 @@ class TestGenerators:
         assert inst.a.dtype == inst.b.dtype == float
         assert np.array_equal(inst.a, a) and np.array_equal(inst.b, b)
 
+    @pytest.mark.parametrize("n, seed", [(2, 0), (8, 1), (16, 2)])
+    def test_gip_stores_the_upper_edges_read_only(self, n, seed):
+        inst = random_gip(n, seed)
+        i, j = inst.edges
+        want = np.nonzero(np.triu(inst.a, 1))
+        assert np.array_equal(i, want[0]) and np.array_equal(j, want[1])
+        assert inst.weight == inst.a.sum() + inst.b.sum()
+        for edge in inst.edges:
+            with pytest.raises(ValueError, match="read-only"):
+                edge[:1] = 0
+
     @given(q=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
     def test_recognize_affine_inverts_affine_permutation(self, q, seed):
         p = _affine_permutation(q, np.random.default_rng(seed))

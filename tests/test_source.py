@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 import re
 from collections import Counter
 from pathlib import Path
@@ -140,3 +141,32 @@ def test_the_unused_name_check_catches_a_planted_name():
 def test_every_package_name_is_used():
     texts = {p: p.read_text() for p in SOURCES}
     assert unused_names([texts[p] for p in PACKAGE], list(texts.values())) == []
+
+
+def unresolved_references(text: str) -> list[str]:
+    """The backticked `module.name` and `module.Class.attr` references in
+    text, optionally prefixed `quper.` and called, whose module is one of
+    the package's and which do not resolve to an attribute of it."""
+    modules = "|".join(p.stem for p in MODULES)
+    pattern = rf"`(?:quper\.)?((?:{modules})(?:\.\w+)+)[`(]"
+    missing = []
+    for ref in re.findall(pattern, text):
+        module, *attrs = ref.split(".")
+        obj = importlib.import_module(f"quper.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(ref)
+    return missing
+
+
+def test_the_reference_check_catches_a_planted_name():
+    text = ("`circuits.forward` `quper.dsm.extract_dsm(c, m, t)` `gf2.Gf2Matrix.identity`"
+            " `quper.gf2` `numpy.gone` `optimizer.gone` `cli.main.gone(x)`")
+    assert unresolved_references(text) == ["optimizer.gone", "cli.main.gone"]
+
+
+def test_every_readme_reference_resolves():
+    text = (ROOT / "README.md").read_text()
+    assert re.search(r"`(?:quper\.)?circuits\.\w+`", text)
+    assert unresolved_references(text) == []
