@@ -557,7 +557,7 @@ def circuit_to_text(c: Circuit) -> str:
     return "\n".join(lines)
 
 
-def circuit_from_text(text: str, q: int | None = None) -> Circuit:
+def circuit_from_text(text: str) -> Circuit:
     gates: list[Gate] = []
     for ln in text.strip().splitlines():
         toks = ln.split()
@@ -574,7 +574,6 @@ def circuit_from_text(text: str, q: int | None = None) -> Circuit:
             )
         else:
             raise ValueError(f"bad gate line: {ln!r}")
-    if q is None:
-        q = 1 + max((t for g in gates for t in g.qubits), default=0)
+    q = 1 + max((t for g in gates for t in g.qubits), default=0)
     ell = 1 + max((g.slot for g in gates if g.slot is not None), default=-1)
     return Circuit(q, tuple(gates), ell, "Custom")

@@ -22,6 +22,7 @@ import numpy as np
 from .circuits import (
     Circuit,
     Gate,
+    _check_theta,
     check_qubit_guard,
     eval_permutations,
     forward,
@@ -185,9 +186,7 @@ def statevector_oracle(circuit: Circuit, m: int, theta) -> np.ndarray:
     _check_ancillas(circuit, m)
     w = circuit.q
     check_qubit_guard(2 * w)
-    theta = np.asarray(theta, dtype=float)
-    if len(theta) != circuit.param_count:
-        raise ValueError("parameter length mismatch")
+    theta = _check_theta(circuit, theta)
     n = 1 << (w - m)
     psi = np.zeros((2,) * (2 * w), dtype=complex)
     psi[(0,) * (2 * w)] = 1.0
@@ -219,9 +218,7 @@ def _check_doubly_stochastic(d) -> np.ndarray:
     return d
 
 
-def birkhoff_decompose(
-    d: np.ndarray, tol: float = BIRKHOFF_TOL
-) -> BirkhoffDecomposition:
+def birkhoff_decompose(d: np.ndarray) -> BirkhoffDecomposition:
     """Greedy Birkhoff-von-Neumann peeling via maximum-weight assignment.
 
     Each step subtracts lambda = min entry of the heaviest permutation
@@ -233,14 +230,14 @@ def birkhoff_decompose(
     n = len(d)
     rem = d.clip(min=0.0)
     terms: dict[tuple[int, ...], float] = {}
-    while rem.sum() > tol * n:
+    while rem.sum() > BIRKHOFF_TOL * n:
         rows, cols = linear_sum_assignment(rem, maximize=True)
         support = rem[rows, cols]
         lam = float(support.min())
-        if lam <= tol:
+        if lam <= BIRKHOFF_TOL:
             raise NotDoublyStochasticError(
-                "no permutation support above tol; input is not doubly "
-                "stochastic within tolerance"
+                "no permutation support above BIRKHOFF_TOL; input is not "
+                "doubly stochastic within tolerance"
             )
         pmap = tuple(int(c) for c in cols[np.argsort(rows)])
         terms[pmap] = terms.get(pmap, 0.0) + lam

@@ -13,7 +13,6 @@ qubit 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Iterable, Sequence
 
 
@@ -58,14 +57,6 @@ class Gf2Matrix:
             if len(row) != q:
                 raise ValueError("matrix must be square")
             rows.append(sum((int(v) & 1) << k for k, v in enumerate(row)))
-        return Gf2Matrix(q, tuple(rows))
-
-    @staticmethod
-    def from_transvection(t: Transvection, q: int) -> Gf2Matrix:
-        if t.j >= q or t.k >= q:
-            raise ValueError("transvection index out of range")
-        rows = list(Gf2Matrix.identity(q).rows)
-        rows[t.j] ^= 1 << t.k
         return Gf2Matrix(q, tuple(rows))
 
     def entry(self, j: int, k: int) -> int:
@@ -237,9 +228,15 @@ def random_invertible(q: int, rng) -> Gf2Matrix:
 
 
 def word_to_matrix(word: Iterable[Transvection], q: int) -> Gf2Matrix:
-    """Left-to-right product of transvection matrices (leftmost applied last)."""
-    mats = [Gf2Matrix.from_transvection(t, q) for t in word]
-    return reduce(lambda a, b: a @ b, mats, Gf2Matrix.identity(q))
+    """Left-to-right product of transvection matrices (leftmost applied last):
+    T_(jk) times a matrix adds its row k to its row j, so the letters act on
+    the identity's rows from the right end of the word."""
+    rows = list(Gf2Matrix.identity(q).rows)
+    for t in reversed(list(word)):
+        if t.j >= q or t.k >= q:
+            raise ValueError("transvection index out of range")
+        rows[t.j] ^= rows[t.k]
+    return Gf2Matrix(q, tuple(rows))
 
 
 def borel_word(q: int) -> list[Transvection]:

@@ -111,15 +111,15 @@ class QuperTrace:
     levels: list[dict] = field(default_factory=list)
 
 
-def regularizers(d: np.ndarray, entropy_eps: float = ENTROPY_EPS) -> tuple:
+def regularizers(d: np.ndarray) -> tuple:
     """((st, S_eps, ort), d/dd of their weighted sum) of the DSM d, sharing
-    d.sum(0) - 1, log(d + eps) and d^T d - I.  The constants are folded:
-    (2 W_ST) dev for W_ST (2 dev), - W_ENTROPY s for + W_ENTROPY (-s) and
-    (4 W_ORT) (d gram) for W_ORT ((4 d) gram); a power of two and a sign
+    d.sum(0) - 1, log(d + ENTROPY_EPS) and d^T d - I.  The constants are
+    folded: (2 W_ST) dev for W_ST (2 dev), - W_ENTROPY s for + W_ENTROPY (-s)
+    and (4 W_ORT) (d gram) for W_ORT ((4 d) gram); a power of two and a sign
     commute with rounding, so the bits are the same unless a product
     underflows."""
     dev = d.sum(axis=0) - 1.0  # d st/dd is 2 dev down each column
-    shifted = d + entropy_eps
+    shifted = d + ENTROPY_EPS
     log = np.log(shifted)
     gram = d.T @ d
     gram.ravel()[:: len(d) + 1] -= 1.0
@@ -196,11 +196,9 @@ def _slot_map(old: Circuit, new: Circuit) -> tuple[np.ndarray, np.ndarray]:
     return slots[0], slots[1]
 
 
-def embed_theta(
-    old: Circuit, new: Circuit, old_theta, fill: float = PAD_ANGLE
-) -> np.ndarray:
+def embed_theta(old: Circuit, new: Circuit, old_theta) -> np.ndarray:
     """Carry parameters to a larger ansatz by structural slot identity;
-    every slot with no counterpart gets the fill angle."""
+    every slot with no counterpart gets PAD_ANGLE."""
     old_theta = np.asarray(old_theta, dtype=float)
     if old_theta.shape != (old.param_count,):
         raise ValueError(
@@ -208,7 +206,7 @@ def embed_theta(
             f"{old_theta.shape}"
         )
     new_slots, old_slots = _slot_map(old, new)
-    theta = np.full(new.param_count, fill)
+    theta = np.full(new.param_count, PAD_ANGLE)
     theta[new_slots] = old_theta[old_slots]
     return theta
 

@@ -1,12 +1,11 @@
 """Problem definitions: quadratic assignment (QAP), graph isomorphism (GIP).
 
-Costs take a Permutation (row convention: matrix has a 1 at (i, p(i))) or a
-relaxed doubly-stochastic (n, n) matrix.  *_map_costs cost a (K, n) array of
-int maps (p[i] is the image of i) by gathers of at most GATHER_BLOCK_ENTRIES
-entries, with no permutation matrix; a Permutation is costed through them.
-*_cost_and_grad give a relaxed matrix's cost and its closed-form gradient in
-the matrix entries from one shared product; a relaxed matrix is costed
-through them.
+qap_cost and gip_cost take a Permutation (row convention: matrix has a 1 at
+(i, p(i))).  *_map_costs cost a (K, n) array of int maps (p[i] is the image
+of i) by gathers of at most GATHER_BLOCK_ENTRIES entries, with no
+permutation matrix; a Permutation is costed through them.  *_cost_and_grad
+give the cost of a relaxed doubly-stochastic (n, n) matrix and its
+closed-form gradient in the matrix entries from one shared product.
 
 QAP: minimize f(P) = tr(W P D^T P^T).
 GIP: minimize f(P) = ||A - P B P^T||_F^2, zero iff P is an isomorphism,
@@ -23,7 +22,7 @@ import numpy as np
 from .gf2 import AffineMap, Permutation, random_invertible
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QapInstance:
     w: np.ndarray
     d: np.ndarray
@@ -45,7 +44,7 @@ class QapInstance:
         return self.w.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GipInstance:
     a: np.ndarray
     b: np.ndarray
@@ -54,8 +53,8 @@ class GipInstance:
     # Set from a and b once they are checked: A's edges i < j as two
     # read-only int arrays (i, j), and sum(A) + sum(B); gip_map_costs reads
     # them.
-    edges: tuple = field(init=False, repr=False, compare=False)
-    weight: float = field(init=False, repr=False, compare=False)
+    edges: tuple = field(init=False, repr=False)
+    weight: float = field(init=False, repr=False)
 
     def __post_init__(self):
         a, b = np.asarray(self.a), np.asarray(self.b)
@@ -149,16 +148,12 @@ def gip_map_costs(inst: GipInstance, maps) -> np.ndarray:
     return inst.weight - 4.0 * _blocked(overlap, maps, n, len(i))
 
 
-def qap_cost(inst: QapInstance, p) -> float:
-    if isinstance(p, Permutation):
-        return float(qap_map_costs(inst, [p.map])[0])
-    return qap_cost_and_grad(inst, p)[0]
+def qap_cost(inst: QapInstance, p: Permutation) -> float:
+    return float(qap_map_costs(inst, [p.map])[0])
 
 
-def gip_cost(inst: GipInstance, p) -> float:
-    if isinstance(p, Permutation):
-        return float(gip_map_costs(inst, [p.map])[0])
-    return gip_cost_and_grad(inst, p)[0]
+def gip_cost(inst: GipInstance, p: Permutation) -> float:
+    return float(gip_map_costs(inst, [p.map])[0])
 
 
 def qap_cost_and_grad(inst: QapInstance, d) -> tuple[float, np.ndarray]:

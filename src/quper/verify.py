@@ -2,8 +2,7 @@
 gradient agreement.
 
 Each suite returns (name, passed, detail); detail carries a counterexample
-description on failure.  The `x_matrix` hook exists so tests can inject a
-corrupted gate and watch the right suite fail.
+description on failure.
 """
 
 from __future__ import annotations
@@ -40,9 +39,8 @@ _CX = np.array(
 )  # control = qubit 0 (MSB), target = qubit 1
 
 
-def suite_x_cx_relations(x_matrix: np.ndarray | None = None):
-    x = _X if x_matrix is None else np.asarray(x_matrix)
-    i2 = np.eye(2)
+def suite_x_cx_relations():
+    x, i2 = _X, np.eye(2)
     relations = [
         ("cx.(x@x) = (x@I).cx", _CX @ np.kron(x, x), np.kron(x, i2) @ _CX),
         ("cx.(I@x) = (I@x).cx", _CX @ np.kron(i2, x), np.kron(i2, x) @ _CX),
@@ -128,13 +126,13 @@ def _all_gl(q: int):
             yield m
 
 
-def suite_bruhat_reassembly(q: int = 3, samples: int = 500):
+def suite_bruhat_reassembly(q: int):
     count = 0
     if q <= 3:
         mats = _all_gl(q)
     else:
         rng = np.random.default_rng(0)
-        mats = (random_invertible(q, rng) for _ in range(samples))
+        mats = (random_invertible(q, rng) for _ in range(500))
     for m in mats:
         f = bruhat_decompose(m)
         ok = (
@@ -148,8 +146,8 @@ def suite_bruhat_reassembly(q: int = 3, samples: int = 500):
     return "bruhat_reassembly", True, f"q={q}: {count} matrices reassembled"
 
 
-def suite_dsm_agreement(seed: int = 0, jobs: int = 20):
-    rng = np.random.default_rng(seed)
+def suite_dsm_agreement():
+    rng, jobs = np.random.default_rng(0), 20
     worst = 0.0
     for _ in range(jobs):
         m = int(rng.integers(0, 2))
@@ -164,9 +162,9 @@ def suite_dsm_agreement(seed: int = 0, jobs: int = 20):
     return "dsm_agreement", True, f"max deviation {worst:.3e} over {jobs} jobs"
 
 
-def suite_binary_agreement(seed: int = 0, jobs: int = 20):
+def suite_binary_agreement():
     """binary_dsms (the span census's path) against extract_dsm, exactly."""
-    rng = np.random.default_rng(seed)
+    rng, jobs = np.random.default_rng(0), 20
     for q, m in ((2, 0), (2, 1), (3, 1)):
         c = build_ansatz("LX", q + m)
         on = rng.integers(0, 2, (jobs, c.param_count)).astype(bool)
@@ -177,11 +175,11 @@ def suite_binary_agreement(seed: int = 0, jobs: int = 20):
     return "binary_agreement", True, f"{3 * jobs} settings agree exactly"
 
 
-def suite_gradient_agreement(seed: int = 0, jobs: int = 2):
+def suite_gradient_agreement():
     """The solver's tape gradient against reverse_sweep (to 1e-13) and
     central differences (to 1e-6), relative to the largest entry of dloss/dd,
     for the linear loss sum(g * d) of LX's DSM at seeded theta, q + m = 3..6."""
-    rng = np.random.default_rng(seed)
+    rng, jobs = np.random.default_rng(0), 2
     worst = np.zeros(2)  # from the sweep, from the differences
     cases = ((3, 0), (3, 1), (4, 1), (5, 0), (5, 1), (6, 1))
     for w, m in cases:
@@ -206,12 +204,12 @@ def suite_gradient_agreement(seed: int = 0, jobs: int = 2):
     return "gradient_agreement", True, detail
 
 
-def run_suites(q: int = 3, x_matrix: np.ndarray | None = None):
+def run_suites(q: int = 3):
     """Every suite.  Borel enumeration runs at min(q, 4), 2^(q(q-1)/2) round
     trips, and Bruhat reassembly at q: every invertible matrix up to q = 3,
     else seeded samples; the other suites take no q."""
     results = [
-        suite_x_cx_relations(x_matrix),
+        suite_x_cx_relations(),
         suite_noncommutation(),
         suite_gate_constructions(),
         suite_borel_enumeration(min(q, 4)),

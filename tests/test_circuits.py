@@ -940,7 +940,8 @@ class TestLowering:
 class TestSerialization:
     def test_roundtrip(self):
         c = build_ansatz("LX", 3)
-        back = circuit_from_text(circuit_to_text(c), q=3)
+        back = circuit_from_text(circuit_to_text(c))
+        assert back.q == c.q
         assert back.gates == c.gates
         assert back.param_count == c.param_count
 

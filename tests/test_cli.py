@@ -67,9 +67,9 @@ class TestVerifyCommand:
         assert "PASS binary_agreement: 60 settings agree exactly" in out
         assert "PASS gradient_agreement: max deviation " in out
 
-    def test_fault_injection_fails_gate_suite(self):
-        bad_x = np.array([[0.0, 1.0], [1.0, 0.1]])
-        results = run_suites(x_matrix=bad_x)
+    def test_fault_injection_fails_gate_suite(self, monkeypatch):
+        monkeypatch.setattr(verify, "_X", np.array([[0.0, 1.0], [1.0, 0.1]]))
+        results = run_suites()
         by_name = {name: ok for name, ok, _ in results}
         assert by_name["x_cx_relations"] is False
         assert by_name["noncommutation"] is True

@@ -1,6 +1,7 @@
 """DSM extraction, the doubled-register oracle, Birkhoff peeling."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -92,6 +93,15 @@ class TestExtractDsm:
                 extract_dsm(c, m, theta) - statevector_oracle(c, m, theta)
             )
             assert np.max(delta) <= 1e-10
+
+    def test_oracle_reads_theta_as_the_kernel_does(self):
+        # A scalar and an (L, 1) theta are each the kernel's ValueError.
+        c = build_ansatz("XLayer", 2)
+        for theta, shape in ((0.5, "()"), (np.zeros((2, 1)), "(2, 1)")):
+            want = f"expected 2 parameters, got shape {shape}"
+            for run in (extract_dsm, statevector_oracle):
+                with pytest.raises(ValueError, match=re.escape(want)):
+                    run(c, 0, theta)
 
     def test_bad_ancilla_count(self):
         with pytest.raises(ValueError):

@@ -80,7 +80,7 @@ class TestQapCost:
             conj = QapInstance(qm @ inst.w @ qm.T, qm @ inst.d @ qm.T)
             p = Permutation(tuple(int(v) for v in rng.permutation(5)))
             pm = np.eye(5)[list(p.map)]
-            assert qap_cost(conj, qm @ pm @ qm.T) == pytest.approx(
+            assert qap_cost_and_grad(conj, qm @ pm @ qm.T)[0] == pytest.approx(
                 qap_cost(inst, p)
             )
 
@@ -135,9 +135,9 @@ class TestCostGradients:
     def test_qap_matches_central_differences(self, n, seed):
         inst = random_qap(n, seed % 1000)
         d = random_dsm(n, np.random.default_rng(seed))
-        want = central_differences(lambda x: qap_cost(inst, x), d)
+        want = central_differences(lambda x: qap_cost_and_grad(inst, x)[0], d)
         cost, got = qap_cost_and_grad(inst, d)
-        assert np.max(np.abs(got - want)) <= grad_tolerance(want, qap_cost(inst, d))
+        assert np.max(np.abs(got - want)) <= grad_tolerance(want, cost)
         # One shared product gives bit for bit the cost and the closed form.
         assert cost == float(np.trace(inst.w @ d @ inst.d.T @ d.T))
         assert np.array_equal(got, inst.w.T @ d @ inst.d + inst.w @ d @ inst.d.T)
@@ -147,9 +147,9 @@ class TestCostGradients:
     def test_gip_matches_central_differences(self, n, seed):
         inst = random_gip(n, seed % 1000)
         d = random_dsm(n, np.random.default_rng(seed))
-        want = central_differences(lambda x: gip_cost(inst, x), d)
+        want = central_differences(lambda x: gip_cost_and_grad(inst, x)[0], d)
         cost, got = gip_cost_and_grad(inst, d)
-        assert np.max(np.abs(got - want)) <= grad_tolerance(want, gip_cost(inst, d))
+        assert np.max(np.abs(got - want)) <= grad_tolerance(want, cost)
         assert cost == float(np.sum((inst.a - d @ inst.b @ d.T) ** 2))
         r = inst.a - d @ inst.b @ d.T
         assert np.array_equal(got, -2.0 * (r @ d @ inst.b.T + r.T @ d @ inst.b))
@@ -169,9 +169,12 @@ class TestCostGradients:
 
 class TestStackedCost:
     def test_stack_dimension_mismatch(self):
-        # Costs take one (n, n) matrix: a (K, n, n) stack is rejected, even
-        # one of the instance's n.
-        for inst, cost in ((random_qap(4, 0), qap_cost), (random_gip(4, 0), gip_cost)):
+        # The relaxed costs take one (n, n) matrix: a (K, n, n) stack is
+        # rejected, even one of the instance's n.
+        for inst, cost in (
+            (random_qap(4, 0), qap_cost_and_grad),
+            (random_gip(4, 0), gip_cost_and_grad),
+        ):
             for bad in (
                 np.zeros((2, 4, 4)),
                 np.zeros((2, 5, 5)),
@@ -215,7 +218,8 @@ class TestMapCosts:
             assert got.tolist() == residual_sums(inst, maps)
         # The one-hot matrices sum in another order: exact on the GIP's 0/1
         # entries, to rounding on float data.
-        one_hot = [cost(inst, m) for m in np.eye(n)[maps]]
+        relaxed = gip_cost_and_grad if kind == "gip" else qap_cost_and_grad
+        one_hot = [relaxed(inst, m)[0] for m in np.eye(n)[maps]]
         if kind == "gip":
             assert got.tolist() == one_hot
         else:
@@ -425,6 +429,14 @@ class TestGenerators:
             inst = random_gip(8, seed, span_restricted=True)
             assert gip_cost(inst, inst.planted) == 0.0
             assert recognize_affine(inst.planted) is not None
+
+    def test_instances_compare_by_identity(self):
+        # Equal draws are distinct instances: == never compares arrays.
+        for make in (random_qap, random_gip):
+            inst = make(4, 0)
+            assert inst == inst
+            assert (inst == make(4, 0)) is False
+            assert hash(inst) == hash(inst)
 
     def test_span_restricted_needs_power_of_two(self):
         with pytest.raises(ValueError):

@@ -111,6 +111,96 @@ def test_the_kept_caches_are_the_only_ones():
     assert sorted(found) == sorted(KEPT_CACHES)
 
 
+# Every defaulted parameter that no call in the package or the benchmarks
+# sets, each kept for a caller outside them; any other such parameter is a
+# constant of its module.
+KEPT_DEFAULTS = {
+    "optimizer.fd_gradient.h": "criterion 12 halves it",
+    "projection.project_random_order.trials": (
+        "criterion 9 passes it, and the benchmark's distinct note binds it by name"
+    ),
+}
+
+
+def unset_defaults(package: dict[str, str], callers: list[str]) -> list[str]:
+    """The defaulted parameters of the functions and methods in the package
+    texts (by module name), as module.qualified_name.parameter, that no call
+    in the caller texts sets: by keyword, by position, or through *args or
+    **kwargs.  A call is matched to every function of its name; a method's
+    positions start after self or cls, unless it is a staticmethod."""
+    defaults = []  # (label, function name, parameter, position or None)
+
+    def visit(node, scope, in_class):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{scope}.{child.name}", True)
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a, label = child.args, f"{scope}.{child.name}"
+                bound = in_class and not any(
+                    ast.unparse(d) == "staticmethod" for d in child.decorator_list
+                )
+                positional = a.posonlyargs + a.args
+                first = len(positional) - len(a.defaults)
+                for at, arg in enumerate(positional[first:], first):
+                    defaults.append((label, child.name, arg.arg, at - bound))
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        defaults.append((label, child.name, arg.arg, None))
+                visit(child, label, False)
+            else:
+                visit(child, scope, in_class)
+
+    for module, text in package.items():
+        visit(ast.parse(text), module, False)
+    calls = [
+        node
+        for text in callers
+        for node in ast.walk(ast.parse(text))
+        if isinstance(node, ast.Call)
+    ]
+
+    def sets(call, name, param, at):
+        func = call.func
+        if getattr(func, "id", None) != name and getattr(func, "attr", None) != name:
+            return False
+        starred = any(isinstance(arg, ast.Starred) for arg in call.args)
+        by_position = at is not None and (starred or len(call.args) > at)
+        return by_position or any(kw.arg in (None, param) for kw in call.keywords)
+
+    return sorted(
+        f"{label}.{param}"
+        for label, name, param, at in defaults
+        if not any(sets(call, name, param, at) for call in calls)
+    )
+
+
+def test_the_default_check_sees_each_form():
+    package = {"m": (
+        "def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+        "def g(x=0): pass\ndef h(y=0): pass\n"
+        "def lone(z=0):\n    def inner(w=1): pass\n"
+        "class K:\n    def meth(self, u=0, v=1): pass\n"
+        "    @staticmethod\n    def stat(s=0, t=1): pass\n"
+    )}
+    callers = [
+        "f(0, 1, d=5)\ng(*xs)\nh(**kw)\nK().meth(2)\nK.stat(1)\n"
+        "x = lone\nobj.inner(w=2)\n"
+    ]
+    assert unset_defaults(package, callers) == [
+        "m.K.meth.v", "m.K.stat.t", "m.f.c", "m.f.e", "m.lone.z",
+    ]
+
+
+def test_every_default_is_set_by_a_caller():
+    package = {p.stem: p.read_text() for p in PACKAGE}
+    callers = [
+        p.read_text()
+        for d in ("src", "benchmarks")
+        for p in sorted((ROOT / d).rglob("*.py"))
+    ]
+    assert unset_defaults(package, callers) == sorted(KEPT_DEFAULTS)
+
+
 def unused_names(package: list[str], sources: list[str]) -> list[str]:
     """The functions, classes and methods defined in the package texts,
     dunders aside, whose names appear as a word in the source texts only
