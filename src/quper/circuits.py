@@ -37,6 +37,7 @@ import numpy as np
 from .gf2 import (
     AffineMap,
     Permutation,
+    basis_maps,
     borel_word,
     bruhat_decompose,
     longest_element_word,
@@ -459,21 +460,11 @@ def affine_images(c: Circuit, on) -> np.ndarray:
 
 
 def eval_permutations(c: Circuit, on) -> np.ndarray:
-    """Basis maps at binary settings, without a dense unitary.
-
-    Row s of the (S, 2^q) result holds the image of every basis index under
-    the circuit at on[s], expanded from its affine_images (same input,
-    checks and dtype): index x maps to the image of 0 XOR, for each bit
-    2^k set in x, the image of 2^k XOR the image of 0.
-    """
-    img = affine_images(c, on)
-    cols = img[:, :0:-1] ^ img[:, :1]  # column k: the image of 2^k, less b
-    maps = np.empty((len(img), 1 << c.q), img.dtype)
-    maps[:, :1] = img[:, :1]
-    for k in range(c.q):  # the images of 2^k..2^(k+1)-1 from those below 2^k
-        w = 1 << k
-        np.bitwise_xor(maps[:, :w], cols[:, k, None], out=maps[:, w : 2 * w])
-    return maps
+    """Basis maps at binary settings, without a dense unitary: row s of the
+    (S, 2^q) result is gf2.basis_maps of row s of affine_images (same input,
+    checks and dtype), the image of every basis index under the circuit at
+    on[s]."""
+    return basis_maps(affine_images(c, on))
 
 
 def eval_permutation(c: Circuit, theta) -> Permutation:
@@ -546,7 +537,9 @@ def lower_to_linear_topology(c: Circuit) -> Circuit:
 
 
 def circuit_to_text(c: Circuit) -> str:
-    lines = []
+    """The line QUBITS q, then one line per gate: RX t slot, CX c t, or
+    PCX/PSWAP a b slot."""
+    lines = [f"QUBITS {c.q}"]
     for g in c.gates:
         if g.kind == "RX":
             lines.append(f"RX {g.qubits[0]} {g.slot}")
@@ -558,13 +551,21 @@ def circuit_to_text(c: Circuit) -> str:
 
 
 def circuit_from_text(text: str) -> Circuit:
+    """The circuit of circuit_to_text's lines.  q is read from a first line
+    QUBITS q, and a gate on a qubit >= q is a ValueError; a text without
+    that line has q one more than the highest qubit a gate uses."""
     gates: list[Gate] = []
+    q = None
     for ln in text.strip().splitlines():
         toks = ln.split()
         if not toks:
             continue
         kind = toks[0]
-        if kind == "RX" and len(toks) == 3:
+        if kind == "QUBITS" and len(toks) == 2 and q is None and not gates:
+            q = int(toks[1])
+            if q < 1:
+                raise ValueError(f"bad qubit count: {ln!r}")
+        elif kind == "RX" and len(toks) == 3:
             gates.append(Gate("RX", (int(toks[1]),), int(toks[2])))
         elif kind == "CX" and len(toks) == 3:
             gates.append(Gate("CX", (int(toks[1]), int(toks[2])), None))
@@ -574,6 +575,7 @@ def circuit_from_text(text: str) -> Circuit:
             )
         else:
             raise ValueError(f"bad gate line: {ln!r}")
-    q = 1 + max((t for g in gates for t in g.qubits), default=0)
+    if q is None:
+        q = 1 + max((t for g in gates for t in g.qubits), default=0)
     ell = 1 + max((g.slot for g in gates if g.slot is not None), default=-1)
     return Circuit(q, tuple(gates), ell, "Custom")

@@ -216,11 +216,12 @@ def cmd_span(args) -> int:
         total = args.samples
     per_setting = circuit.param_count + q + 1 if m == 0 else 1 << (2 * q + m)
     rows = max(1, SPAN_CHUNK_ENTRIES // per_setting)
-    order_rng = np.random.default_rng([args.seed, 1])  # apart from the θ stream
-    key_dtype = np.min_scalar_type(1 << m)
-    projected: set = set()  # keys of the DSMs whose Hungarian map is in seen_h
     seen_h: set = set()
     seen_r: set = set()
+    if m > 0:
+        order_rng = np.random.default_rng([args.seed, 1])  # apart from the θ stream
+        key_dtype = np.min_scalar_type(1 << m)
+        projected: set = set()  # keys of the DSMs whose Hungarian map is in seen_h
     for start in range(0, total, rows):
         idx = np.arange(start, min(start + rows, total))
         on = np.zeros((len(idx), circuit.param_count), bool)  # True: at pi
@@ -241,7 +242,7 @@ def cmd_span(args) -> int:
         projected.update(fresh)
         # Setting idx's one-trial order is row idx of one census-wide stream.
         orders = random_orders(order_rng, 1 << q, len(idx))
-        seen_r.update(_row_keys(order_maps(ds, orders)))
+        seen_r.update(_row_keys(order_maps(ds, orders[:, None])[:, 0]))
     line = f"{ell},{len(seen_h)},{len(seen_r)},{cap}"
     out = "params,count_hungarian,count_random_order,theoretical_cap\n" + line
     if args.out:

@@ -115,24 +115,12 @@ def adjoint_gradient(
 
 
 def _rx_matrix(theta: float) -> np.ndarray:
-    if theta == 0.0:
-        return np.eye(2, dtype=complex)
-    if theta == math.pi:
-        return np.array([[0.0, -1.0j], [-1.0j, 0.0]])
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     return np.array([[c, -1.0j * s], [-1.0j * s, c]])
 
 
 def _phase_matrix(theta: float) -> np.ndarray:
-    if theta == 0.0:
-        ph = 1.0
-    elif theta == math.pi:
-        ph = -1.0
-    elif theta == math.pi / 2:
-        ph = 1.0j
-    else:
-        ph = complex(math.cos(theta), math.sin(theta))
-    return np.array([[1.0, 0.0], [0.0, ph]])
+    return np.array([[1.0, 0.0], [0.0, complex(math.cos(theta), math.sin(theta))]])
 
 
 def _apply_1q(psi: np.ndarray, m: np.ndarray, t: int) -> np.ndarray:

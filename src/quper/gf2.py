@@ -15,6 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class Transvection:
@@ -202,21 +204,27 @@ class AffineMap:
         return self.a.matvec(x) ^ self.b
 
     def basis_map(self) -> tuple[int, ...]:
-        """Entry i: the index of the image of the bit-vector of index i.
-
-        The map is affine on indices too, so it is built by q doublings, as
-        circuits.eval_permutations builds its rows: entry 0 is the index of
-        b, and entries 2^k..2^(k+1)-1 are entries 0..2^k-1 XOR the index of
-        column q-1-k of a (index 2^k is the unit vector e_(q-1-k)).
-        """
+        """Entry i: the index of the image of the bit-vector of index i, by
+        basis_maps from the images of 0 and of each e_t."""
         q = self.q
-        out = [reverse_bits(self.b, q)]
-        for t in range(q - 1, -1, -1):
-            col = 0
-            for j, r in enumerate(self.a.rows):
-                col |= ((r >> t) & 1) << (q - 1 - j)
-            out += [x ^ col for x in out]
-        return tuple(out)
+        row = [reverse_bits(self.apply(x), q) for x in [0, *(1 << t for t in range(q))]]
+        return tuple(basis_maps(np.array([row], np.uint64))[0].tolist())
+
+
+def basis_maps(images: np.ndarray) -> np.ndarray:
+    """Basis maps of affine maps: row s of images (S, q + 1), unsigned, holds
+    the index of the image of 0, then of 2^(q-1-t) (e_t) for t = 0..q-1.
+    Row s of the (S, 2^q) result, in that dtype, maps index x to the image
+    of 0 XOR, for each bit 2^k of x, the image of 2^k XOR the image of 0:
+    the map is affine on indices too, so q doublings build it."""
+    q = images.shape[1] - 1
+    cols = images[:, :0:-1] ^ images[:, :1]  # column k: the image of 2^k, less b
+    maps = np.empty((len(images), 1 << q), images.dtype)
+    maps[:, :1] = images[:, :1]
+    for k in range(q):
+        w = 1 << k
+        np.bitwise_xor(maps[:, :w], cols[:, k, None], out=maps[:, w : 2 * w])
+    return maps
 
 
 def random_invertible(q: int, rng) -> Gf2Matrix:

@@ -35,27 +35,24 @@ def random_orders(seed, n: int, trials: int) -> np.ndarray:
     return np.random.default_rng(seed).permuted(orders, axis=1, out=orders)
 
 
-def order_maps(d: np.ndarray, orders: np.ndarray) -> np.ndarray:
+def order_maps(ds: np.ndarray, orders: np.ndarray) -> np.ndarray:
     """Order-tracking projection: permute v, read how d.v reorders it.
 
-    Row t of the (T, n) result is the candidate p of orders[t]: the j-th
-    smallest component of d.v sits at the row mapped to the position of the
-    j-th smallest component of v = base[orders[t]].  d is one (n, n) matrix
-    for every order, or a (T, n, n) stack, one matrix per order.  Given
-    (k, T, n) orders, d is a (k, n, n) stack, T orders per matrix, and the
-    result is (k, T, n).  Each row of orders is a permutation of range(n).
+    ds is a (k, n, n) stack of matrices and orders a (k, T, n) stack, T
+    orders per matrix, each row a permutation of range(n).  Entry [i, t] of
+    the (k, T, n) result is the candidate p of ds[i] at orders[i, t]: the
+    j-th smallest component of ds[i].v sits at the row mapped to the
+    position of the j-th smallest component of v = base[orders[i, t]].
     """
     n = orders.shape[-1]
     # Powers of two keep every coefficient at least twice any smaller one;
     # representable in double precision up to n = 1024.
     base = np.ldexp(1.0, np.arange(n)) if n <= 1024 else np.arange(n, dtype=float)
     v = base[orders]
-    if orders.ndim == 3:
-        d = d[:, None]
     # One matrix-vector product per row, as d @ v would compute it: a
     # matrix-matrix product sums in another order and can break near-ties in
     # d.v the other way.
-    u = (d @ v[..., None]).reshape(-1, n)
+    u = (ds[:, None] @ v[..., None]).reshape(-1, n)
     flat = orders.reshape(-1, n)
     # Stable order by (value, index): deterministic under ties.
     ou = np.argsort(u, axis=1, kind="stable")
@@ -74,6 +71,6 @@ def project_random_order(
     """order_maps of d at the random_orders of seed, deduplicated: the
     distinct candidates as a (k, n) array of maps in lexicographic order,
     k <= trials."""
-    pmaps = order_maps(d, random_orders(seed, len(d), trials))
+    pmaps = order_maps(d[None], random_orders(seed, len(d), trials)[None])[0]
     # A set of row tuples: np.unique(axis=0) costs several times more.
     return np.array(sorted(set(map(tuple, pmaps.tolist()))))

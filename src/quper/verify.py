@@ -40,11 +40,13 @@ _CX = np.array(
 
 
 def suite_x_cx_relations():
+    """The kernel's CX, eval_unitary of one CX gate, against the constant X."""
     x, i2 = _X, np.eye(2)
+    cx = eval_unitary(Circuit(2, (Gate("CX", (0, 1), None),), 0), [])
     relations = [
-        ("cx.(x@x) = (x@I).cx", _CX @ np.kron(x, x), np.kron(x, i2) @ _CX),
-        ("cx.(I@x) = (I@x).cx", _CX @ np.kron(i2, x), np.kron(i2, x) @ _CX),
-        ("(x@x).cx = cx.(x@I)", np.kron(x, x) @ _CX, _CX @ np.kron(x, i2)),
+        ("cx.(x@x) = (x@I).cx", cx @ np.kron(x, x), np.kron(x, i2) @ cx),
+        ("cx.(I@x) = (I@x).cx", cx @ np.kron(i2, x), np.kron(i2, x) @ cx),
+        ("(x@x).cx = cx.(x@I)", np.kron(x, x) @ cx, cx @ np.kron(x, i2)),
     ]
     for name, lhs, rhs in relations:
         err = float(np.max(np.abs(lhs - rhs)))

@@ -51,7 +51,7 @@ PI = math.pi
 
 # sha256 of every ansatz kind, solver ansatz and synthesized parameter
 # vector: see TestBuildAnsatz.test_construction_is_pinned.
-CONSTRUCTION_DIGEST = "f84e34358fe3aa8636e8f64207afbe44165b3d36c1e3c3617f1a58a240050235"
+CONSTRUCTION_DIGEST = "5b3b71b034466d71c4e4c094c997d7d530cf9a3a64bb3da0e45dd405857b94c5"
 
 
 def random_invertible(q, rng):
@@ -110,8 +110,10 @@ class TestBuildAnsatz:
         # Every ansatz kind at q = 0..8 (the error text where it has none),
         # every solver ansatz at q = 1..8 (SEL from 2) and the parameters
         # synthesize_params gives for 300 seeded affine maps.  The digest
-        # was recorded before the kinds were rewritten as block chains; a
-        # change to it changes the circuits.
+        # was recorded before the kinds were rewritten as block chains, and
+        # re-pinned when the text gained its QUBITS line (the gate lines
+        # alone still hash to f84e3435...); a change to it changes the
+        # circuits.
         h = hashlib.sha256()
 
         def add(c):
@@ -292,6 +294,19 @@ class TestKernel:
             u = eval_unitary(c, theta)
             assert u.shape == (1 << q, 1 << q)
             assert np.max(np.abs(u - serial_unitary(c, theta))) <= 1e-12
+
+    @pytest.mark.parametrize("angle", [0.0, PI, 2 * PI])
+    def test_serial_walk_and_oracle_at_exact_angles(self, angle):
+        # The serial gate matrices take cos and sin at every angle, with no
+        # exact case at 0, pi or 2 pi; rounding stays inside both bounds.
+        for name in ANSATZ_KINDS:
+            c = build_ansatz(name, 3)
+            theta = np.full(c.param_count, angle)
+            u = eval_unitary(c, theta)
+            assert np.max(np.abs(u - serial_unitary(c, theta))) <= 1e-12
+            for m in (0, 1):
+                d = extract_dsm(c, m, theta)
+                assert np.max(np.abs(d - statevector_oracle(c, m, theta))) <= 1e-10
 
     def test_long_range_and_reversed_gates(self):
         c = Circuit(
@@ -944,6 +959,20 @@ class TestSerialization:
         assert back.q == c.q
         assert back.gates == c.gates
         assert back.param_count == c.param_count
+
+    @pytest.mark.parametrize("gates", [(), (Gate("CX", (0, 1), None),)])
+    def test_roundtrip_keeps_the_width(self, gates):
+        # Qubits that no gate touches, or no gates at all: q from QUBITS.
+        c = Circuit(3, gates, 0)
+        text = circuit_to_text(c)
+        assert text.splitlines()[0] == "QUBITS 3"
+        assert circuit_from_text(text) == c
+
+    @pytest.mark.parametrize("text", ["QUBITS 2\nCX 0 2", "QUBITS 0", "QUBITS two",
+                                      "CX 0 1\nQUBITS 2", "QUBITS 2\nQUBITS 2"])
+    def test_rejects_a_gate_past_the_width_and_a_bad_qubits_line(self, text):
+        with pytest.raises(ValueError):
+            circuit_from_text(text)
 
     def test_fixed_cx_line(self):
         c = circuit_from_text("CX 0 1\nRX 1 0")

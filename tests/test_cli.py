@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import quper
-from quper import cli, verify
+from quper import circuits, cli, verify
 from quper.circuits import ANSATZ_KINDS, SOLVER_ANSATZE, solver_ansatz
 from quper.cli import build_parser, main
 from quper.dsm import binary_dsms, extract_dsm
@@ -42,7 +42,8 @@ def serial_census(q, m, ell, settings, seed):
         theta[:ell] = bits
         d = extract_dsm(circuit, m, theta)
         seen_h.add(tuple(project_hungarian(d).tolist()))
-        seen_r.add(tuple(order_maps(d, orders[idx : idx + 1])[0].tolist()))
+        cand = order_maps(d[None], orders[None, idx : idx + 1])[0, 0]
+        seen_r.add(tuple(cand.tolist()))
     return [str(len(seen_h)), str(len(seen_r))]
 
 
@@ -73,6 +74,13 @@ class TestVerifyCommand:
         by_name = {name: ok for name, ok, _ in results}
         assert by_name["x_cx_relations"] is False
         assert by_name["noncommutation"] is True
+
+    def test_x_cx_relations_read_the_kernels_cx(self, monkeypatch):
+        # CX is the kernel's X block: at the identity it breaks every relation.
+        monkeypatch.setattr(circuits, "_X", np.eye(2, dtype=complex))
+        name, ok, detail = verify.suite_x_cx_relations()
+        assert (name, ok) == ("x_cx_relations", False)
+        assert detail.startswith("cx.(x@x) = (x@I).cx violated")
 
     def test_binary_agreement_fails_on_a_faulty_fast_path(self, monkeypatch):
         # Transposed DSMs differ from extract_dsm's wherever U is not symmetric.
@@ -587,7 +595,8 @@ class TestCompileCommand:
     def test_lowered_borel_is_linear(self, capsys):
         assert main(["compile", "--ansatz", "Borel", "--q", "4"]) == 0
         out = capsys.readouterr().out.strip().splitlines()
-        for ln in out:
+        assert out[0] == "QUBITS 4"
+        for ln in out[1:]:
             toks = ln.split()
             assert abs(int(toks[1]) - int(toks[2])) == 1
 
@@ -596,4 +605,14 @@ class TestCompileCommand:
         src.write_text("PCX 3 0 0\n")
         assert main(["compile", "--circuit", str(src)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert len(lines) == 8
+        assert len(lines) == 9 and lines[0] == "QUBITS 4"
+        src.write_text("QUBITS 5\n" + "\n".join(lines[1:]))
+        assert main(["compile", "--circuit", str(src)]) == 0
+        assert capsys.readouterr().out.strip().splitlines() == ["QUBITS 5", *lines[1:]]
+
+    def test_circuit_file_gate_past_its_width_is_an_input_error(self, tmp_path, capsys):
+        src = tmp_path / "c.txt"
+        src.write_text("QUBITS 3\nPCX 3 0 0\n")
+        assert main(["compile", "--circuit", str(src)]) == 3
+        err = capsys.readouterr().err
+        assert err == f"input error: {src}: qubit index out of range\n"

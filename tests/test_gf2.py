@@ -7,11 +7,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quper.circuits import eval_permutations, synthesize_params
 from quper.gf2 import (
     AffineMap,
     Gf2Matrix,
     Permutation,
     Transvection,
+    basis_maps,
     borel_subword,
     bruhat_decompose,
     bruhat_span_size,
@@ -172,6 +174,31 @@ class TestBasisMap:
                 for i in range(1 << q)
             )
             assert amap.basis_map() == per_index
+
+    @settings(max_examples=60, deadline=None)
+    @given(q=st.integers(1, 8), k=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+    def test_basis_maps_is_the_doubling_loop_and_the_circuit(self, q, k, seed):
+        """basis_maps on a stack of k maps' images, row by row: the doubling
+        loop on Python ints that basis_map ran, and the eval_permutations
+        row of the LX setting that synthesizes each map."""
+        rng = np.random.default_rng(seed)
+        maps = [AffineMap(random_invertible(q, rng), int(rng.integers(0, 1 << q)))
+                for _ in range(k)]
+        units = [0, *(1 << t for t in range(q))]
+        images = np.array([[reverse_bits(f.apply(x), q) for x in units] for f in maps],
+                          np.min_scalar_type((1 << q) - 1))
+        got = basis_maps(images)
+        assert got.dtype == images.dtype and got.shape == (k, 1 << q)
+        for row, f in zip(got, maps):
+            want = [reverse_bits(f.b, q)]
+            for t in range(q - 1, -1, -1):
+                col = 0
+                for j, r in enumerate(f.a.rows):
+                    col |= ((r >> t) & 1) << (q - 1 - j)
+                want += [x ^ col for x in want]
+            assert row.tolist() == want and f.basis_map() == tuple(want)
+            c, theta = synthesize_params(f)
+            assert eval_permutations(c, theta[None] == np.pi)[0].tolist() == want
 
 
 class TestRandomInvertible:

@@ -524,7 +524,7 @@ class TestBestProjection:
         maps = calls[0]
         assert maps.shape == (k * 51, n) and maps.dtype.kind == "i"
         for i, d in enumerate(ds):
-            rand = order_maps(d, orders[i]).tolist()
+            rand = order_maps(d[None], orders[i][None])[0].tolist()
             assert maps[51 * i : 51 * i + 51].tolist() == [
                 project_hungarian(d).tolist(), *rand
             ]
@@ -734,7 +734,7 @@ class TestQuperSolve:
                         for ds, maps in seen for i, d in enumerate(ds)]
             assert len(iterates) == 2 * iters
             for t, (d, maps) in enumerate(iterates):
-                rand = order_maps(d, stream[50 * t : 50 * t + 50])
+                rand = order_maps(d[None], stream[None, 50 * t : 50 * t + 50])[0]
                 want = np.concatenate((project_hungarian(d)[None], rand))
                 assert np.array_equal(maps, want)
         assert all(run[2].records == runs[0][2].records for run in runs)

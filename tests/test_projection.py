@@ -207,12 +207,16 @@ class TestOrderMapsBitForBit:
     @given(d=dsms(), seed=st.integers(0, 2**32 - 1), trials=st.integers(1, 60),
            stacked=st.booleans())
     def test_equals_the_two_argsort_formula(self, d, seed, trials, stacked):
-        """On one DSM or a stack of it, tied d.v included (permutation and
-        uniform matrices): the same maps and dtype."""
+        """One DSM at T orders, or a stack of it at one order each, tied
+        d.v included (permutation and uniform matrices): the same maps and
+        dtype."""
         orders = random_orders(seed, len(d), trials)
         if stacked:
             d = np.broadcast_to(d, (trials, *d.shape))
-        got, want = order_maps(d, orders), two_argsort_maps(d, orders)
+            got = order_maps(d, orders[:, None])[:, 0]
+        else:
+            got = order_maps(d[None], orders[None])[0]
+        want = two_argsort_maps(d, orders)
         assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
@@ -241,10 +245,31 @@ class TestOrderMapsOnAStack:
             ds = np.stack([extract_dsm(c, m, theta) for theta in grid])
         n = ds.shape[1]
         orders = np.concatenate([random_orders([seed, i], n, 1) for i in range(rows)])
-        got = order_maps(ds, orders)
+        got = order_maps(ds, orders[:, None])[:, 0]
         assert got.shape == (rows, n)
         for i, d in enumerate(ds):
             assert got[i].tolist() == project_random_order(d, [seed, i], 1)[0].tolist()
+
+
+class TestOrderMapsOneShape:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.sampled_from([4, 8, 16]), m=st.integers(0, 2), k=st.integers(1, 4),
+           trials=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+    def test_equals_a_loop_of_matrix_vector_products(self, n, m, k, trials, seed):
+        """(k, n, n) binary DSMs, whose d.v tie at m > 0, at (k, T, n)
+        orders: block i's row t maps the stable order of ds[i] @ v onto
+        v's, v = 2^orders[i, t], one matrix and one order at a time."""
+        c = solver_ansatz("bruhat", n.bit_length() - 1 + m)
+        rng = np.random.default_rng(seed)
+        ds = binary_dsms(c, m, rng.integers(0, 2, (k, c.param_count)) == 1)
+        orders = random_orders(rng, n, k * trials).reshape(k, trials, n)
+        want = np.empty_like(orders)
+        for i, d in enumerate(ds):
+            for t, order in enumerate(orders[i]):
+                v = np.ldexp(1.0, order)
+                ov = np.argsort(v, kind="stable")
+                want[i, t, np.argsort(d @ v, kind="stable")] = ov
+        assert np.array_equal(order_maps(ds, orders), want)
 
 
 class TestOrderMapsOnAChunk:
@@ -262,5 +287,6 @@ class TestOrderMapsOnAChunk:
         got = order_maps(ds, orders)
         assert got.shape == (k, trials, n)
         for i in range(k):
-            assert np.array_equal(got[i], order_maps(ds[i], orders[i]))
+            one = order_maps(ds[i : i + 1], orders[i : i + 1])[0]
+            assert np.array_equal(got[i], one)
             assert np.array_equal(got[i], two_argsort_maps(ds[i], orders[i]))
