@@ -561,18 +561,20 @@ def circuit_from_text(text: str) -> Circuit:
         if not toks:
             continue
         kind = toks[0]
+        try:
+            nums = [int(t) for t in toks[1:]]
+        except ValueError:
+            nums = []  # a field that is not an integer fits no line
         if kind == "QUBITS" and len(toks) == 2 and q is None and not gates:
-            q = int(toks[1])
-            if q < 1:
+            if not nums or nums[0] < 1:
                 raise ValueError(f"bad qubit count: {ln!r}")
-        elif kind == "RX" and len(toks) == 3:
-            gates.append(Gate("RX", (int(toks[1]),), int(toks[2])))
-        elif kind == "CX" and len(toks) == 3:
-            gates.append(Gate("CX", (int(toks[1]), int(toks[2])), None))
-        elif kind in ("PCX", "PSWAP") and len(toks) == 4:
-            gates.append(
-                Gate(kind, (int(toks[1]), int(toks[2])), int(toks[3]))
-            )
+            q = nums[0]
+        elif kind == "RX" and len(nums) == 2:
+            gates.append(Gate("RX", (nums[0],), nums[1]))
+        elif kind == "CX" and len(nums) == 2:
+            gates.append(Gate("CX", tuple(nums), None))
+        elif kind in ("PCX", "PSWAP") and len(nums) == 3:
+            gates.append(Gate(kind, tuple(nums[:2]), nums[2]))
         else:
             raise ValueError(f"bad gate line: {ln!r}")
     if q is None:

@@ -983,6 +983,48 @@ class TestSerialization:
         with pytest.raises(ValueError):
             circuit_from_text("HADAMARD 0")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("RX a 0", "bad gate line: 'RX a 0'"),
+            ("QUBITS 2\nPCX 0 1 x", "bad gate line: 'PCX 0 1 x'"),
+            ("CX 0 1 2", "bad gate line: 'CX 0 1 2'"),
+            ("QUBITS x", "bad qubit count: 'QUBITS x'"),
+            ("QUBITS 0", "bad qubit count: 'QUBITS 0'"),
+        ],
+    )
+    def test_a_malformed_line_is_named(self, text, message):
+        with pytest.raises(ValueError) as exc:
+            circuit_from_text(text)
+        assert str(exc.value) == message
+
+
+class TestGateAndCircuitChecks:
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Gate("H", (0,), 0), "unknown gate kind 'H'"),
+            (lambda: Gate("RX", (0, 1), 0), "RX takes 1 qubit(s)"),
+            (lambda: Gate("PCX", (0,), 0), "PCX takes 2 qubit(s)"),
+            (lambda: Gate("PSWAP", (1, 1), 0), "two-qubit gate needs distinct qubits"),
+            (lambda: Gate("CX", (0, 1), 0), "CX is fixed; other kinds need a slot"),
+            (lambda: Gate("RX", (0,), None), "CX is fixed; other kinds need a slot"),
+            (lambda: Circuit(2, (Gate("RX", (2,), 0),), 1), "qubit index out of range"),
+            (
+                lambda: Circuit(2, (Gate("RX", (0,), 1),), 1),
+                "parameter slot out of range",
+            ),
+        ],
+        ids=[
+            "kind", "rx_arity", "pcx_arity", "same_qubits", "cx_slot", "rx_no_slot",
+            "qubit_range", "slot_range",
+        ],
+    )
+    def test_message(self, make, message):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message
+
 
 class TestSolverAnsatz:
     def test_bruhat_is_lx(self):

@@ -16,6 +16,8 @@ from quper import circuits, cli, verify
 from quper.circuits import ANSATZ_KINDS, SOLVER_ANSATZE, solver_ansatz
 from quper.cli import build_parser, main
 from quper.dsm import binary_dsms, extract_dsm
+from quper.gf2 import Permutation
+from quper.problems import GipInstance, gip_cost, parse_adjacency_csv, parse_edge_list
 from quper.projection import order_maps, project_hungarian, random_orders
 from quper.verify import run_suites
 
@@ -331,6 +333,12 @@ class TestSpanCommand:
             assert main([*argv[:-1], str(seed)]) == 0
             assert census_row(capsys)[1:3] == [str(count)] * 2
 
+    @pytest.mark.parametrize("ell", ["-1", "6"])
+    def test_params_outside_the_circuit_is_input_error(self, ell, capsys):
+        # The q = 2 solver ansatz has 5 parameters.
+        assert main(["span", "--q", "2", "--params", ell]) == 3
+        assert capsys.readouterr().err == "input error: --params must be in 0..5\n"
+
     def test_params_prefix_restriction(self, capsys):
         assert main(["span", "--q", "2", "--params", "0"]) == 0
         line = capsys.readouterr().out.strip().splitlines()[-1]
@@ -397,6 +405,20 @@ class TestSolveCommands:
         assert code == 0
         report = json.loads(capsys.readouterr().out)
         assert report["config"]["n"] == 4
+
+    def test_solve_gip_graph_files(self, tmp_path, capsys):
+        # The path 0-1-2-3 as an edge list, and the path 2-0-3-1 as a CSV.
+        a, b = tmp_path / "a.txt", tmp_path / "b.csv"
+        a.write_text("4\n0 1\n1 2\n2 3\n")
+        b.write_text("0,0,1,1\n0,0,0,1\n1,0,0,0\n1,1,0,0\n")
+        argv = ["solve-gip", "--graphs", str(a), str(b)]
+        assert main([*argv, "--iters", "20", "--ancilla", "1"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["problem"] == "files"
+        graphs = parse_edge_list(a.read_text()), parse_adjacency_csv(b.read_text())
+        inst = GipInstance(*graphs)
+        best = Permutation(tuple(report["best_permutation"]))
+        assert report["best_value"] == gip_cost(inst, best)
 
     def test_non_power_of_two_is_input_error(self, capsys):
         assert main(["solve-qap", "--random", "6", "1", "--iters", "1"]) == 3
@@ -609,6 +631,20 @@ class TestCompileCommand:
         src.write_text("QUBITS 5\n" + "\n".join(lines[1:]))
         assert main(["compile", "--circuit", str(src)]) == 0
         assert capsys.readouterr().out.strip().splitlines() == ["QUBITS 5", *lines[1:]]
+
+    @pytest.mark.parametrize(
+        "line, message", [("RX a 0", "bad gate line"), ("QUBITS x", "bad qubit count")]
+    )
+    def test_circuit_file_names_a_malformed_line(self, line, message, tmp_path, capsys):
+        src = tmp_path / "c.txt"
+        src.write_text(f"{line}\n")
+        assert main(["compile", "--circuit", str(src)]) == 3
+        assert capsys.readouterr().err == f"input error: {src}: {message}: {line!r}\n"
+
+    def test_out_file_holds_the_printed_circuit(self, tmp_path, capsys):
+        out = tmp_path / "lowered.txt"
+        assert main(["compile", "--ansatz", "LX", "--q", "3", "--out", str(out)]) == 0
+        assert out.read_text() == capsys.readouterr().out
 
     def test_circuit_file_gate_past_its_width_is_an_input_error(self, tmp_path, capsys):
         src = tmp_path / "c.txt"

@@ -310,3 +310,36 @@ class TestPermutationBasics:
         m = p.gf2_matrix()
         for j in range(3):
             assert m.matvec(1 << j) == 1 << p(j)
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Transvection(1, 1), "transvection requires j != k"),
+            (lambda: Transvection(-1, 0), "indices must be nonnegative"),
+            (lambda: Gf2Matrix(2, (1,)), "row count must equal q"),
+            (lambda: Gf2Matrix(1, (2,)), "row has bits outside dimension"),
+            (lambda: Gf2Matrix.from_entries([[1, 0]]), "matrix must be square"),
+            (
+                lambda: Gf2Matrix.identity(2) @ Gf2Matrix.identity(3),
+                "dimension mismatch",
+            ),
+            (lambda: Permutation((0, 0)), "not a bijection on {0..n-1}"),
+            (lambda: Permutation((0, 2)), "not a bijection on {0..n-1}"),
+            (
+                lambda: Permutation.identity(2).compose(Permutation.identity(3)),
+                "size mismatch",
+            ),
+            (lambda: bruhat_span_size(0), "q must be >= 1"),
+        ],
+        ids=[
+            "transvection_j_is_k", "transvection_negative", "matrix_row_count",
+            "matrix_row_bits", "matrix_not_square", "matmul_sizes",
+            "permutation_repeat", "permutation_gap", "compose_sizes", "span_size_q0",
+        ],
+    )
+    def test_message(self, make, message):
+        with pytest.raises(ValueError) as exc:
+            make()
+        assert str(exc.value) == message

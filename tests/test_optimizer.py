@@ -616,6 +616,12 @@ class TestQuperConfig:
         assert (cfg.m_max, cfg.iterations, cfg.seed) == (1, 3, 7)
         assert all(type(v) is int for v in (cfg.m_max, cfg.iterations, cfg.seed))
 
+    @pytest.mark.parametrize("count", [{"m_max": -1}, {"iterations": 0}])
+    def test_rejects_counts_below_their_floor(self, count):
+        with pytest.raises(ValueError) as exc:
+            QuperConfig(**count)
+        assert str(exc.value) == "need m_max >= 0 and iterations >= 1"
+
     @pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf, 0.0, -0.1])
     def test_rejects_bad_lr(self, lr):
         with pytest.raises(ValueError, match="lr"):
@@ -824,6 +830,11 @@ class TestRandomBaseline:
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
             random_baseline(random_qap(4, 1), 10, seed=-1)
+
+    def test_rejects_no_iterations(self):
+        with pytest.raises(ValueError) as exc:
+            random_baseline(random_qap(4, 1), 0, 0)
+        assert str(exc.value) == "iterations must be >= 1"
 
     @pytest.mark.parametrize("n", [8, 16])
     def test_first_draw_is_not_the_planted_map(self, n, monkeypatch):

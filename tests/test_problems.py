@@ -399,6 +399,32 @@ class TestParsing:
         with pytest.raises(ValueError, match="non-integer token in edge list"):
             parse_edge_list("3 0 1 1 x")
 
+    @pytest.mark.parametrize(
+        "parse, text, message",
+        [
+            (parse_qaplib, " \n", "empty QAPLIB data"),
+            (parse_sln, "4", "solution file needs n and a value"),
+            (parse_sln, "4 10\n1 2 3", "expected a permutation of length 4"),
+            (parse_edge_list, "", "empty edge list"),
+            (parse_edge_list, "3 0 1 2", "edge list must contain pairs"),
+            (
+                parse_adjacency_csv,
+                "0,1\n1,x",
+                "line 2: non-integer entry: "
+                "invalid literal for int() with base 10: 'x'",
+            ),
+        ],
+    )
+    def test_malformed_text_message(self, parse, text, message):
+        with pytest.raises(ValueError) as exc:
+            parse(text)
+        assert str(exc.value) == message
+
+    def test_sln_of_another_size_is_rejected(self):
+        with pytest.raises(ValueError) as exc:
+            problems.attach_solution(random_qap(2, 0), "4 0\n1 2 3 4")
+        assert str(exc.value) == ".sln size does not match instance"
+
     def test_adjacency_csv(self):
         adj = parse_adjacency_csv("0,1\n1,0")
         assert np.array_equal(adj, [[0, 1], [1, 0]])
@@ -437,6 +463,30 @@ class TestGenerators:
             assert inst == inst
             assert (inst == make(4, 0)) is False
             assert hash(inst) == hash(inst)
+
+    @pytest.mark.parametrize("make", [random_qap, random_gip])
+    def test_rejects_one_vertex(self, make):
+        with pytest.raises(ValueError) as exc:
+            make(1, 0)
+        assert str(exc.value) == "n must be >= 2"
+
+    @pytest.mark.parametrize(
+        "w, d",
+        [(np.zeros((2, 3)), np.zeros((2, 3))), (np.zeros((2, 2)), np.zeros((3, 3)))],
+    )
+    def test_qap_rejects_matrices_not_square_and_equal(self, w, d):
+        with pytest.raises(ValueError) as exc:
+            QapInstance(w, d)
+        assert str(exc.value) == "W and D must be square matrices of equal size"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("label", ["W", "D"])
+    def test_qap_rejects_a_non_finite_entry(self, bad, label):
+        mats = {"W": np.zeros((2, 2)), "D": np.zeros((2, 2))}
+        mats[label][0, 1] = bad
+        with pytest.raises(ValueError) as exc:
+            QapInstance(mats["W"], mats["D"])
+        assert str(exc.value) == "matrices must be finite"
 
     def test_span_restricted_needs_power_of_two(self):
         with pytest.raises(ValueError):

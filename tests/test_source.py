@@ -55,6 +55,14 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def test_the_package_binds_no_names():
+    # A name lives only in the module that defines it, and is imported from
+    # there: __init__.py is its docstring alone, not a second list of the API.
+    tree = ast.parse((ROOT / "src" / "quper" / "__init__.py").read_text())
+    assert ast.get_docstring(tree)
+    assert len(tree.body) == 1
+
+
 def cache_sites(source: str, module: str) -> list[str]:
     """What a module caches through functools, by qualified name: each
     function or property under a cache decorator, and each name bound to a
