@@ -30,7 +30,8 @@ from __future__ import annotations
 import functools
 import math
 import os
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,15 +69,12 @@ def max_dense_qubits() -> int:
     return limit
 
 
-@dataclass(frozen=True)
-class Gate:
+class Gate(namedtuple("Gate", "kind qubits slot")):
     """One gate; qubits = (target,) or (control, target); slot None = fixed."""
 
-    kind: str
-    qubits: tuple[int, ...]
-    slot: int | None
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         if self.kind not in ("RX", "PCX", "PSWAP", "CX"):
             raise ValueError(f"unknown gate kind {self.kind!r}")
         arity = 1 if self.kind == "RX" else 2
@@ -88,14 +86,11 @@ class Gate:
             raise ValueError("CX is fixed; other kinds need a slot")
 
 
-@dataclass(frozen=True)
-class Circuit:
-    q: int
-    gates: tuple[Gate, ...]
-    param_count: int
-    kind: str = "Custom"
+class Circuit(namedtuple("Circuit", "q gates param_count kind", defaults=("Custom",))):
+    """q qubits, the gates in order, the slot count and the ansatz kind.  No
+    __slots__: the instance dict holds the cached _workspace."""
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         for g in self.gates:
             if any(t < 0 or t >= self.q for t in g.qubits):
                 raise ValueError("qubit index out of range")
@@ -147,8 +142,7 @@ class Circuit:
                 _read_only(row_slots, np.intp))
 
 
-@dataclass(frozen=True)
-class CircuitStats:
+class CircuitStats(NamedTuple):
     param_count: int
     depth: int
     two_qubit_gate_count: int

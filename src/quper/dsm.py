@@ -15,7 +15,7 @@ serial gate helpers, independent of the kernel in quper.circuits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,8 +40,7 @@ class NotDoublyStochasticError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class BirkhoffDecomposition:
+class BirkhoffDecomposition(NamedTuple):
     terms: tuple[tuple[float, Permutation], ...]
     residual: float
 

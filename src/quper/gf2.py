@@ -12,34 +12,32 @@ qubit 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections import namedtuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Transvection:
+# A checked record is a subclass of a namedtuple: the tuple is built by the
+# time __init__ runs, which only checks its fields.
+class Transvection(namedtuple("Transvection", "j k")):
     """T_(jk) = I + E_(jk) over GF(2); its own inverse."""
 
-    j: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         if self.j == self.k:
             raise ValueError("transvection requires j != k")
         if self.j < 0 or self.k < 0:
             raise ValueError("indices must be nonnegative")
 
 
-@dataclass(frozen=True)
-class Gf2Matrix:
+class Gf2Matrix(namedtuple("Gf2Matrix", "q rows")):
     """Square matrix over GF(2), rows stored as int bitsets."""
 
-    q: int
-    rows: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         if len(self.rows) != self.q:
             raise ValueError("row count must equal q")
         mask = (1 << self.q) - 1
@@ -131,13 +129,12 @@ class Gf2Matrix:
         )
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Permutation(namedtuple("Permutation", "map")):
     """Bijection on {0..n-1} in one-line notation: map[i] = image of i."""
 
-    map: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __init__(self, *args, **kwargs):
         if sorted(self.map) != list(range(len(self.map))):
             raise ValueError("not a bijection on {0..n-1}")
 
@@ -180,8 +177,7 @@ class Permutation:
         return Gf2Matrix(self.n, tuple(rows))
 
 
-@dataclass(frozen=True)
-class BruhatFactors:
+class BruhatFactors(NamedTuple):
     """m = u1 . matrix(w) . u2 with u1, u2 in the Borel subgroup."""
 
     u1: Gf2Matrix
@@ -189,8 +185,7 @@ class BruhatFactors:
     u2: Gf2Matrix
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(NamedTuple):
     """x -> a.x XOR b on GF(2)^q, with a invertible."""
 
     a: Gf2Matrix

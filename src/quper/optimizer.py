@@ -16,8 +16,9 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -60,8 +61,7 @@ ADAM_EPS = 1e-8
 ORDER_DRAW_ENTRIES = 1 << 16
 
 
-@dataclass(frozen=True)
-class AdamState:
+class AdamState(NamedTuple):
     theta: np.ndarray
     mu: np.ndarray
     nu: np.ndarray
@@ -79,21 +79,24 @@ def _check_seed(seed) -> None:
         raise ValueError(f"seed must be >= 0, got {seed}")
 
 
-@dataclass(frozen=True)
-class QuperConfig:
-    ansatz: str = "bruhat"
-    m_max: int = 0
-    iterations: int = 1000
-    seed: int = 0
-    lr: float | None = None  # None: 0.005 for QAP, 0.4 for GIP
+class QuperConfig(namedtuple(
+    "QuperConfig", "ansatz m_max iterations seed lr", defaults=("bruhat", 0, 1000, 0, None)
+)):
+    """A solve's settings; lr None: 0.005 for QAP, 0.4 for GIP.  m_max,
+    iterations and seed are held as ints (operator.index)."""
 
-    def __post_init__(self):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        counts = {}
         for name in ("m_max", "iterations", "seed"):
+            value = getattr(self, name)
             try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
+                counts[name] = operator.index(value)
             except TypeError:
-                value = getattr(self, name)
                 raise ValueError(f"{name} must be an integer, got {value!r}") from None
+        self = self._replace(**counts)
         if self.m_max < 0 or self.iterations < 1:
             raise ValueError("need m_max >= 0 and iterations >= 1")
         _check_seed(self.seed)
@@ -103,12 +106,14 @@ class QuperConfig:
             )
         if self.lr is not None and not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be None or finite and > 0, got {self.lr!r}")
+        return self
 
 
-@dataclass
-class QuperTrace:
-    records: list[dict] = field(default_factory=list)
-    levels: list[dict] = field(default_factory=list)
+class QuperTrace(NamedTuple):
+    """A solve's records, one per iterate, and levels, one per ancilla count."""
+
+    records: list[dict]
+    levels: list[dict]
 
 
 def regularizers(d: np.ndarray) -> tuple:
@@ -270,7 +275,7 @@ def quper_solve(problem, cfg: QuperConfig):
     lr = cfg.lr or (GIP_LR if isinstance(problem, GipInstance) else DEFAULT_LR)
     rng = np.random.default_rng([cfg.seed])
     order_rng = np.random.default_rng([cfg.seed, 1])  # apart from the θ stream
-    trace = QuperTrace()
+    trace = QuperTrace([], [])
     best_p: np.ndarray | None = None
     best_v = math.inf
     prev_circuit: Circuit | None = None

@@ -15,49 +15,49 @@ i.e. A[i][j] = B[p(i)][p(j)] for all i, j.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .gf2 import AffineMap, Permutation, random_invertible
 
 
-@dataclass(frozen=True, eq=False)
-class QapInstance:
-    w: np.ndarray
-    d: np.ndarray
-    name: str = ""
-    known_optimum: float | None = None
+class _ReadOnly:
+    """Attributes set once, by __init__ through the instance dict; == and
+    hash by identity."""
 
-    def __post_init__(self):
-        w = np.asarray(self.w, dtype=float)
-        d = np.asarray(self.d, dtype=float)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class QapInstance(_ReadOnly):
+    """Flow W and distance D as checked float arrays, a name and, where
+    known, the optimum."""
+
+    def __init__(self, w: np.ndarray, d: np.ndarray, name: str = "",
+                 known_optimum: float | None = None):
+        w = np.asarray(w, dtype=float)
+        d = np.asarray(d, dtype=float)
         if w.shape != d.shape or w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValueError("W and D must be square matrices of equal size")
         if not (np.isfinite(w).all() and np.isfinite(d).all()):
             raise ValueError("matrices must be finite")
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "d", d)
+        vars(self).update(w=w, d=d, name=name, known_optimum=known_optimum)
 
     @property
     def n(self) -> int:
         return self.w.shape[0]
 
 
-@dataclass(frozen=True, eq=False)
-class GipInstance:
-    a: np.ndarray
-    b: np.ndarray
-    planted: Permutation | None = None
-    name: str = ""
-    # Set from a and b once they are checked: A's edges i < j as two
-    # read-only int arrays (i, j), and sum(A) + sum(B); gip_map_costs reads
-    # them.
-    edges: tuple = field(init=False, repr=False)
-    weight: float = field(init=False, repr=False)
+class GipInstance(_ReadOnly):
+    """Adjacency matrices A and B as checked float arrays, the planted
+    isomorphism if any, and a name."""
 
-    def __post_init__(self):
-        a, b = np.asarray(self.a), np.asarray(self.b)
+    def __init__(self, a: np.ndarray, b: np.ndarray,
+                 planted: Permutation | None = None, name: str = ""):
+        a, b = np.asarray(a), np.asarray(b)
         for label, m in (("A", a), ("B", b)):
             if (
                 m.ndim != 2
@@ -79,10 +79,11 @@ class GipInstance:
         i, j = i[upper], j[upper]
         i.flags.writeable = j.flags.writeable = False
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "edges", (i, j))
-        object.__setattr__(self, "weight", a.sum() + b.sum())
+        # Set from a and b once they are checked: A's edges i < j as two
+        # read-only int arrays (i, j), and sum(A) + sum(B); gip_map_costs
+        # reads them.
+        vars(self).update(a=a, b=b, planted=planted, name=name, edges=(i, j),
+                          weight=a.sum() + b.sum())
 
     @property
     def n(self) -> int:

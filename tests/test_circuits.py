@@ -532,6 +532,14 @@ class TestTapeGradient:
         with pytest.raises(ValueError, match="tape is 18 x 8, got \\(30, 8\\)"):
             tape_gradient(borel, u, lam, tape)
 
+    def test_rejects_a_u_or_lam_of_another_size(self):
+        c = build_ansatz("LX", 3)
+        u, tape = forward(c, np.zeros(c.param_count))
+        lam = np.ones(u.shape)
+        for args in ((u[:4, :4], lam), (u, lam[:, :4])):
+            with pytest.raises(ValueError, match="U and lam must be 8 x 8"):
+                tape_gradient(c, *args, tape)
+
     @pytest.mark.parametrize("m", [0, 1])
     def test_sweep_alone_above_the_crossover(self, m):
         # At q + m = TAPE_MAX_QUBITS + 1 no tape is recorded and the gradient

@@ -16,7 +16,7 @@ from quper import circuits, cli, verify
 from quper.circuits import ANSATZ_KINDS, SOLVER_ANSATZE, solver_ansatz
 from quper.cli import build_parser, main
 from quper.dsm import binary_dsms, extract_dsm
-from quper.gf2 import Permutation
+from quper.gf2 import BruhatFactors, Gf2Matrix, Permutation
 from quper.problems import GipInstance, gip_cost, parse_adjacency_csv, parse_edge_list
 from quper.projection import order_maps, project_hungarian, random_orders
 from quper.verify import run_suites
@@ -83,6 +83,45 @@ class TestVerifyCommand:
         name, ok, detail = verify.suite_x_cx_relations()
         assert (name, ok) == ("x_cx_relations", False)
         assert detail.startswith("cx.(x@x) = (x@I).cx violated")
+
+    def test_gate_constructions_fail_on_a_faulty_cx(self, monkeypatch):
+        # PCX and PSWAP have blocks of their own: only the identity built
+        # from CX gates breaks.
+        monkeypatch.setattr(circuits, "_X", np.eye(2, dtype=complex))
+        name, ok, detail = verify.suite_gate_constructions()
+        assert (name, ok) == ("gate_constructions", False)
+        assert detail.startswith("PSWAP(1.1) = CX.PCX.CX violated (")
+
+    def test_borel_enumeration_fails_on_a_faulty_round_trip(self, monkeypatch):
+        # Every word read back as the identity: the second matrix is the first
+        # that is not.
+        monkeypatch.setattr(
+            verify, "word_to_matrix", lambda word, q: Gf2Matrix.identity(q)
+        )
+        name, ok, detail = verify.suite_borel_enumeration(2)
+        assert (name, ok) == ("borel_enumeration", False)
+        assert detail == "round-trip failed for\n11\n01"
+
+    def test_bruhat_reassembly_fails_on_a_lost_factor(self, monkeypatch):
+        real = verify.bruhat_decompose
+
+        def without_u1(m):
+            f = real(m)
+            return BruhatFactors(Gf2Matrix.identity(m.q), f.w, f.u2)
+
+        monkeypatch.setattr(verify, "bruhat_decompose", without_u1)
+        name, ok, detail = verify.suite_bruhat_reassembly(2)
+        assert (name, ok) == ("bruhat_reassembly", False)
+        assert detail == "failed for\n11\n10"
+
+    def test_dsm_agreement_fails_on_a_shifted_oracle(self, monkeypatch):
+        real = verify.statevector_oracle
+        monkeypatch.setattr(
+            verify, "statevector_oracle", lambda c, m, t: real(c, m, t) + 1e-9
+        )
+        name, ok, detail = verify.suite_dsm_agreement()
+        assert (name, ok) == ("dsm_agreement", False)
+        assert detail.startswith("deviation 1.000e-09 at m=")
 
     def test_binary_agreement_fails_on_a_faulty_fast_path(self, monkeypatch):
         # Transposed DSMs differ from extract_dsm's wherever U is not symmetric.

@@ -251,6 +251,14 @@ class TestBirkhoff:
         with pytest.raises(NotDoublyStochasticError):
             birkhoff_decompose(np.full((3, 3), 0.5))
 
+    def test_rejects_a_remainder_with_no_support_above_the_tolerance(self):
+        # Its sums pass the check; once the identity is peeled, a uniform
+        # remainder of about 8e-8 is left, whose assignments' least entry is
+        # 5e-9 <= BIRKHOFF_TOL.
+        d = (1 - 2e-8) * np.eye(4) + 5e-9
+        with pytest.raises(NotDoublyStochasticError, match="no permutation support"):
+            birkhoff_decompose(d)
+
     def test_extracted_terms_are_affine(self):
         rng = np.random.default_rng(5)
         c = build_ansatz("Bruhat", 4)

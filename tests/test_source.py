@@ -55,6 +55,41 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+# Modules the package does not import, each with its measured reason.
+BARRED_IMPORTS = {
+    # A frozen dataclass exec-compiles five or six methods as its class is
+    # made: 0.5 ms a class on Python 3.11 (timeit, best of 5), against
+    # 0.05-0.06 ms for a named tuple, paid by every process that imports
+    # quper, and the module itself takes 1.3-1.7 ms to import after numpy.
+    "dataclasses",
+}
+
+
+def imported_modules(source: str) -> set[str]:
+    """The top-level names of the modules a text imports, anywhere in it;
+    relative imports aside."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_the_import_guard_sees_each_form():
+    source = (
+        "import os.path as p\nfrom dataclasses import dataclass\n"
+        "from . import gf2\nfrom .dsm import x\ndef f():\n    import json\n"
+    )
+    assert imported_modules(source) == {"dataclasses", "json", "os"}
+
+
+@pytest.mark.parametrize("path", PACKAGE, ids=lambda p: p.name)
+def test_no_barred_imports(path):
+    assert imported_modules(path.read_text()) & BARRED_IMPORTS == set()
+
+
 def test_the_package_binds_no_names():
     # A name lives only in the module that defines it, and is imported from
     # there: __init__.py is its docstring alone, not a second list of the API.
@@ -134,32 +169,36 @@ def unset_defaults(package: dict[str, str], callers: list[str]) -> list[str]:
     """The defaulted parameters of the functions and methods in the package
     texts (by module name), as module.qualified_name.parameter, that no call
     in the caller texts sets: by keyword, by position, or through *args or
-    **kwargs.  A call is matched to every function of its name; a method's
-    positions start after self or cls, unless it is a staticmethod."""
-    defaults = []  # (label, function name, parameter, position or None)
+    **kwargs.  A call is matched to every function of its name, and a call
+    of a class K to K's __init__ and __new__; a method's positions start
+    after self or cls, unless it is a staticmethod."""
+    defaults = []  # (label, called name, parameter, position or None)
 
-    def visit(node, scope, in_class):
+    def visit(node, scope, cls):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
-                visit(child, f"{scope}.{child.name}", True)
+                visit(child, f"{scope}.{child.name}", child.name)
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 a, label = child.args, f"{scope}.{child.name}"
-                bound = in_class and not any(
+                bound = cls is not None and not any(
                     ast.unparse(d) == "staticmethod" for d in child.decorator_list
                 )
+                name = child.name
+                if bound and name in ("__init__", "__new__"):
+                    name = cls  # a call of the class sets them
                 positional = a.posonlyargs + a.args
                 first = len(positional) - len(a.defaults)
                 for at, arg in enumerate(positional[first:], first):
-                    defaults.append((label, child.name, arg.arg, at - bound))
+                    defaults.append((label, name, arg.arg, at - bound))
                 for arg, default in zip(a.kwonlyargs, a.kw_defaults):
                     if default is not None:
-                        defaults.append((label, child.name, arg.arg, None))
-                visit(child, label, False)
+                        defaults.append((label, name, arg.arg, None))
+                visit(child, label, None)
             else:
-                visit(child, scope, in_class)
+                visit(child, scope, cls)
 
     for module, text in package.items():
-        visit(ast.parse(text), module, False)
+        visit(ast.parse(text), module, None)
     calls = [
         node
         for text in callers
@@ -189,13 +228,16 @@ def test_the_default_check_sees_each_form():
         "def lone(z=0):\n    def inner(w=1): pass\n"
         "class K:\n    def meth(self, u=0, v=1): pass\n"
         "    @staticmethod\n    def stat(s=0, t=1): pass\n"
+        "class R:\n    def __init__(self, a, b=0, c=1): pass\n"
+        "class N:\n    def __new__(cls, a=0, b=1): pass\n"
     )}
     callers = [
         "f(0, 1, d=5)\ng(*xs)\nh(**kw)\nK().meth(2)\nK.stat(1)\n"
-        "x = lone\nobj.inner(w=2)\n"
+        "x = lone\nobj.inner(w=2)\nR(0, 1)\nN(b=2)\n"
     ]
     assert unset_defaults(package, callers) == [
-        "m.K.meth.v", "m.K.stat.t", "m.f.c", "m.f.e", "m.lone.z",
+        "m.K.meth.v", "m.K.stat.t", "m.N.__new__.a", "m.R.__init__.c", "m.f.c",
+        "m.f.e", "m.lone.z",
     ]
 
 
